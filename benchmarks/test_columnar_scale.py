@@ -1,28 +1,21 @@
-"""Columnar engine scale ramp: both backends, growing scale factors.
+"""Columnar engine scale ramp over growing scale factors.
 
-The tentpole claim of the columnar storage engine is that whole-column
-kernels pull ahead of per-tuple work as relations grow.  This benchmark
-executes the fig3 views (a four-relation join and an aggregation over it)
-through the physical pipeline at SF 0.002 → 0.02 → 0.1 under **every
-importable backend**, checks each backend's bag against a freshly
-recomputed interpreter oracle, and records the timings to
-``results/BENCH_columnar.json`` — the artifact ``tools/bench_compare.py``
-diffs across commits.
+This benchmark executes the fig3 views (a four-relation join and an
+aggregation over it) through the physical pipeline at SF 0.002 → 0.02 →
+0.1, checks each bag against a freshly recomputed interpreter oracle, and
+records the timings to ``results/BENCH_columnar.json`` — the artifact
+``tools/bench_compare.py`` diffs across commits.
 
 The scale ramp is trimmed via ``COLUMNAR_SCALE_FACTORS`` (comma-separated)
-on constrained runners; the numpy-vs-python gate at the largest scale is
-relaxed via ``COLUMNAR_SPEEDUP_FLOOR`` like the other wall-clock gates.
+on constrained runners.
 """
 
 import os
 import time
 from collections import Counter
 
-import pytest
-
 from repro.engine import executor
 from repro.engine.physical import PhysicalExecutor
-from repro.storage.columns import available_backends, forced_backend
 from repro.workloads import queries
 from repro.workloads.datagen import small_database
 
@@ -35,9 +28,6 @@ SCALE_FACTORS = tuple(
     for token in os.environ.get("COLUMNAR_SCALE_FACTORS", "0.002,0.02,0.1").split(",")
     if token.strip()
 )
-
-#: Required numpy-over-python speedup at the largest scale factor.
-MINIMUM_SPEEDUP = float(os.environ.get("COLUMNAR_SPEEDUP_FLOOR", "1.2"))
 
 REPETITIONS = 2
 
@@ -59,76 +49,37 @@ def _best_time(fn) -> float:
 
 
 def test_columnar_scale_ramp(benchmark):
-    """Both backends stay bag-identical to recomputation as scale grows."""
+    """The physical pipeline stays bag-identical to recomputation as scale grows."""
     views = _ramp_views()
-    backends = available_backends()
     points = []
 
     def run_ramp():
         for scale_factor in SCALE_FACTORS:
-            per_backend = {}
-            oracle_bags = None
-            for backend in backends:
-                with forced_backend(backend):
-                    # A fresh database per backend so every relation's store
-                    # is built by the backend under test.
-                    database = small_database(scale_factor=scale_factor)
-                    physical = PhysicalExecutor(database, strict=True)
-                    results = {}
-                    elapsed = 0.0
-                    for name, expression in views.items():
-                        physical.evaluate(expression)  # warm plan + stores
-                        elapsed += _best_time(lambda e=expression: physical.evaluate(e))
-                        results[name] = Counter(physical.evaluate(expression).iter_rows())
-                    if oracle_bags is None:
-                        # Recompute once through the row-at-a-time
-                        # interpreter: the oracle every backend must match.
-                        oracle_bags = {
-                            name: Counter(
-                                executor.evaluate(expression, database).iter_rows()
-                            )
-                            for name, expression in views.items()
-                        }
-                    verified = all(
-                        results[name] == oracle_bags[name] for name in views
-                    )
-                    per_backend[backend] = {
-                        "verified": verified,
-                        "timing": {"physical_seconds": elapsed},
-                    }
-            point = {
-                "scale_factor": scale_factor,
-                "views": len(views),
-                "backends": per_backend,
-            }
-            if "numpy" in per_backend and "python" in per_backend:
-                point["timing"] = {
-                    "numpy_over_python": (
-                        per_backend["python"]["timing"]["physical_seconds"]
-                        / max(per_backend["numpy"]["timing"]["physical_seconds"], 1e-9)
-                    )
+            database = small_database(scale_factor=scale_factor)
+            physical = PhysicalExecutor(database)
+            verified = True
+            elapsed = 0.0
+            for expression in views.values():
+                physical.evaluate(expression)  # warm plan + stores
+                elapsed += _best_time(lambda e=expression: physical.evaluate(e))
+                # Recompute through the row-at-a-time interpreter: the oracle.
+                verified = verified and Counter(
+                    physical.evaluate(expression).iter_rows()
+                ) == Counter(executor.evaluate(expression, database).iter_rows())
+            points.append(
+                {
+                    "scale_factor": scale_factor,
+                    "views": len(views),
+                    "verified": verified,
+                    "timing": {"physical_seconds": elapsed},
                 }
-            points.append(point)
+            )
 
     benchmark.pedantic(run_ramp, rounds=1, iterations=1)
-    payload = {
-        "experiment": "columnar_scale",
-        "backends": list(backends),
-        "points": points,
-    }
-    write_json_result("columnar", payload)
+    write_json_result("columnar", {"experiment": "columnar_scale", "points": points})
 
     for point in points:
-        for backend, entry in point["backends"].items():
-            assert entry["verified"], (
-                f"{backend} backend diverged from recomputation at "
-                f"SF {point['scale_factor']}"
-            )
-    if "numpy" not in backends:
-        pytest.skip("numpy backend unavailable: ramp recorded for python only")
-    largest = points[-1]
-    ratio = largest["timing"]["numpy_over_python"]
-    assert ratio >= MINIMUM_SPEEDUP, (
-        f"numpy backend only reached {ratio:.2f}x over the python backend at "
-        f"SF {largest['scale_factor']} (required: {MINIMUM_SPEEDUP}x)"
-    )
+        assert point["verified"], (
+            f"physical execution diverged from recomputation at "
+            f"SF {point['scale_factor']}"
+        )

@@ -122,7 +122,7 @@ def test_parallel_scale_ramp(benchmark):
     def run_ramp():
         for scale_factor in SCALE_FACTORS:
             database = small_database(scale_factor=scale_factor)
-            physical = PhysicalExecutor(database, strict=True)
+            physical = PhysicalExecutor(database)
 
             def run_serial():
                 for expression in views.values():

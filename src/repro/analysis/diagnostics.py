@@ -6,7 +6,8 @@ raising mid-walk: a diagnostic carries a stable error code, a severity, a
 human message, the path to the offending node, and a fix hint.  Callers
 decide what to do with them (the :class:`~repro.api.Warehouse` raises a
 ``WarehouseError`` on analyzer errors; the physical executor raises a
-``PhysicalPlanError`` on verifier errors; ``explain`` renders them inline).
+``PhysicalPlanError`` on verifier errors and renders the same codes for
+run-time resolution failures; ``explain`` renders them inline).
 
 Code families
 -------------

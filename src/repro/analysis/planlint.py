@@ -97,7 +97,7 @@ class _PlanVerifier:
         if op is None:
             if isinstance(node.expression, BaseRelation):
                 return self._scan_schema(node.expression.name, node)
-            # Exotic leaf: compiled as a logical fallback, nothing to verify.
+            # Exotic leaf: no operator to verify (compilation rejects it).
             return self._expression_schema(node.expression)
         if op.kind is OperatorKind.SCAN:
             return self._scan_schema(op.relation, node)
@@ -178,19 +178,13 @@ class _PlanVerifier:
     def _reuse(self, node: PlanNode) -> Optional[Schema]:
         resolved = self._resolve_reuse(node)
         if self.database is not None and resolved is None:
-            severity = "warning" if node.expression is not None else "error"
-            hint = (
-                "the step can still recompute through its logical expression"
-                if node.expression is not None
-                else "materialize the result (or re-plan) before executing"
-            )
             label = ", ".join(self._reuse_candidates(node)) or node.description
             self.report(
                 "REPRO-P006",
-                severity,
+                "error",
                 f"reused result {label!r} is not materialized",
                 node,
-                hint,
+                "materialize the result (or re-plan) before executing",
             )
         if resolved is not None:
             if self.database.has_view(resolved):
@@ -491,7 +485,7 @@ def verify_temporaries(
     materialization order.  A temporary whose expression *contains* another
     temporary's expression as a sub-expression must be materialized after
     it — otherwise the nested shared result is recomputed instead of
-    reused (or, under strict execution, the plan fails to resolve).
+    reused.
     """
     out: List[Diagnostic] = []
     canonicals = [expression.canonical() for _, expression in ordered]

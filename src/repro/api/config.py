@@ -7,14 +7,19 @@ and the ``CardinalityEstimator`` into a single frozen dataclass the
 profiles capture the three configurations that matter in practice:
 
 * ``paper``  — the paper's experimental setting (the defaults): Greedy on,
-  primary-key indexes predeclared, histograms + runtime feedback, physical
-  execution, no oracle verification;
+  primary-key indexes predeclared, histograms + runtime feedback, no
+  verification against the references;
 * ``fast``   — quickest end-to-end runs: index candidate enumeration and
   runtime feedback (plan re-optimization) off;
 * ``verify`` — every differential checked against the interpreted oracle,
   every refreshed view compared with recomputation, and every physical plan
   statically verified on every planning call — slow, but any divergence
   raises immediately.
+
+Execution itself has no knob: full computations always run through the
+physical executor and differentials through the vectorized engine; the
+interpreter and the interpreted ``differentiate`` are the references the
+``verify_*`` fields compare against, never a runtime path.
 """
 
 from __future__ import annotations
@@ -66,12 +71,8 @@ class WarehouseConfig:
     #: re-optimize cached plans that drifted.
     feedback: bool = True
 
-    #: Execute full (re)computations through the physical plan layer.
-    use_physical: bool = True
-    #: Run differentials through the vectorized engine (``None`` follows
-    #: ``use_physical``, the historical default).
-    vectorized_differentials: Optional[bool] = None
-    #: Check every vectorized differential against the interpreted oracle.
+    #: Check every vectorized differential against the interpreted reference
+    #: (:func:`repro.engine.differential.differentiate`).
     verify_differentials: bool = False
     #: After ``apply()``, compare every view against full recomputation and
     #: fail (rolling the batch back) on any mismatch.
@@ -168,11 +169,6 @@ class WarehouseConfig:
             raise WarehouseError(
                 f"max_selections must be non-negative or None, got {self.max_selections}"
             )
-        if self.verify_differentials and not self._vectorized():
-            raise WarehouseError(
-                "verify_differentials checks the vectorized engine against the "
-                "interpreted oracle; it needs vectorized differentials enabled"
-            )
         if self.stream_policy not in ("eager", "coalesce"):
             raise unknown_name("stream policy", self.stream_policy, ("eager", "coalesce"))
         if self.verify_plans not in ("always", "cache-insert", "off"):
@@ -268,11 +264,6 @@ class WarehouseConfig:
             max_rows=self.serving_max_staleness_rows,
             max_seconds=self.serving_max_staleness_seconds,
         )
-
-    def _vectorized(self) -> bool:
-        if self.vectorized_differentials is None:
-            return self.use_physical
-        return self.vectorized_differentials
 
     # ------------------------------------------------------------------ profiles
 

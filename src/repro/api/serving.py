@@ -31,7 +31,7 @@ failure poisons the session and surfaces as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional
 
 from repro.algebra.expressions import base_relations
 from repro.api.errors import (
@@ -41,6 +41,7 @@ from repro.api.errors import (
     WarehouseError,
     unknown_name,
 )
+from repro.api.stream import IngestBatch, IngestResolver
 from repro.serving import (
     DaemonCrash,
     FreshnessSLO,
@@ -53,12 +54,8 @@ from repro.serving import (
 )
 from repro.serving.sync import Mutex
 from repro.storage.delta import DeltaStore
-from repro.storage.relation import Relation, Row
+from repro.storage.relation import Relation
 from repro.stream import StreamScheduler
-from repro.workloads import updategen
-
-#: What ``ingest()`` accepts — the same shapes as ``Warehouse.apply()``.
-IngestBatch = Union[DeltaStore, "UpdateSpec", float]
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,9 @@ class ServingSession:
         self.degraded_reads = 0
         self.rejected_reads = 0
         self.shed_ingests = 0
-        #: Daemon-thread resolution state (mirrors ``StreamSession``).
-        self._ticks = 0
-        self._pending_deletes: Dict[str, List[Row]] = {}
+        #: Validates on the caller thread, resolves on the daemon thread
+        #: (delta generation reads the database).
+        self._resolver = IngestResolver(warehouse)
 
         self.snapshots = SnapshotManager()
         scheduler = StreamScheduler(
@@ -145,7 +142,7 @@ class ServingSession:
         self.daemon = RefreshDaemon(
             scheduler=scheduler,
             snapshots=self.snapshots,
-            resolve=self._resolve_on_daemon,
+            resolve=self._resolver.resolve,
             flush=self._flush_on_daemon,
             capture=self._capture_views,
             views_of=self._views_touched,
@@ -169,10 +166,7 @@ class ServingSession:
         refresher = ViewRefresher(
             database,
             warehouse._views,
-            use_physical=warehouse.config.use_physical,
-            physical_executor=(
-                warehouse._runtime if warehouse.config.use_physical else None
-            ),
+            physical_executor=warehouse._runtime,
             parallel=pool,
         )
         refresher.ensure_views()
@@ -264,13 +258,8 @@ class ServingSession:
         :class:`~repro.api.errors.ServingError`.
         """
         self._require_open()
-        rows_hint = 0
-        if isinstance(batch, DeltaStore):
-            self._validate_deltas(batch)
-            rows_hint = batch.total_rows()
-        else:
-            # Raises the façade's error for unsupported batch types.
-            self._warehouse._batch_spec(batch, "ingest()")
+        self._resolver.validate(batch)
+        rows_hint = batch.total_rows() if isinstance(batch, DeltaStore) else 0
         try:
             return self.daemon.submit(batch, seed, rows_hint=rows_hint)
         except IngestOverflow as exc:
@@ -279,25 +268,6 @@ class ServingSession:
             raise ServingError(str(exc)) from exc
         except DaemonCrash as exc:
             raise ServingError(str(exc)) from exc
-
-    def _validate_deltas(self, batch: DeltaStore) -> None:
-        database = self._warehouse._require_database()
-        for delta in batch:
-            if not database.has_relation(delta.relation):
-                raise unknown_name(
-                    "relation",
-                    delta.relation,
-                    database.table_names(),
-                    hint="(in ingested batch)",
-                )
-            arity = len(database.table(delta.relation).schema)
-            for bag in (delta.inserts, delta.deletes):
-                if len(bag.schema) != arity:
-                    raise WarehouseError(
-                        f"delta bag for {delta.relation!r} has arity "
-                        f"{len(bag.schema)}, the table expects {arity} "
-                        f"(in ingested batch)"
-                    )
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Force a refresh of everything queued and pending, synchronously."""
@@ -420,48 +390,9 @@ class ServingSession:
 
     # ----------------------------------------------------- daemon-side closures
 
-    def _resolve_on_daemon(self, batch, seed: Optional[int]) -> DeltaStore:
-        """Daemon thread: turn a queued batch into concrete deltas.
-
-        Mirrors ``StreamSession._resolve`` — tick-varied seeds, exclusion of
-        already-pending deletes, key sequences continued past the warehouse
-        high-water mark — but runs on the daemon thread because delta
-        generation reads the database.
-        """
-        warehouse = self._warehouse
-        database = warehouse._require_database()
-        self._ticks += 1
-        if isinstance(batch, DeltaStore):
-            warehouse._advance_issued_keys(batch)
-            self._track_pending(batch)
-            return batch
-        spec = warehouse._batch_spec(batch, "ingest()")
-        relations = warehouse.view_relations
-        tick_seed = (warehouse.config.seed + self._ticks) if seed is None else seed
-        deltas = updategen.generate_deltas(
-            database,
-            spec.restricted_to(relations),
-            relations,
-            seed=tick_seed,
-            exclude_deletes=self._pending_deletes,
-            key_offsets=warehouse._key_offsets(relations),
-        )
-        warehouse._advance_issued_keys(deltas)
-        self._track_pending(deltas)
-        return deltas
-
-    def _track_pending(self, deltas: DeltaStore) -> None:
-        for delta in deltas:
-            if len(delta.deletes):
-                self._pending_deletes.setdefault(delta.relation, []).extend(
-                    delta.deletes.rows
-                )
-
     def _flush_on_daemon(self, rounds):
         """Daemon thread: apply + refresh the taken rounds."""
-        # Flushed deletes are applied (or the session is poisoned) either
-        # way — the exclusion pool resets, the key high-water mark survives.
-        self._pending_deletes = {}
+        self._resolver.flushed()
         return self._warehouse._refresh_rounds(rounds, transactional=False)
 
     def _capture_views(self) -> Dict[str, Relation]:

@@ -33,6 +33,98 @@ from repro.workloads import updategen
 IngestBatch = Union[DeltaStore, UpdateSpec, float]
 
 
+class IngestResolver:
+    """Turns what ``ingest()`` accepts into concrete delta rounds.
+
+    The one implementation behind :class:`StreamSession` and
+    :class:`~repro.api.serving.ServingSession`.  :meth:`validate` is
+    stateless and safe on any caller thread; :meth:`resolve` owns the
+    session's tick counter and pending-delete pool, so exactly one thread
+    (the caller under the stream mutex, or the refresh daemon) may run it.
+    Key sequences are tracked warehouse-wide (``_issued_keys`` on the
+    :class:`Warehouse`), so apply() batches and every session's ingests
+    share one monotonic key space.
+    """
+
+    def __init__(self, warehouse) -> None:
+        self._warehouse = warehouse
+        self._ticks = 0
+        #: Rows already marked for deletion by pending rounds (never delete
+        #: a tuple twice); reset by :meth:`flushed`.
+        self._pending_deletes: Dict[str, List[Row]] = {}
+
+    def validate(self, batch: Optional[IngestBatch]) -> None:
+        """Reject a malformed batch now, while rejecting is free.
+
+        A flush failure after buffering poisons the session (the refresh is
+        non-transactional), so a malformed round must not get that far.
+        Every recorded delta is checked — even fully empty ones, since the
+        pending buffer adopts the first round's bags as its schema
+        templates.
+        """
+        wh = self._warehouse
+        if not isinstance(batch, DeltaStore):
+            # Raises the façade's error for unsupported batch types.
+            wh._batch_spec(batch, "ingest()")
+            return
+        database = wh._require_database()
+        for delta in batch:
+            if not database.has_relation(delta.relation):
+                raise unknown_name(
+                    "relation",
+                    delta.relation,
+                    database.table_names(),
+                    hint="(in ingested batch)",
+                )
+            arity = len(database.table(delta.relation).schema)
+            for bag in (delta.inserts, delta.deletes):
+                if len(bag.schema) != arity:
+                    raise WarehouseError(
+                        f"delta bag for {delta.relation!r} has arity "
+                        f"{len(bag.schema)}, the table expects {arity} "
+                        f"(in ingested batch)"
+                    )
+
+    def resolve(self, batch: Optional[IngestBatch], seed: Optional[int]) -> DeltaStore:
+        """The concrete deltas of one (validated) ingest; reads the database."""
+        wh = self._warehouse
+        self._ticks += 1
+        if isinstance(batch, DeltaStore):
+            deltas = batch
+        else:
+            spec = wh._batch_spec(batch, "ingest()")
+            relations = wh.view_relations
+            # Vary the seed per tick (identical consecutive rounds would
+            # delete the same sampled tuples twice), exclude already-pending
+            # deletes, and continue key sequences past the warehouse
+            # high-water mark.
+            tick_seed = (wh.config.seed + self._ticks) if seed is None else seed
+            deltas = updategen.generate_deltas(
+                wh._require_database(),
+                spec.restricted_to(relations),
+                relations,
+                seed=tick_seed,
+                exclude_deletes=self._pending_deletes,
+                key_offsets=wh._key_offsets(relations),
+            )
+        # Caller-supplied inserts consume key space too — advance the
+        # high-water mark so a later *generated* batch cannot restart its
+        # key sequences underneath these pending rows.
+        wh._advance_issued_keys(deltas)
+        for delta in deltas:
+            if len(delta.deletes):
+                self._pending_deletes.setdefault(delta.relation, []).extend(
+                    delta.deletes.rows
+                )
+        return deltas
+
+    def flushed(self) -> None:
+        """Pending rounds were handed to a refresh: their deletes are applied
+        (or the session is poisoned) either way, so the exclusion pool
+        resets; the issued-keys high-water mark deliberately survives."""
+        self._pending_deletes = {}
+
+
 class StreamSession:
     """One streaming ingest session over a :class:`~repro.api.Warehouse`.
 
@@ -58,13 +150,7 @@ class StreamSession:
         #: Rounds a *failed* flush was about to refresh, kept for inspection.
         #: A flush failure poisons the session (see :meth:`flush`).
         self.failed_rounds: List[DeltaStore] = []
-        #: Pending-state tracking for deferred generation: rows already
-        #: marked for deletion (never delete a tuple twice; reset per flush).
-        #: Key sequences are tracked warehouse-wide (``_issued_keys`` on the
-        #: :class:`Warehouse`), so apply() batches and stream ingests share
-        #: one monotonic key space.
-        self._pending_deletes: Dict[str, List[Row]] = {}
-        self._ticks = 0
+        self._resolver = IngestResolver(warehouse)
         #: Serializes ingest/flush/close: the session is not a concurrent
         #: object (use ``Warehouse.serve()`` for that), but lifecycle races
         #: must stay deterministic — a ``flush()`` racing a ``close()``
@@ -87,68 +173,12 @@ class StreamSession:
         """
         with self._mutex:
             self._require_open()
-            self._ticks += 1
-            deltas = self._resolve(batch, seed)
+            self._resolver.validate(batch)
+            deltas = self._resolver.resolve(batch, seed)
             decision = self._scheduler.ingest(deltas)
-            self._track_pending(deltas)
             if decision.refreshes:
                 self._flush_pending()
             return decision
-
-    def _resolve(self, batch: Optional[IngestBatch], seed: Optional[int]) -> DeltaStore:
-        wh = self._warehouse
-        database = wh._require_database()
-        if isinstance(batch, DeltaStore):
-            # Validate relation names and bag arities now, while rejecting
-            # is free: a flush failure after buffering poisons the session
-            # (the refresh is non-transactional), so a malformed round must
-            # not get that far.  Every recorded delta is checked — even
-            # fully empty ones, since the pending buffer adopts the first
-            # round's bags as its schema templates.
-            for delta in batch:
-                if not database.has_relation(delta.relation):
-                    raise unknown_name(
-                        "relation",
-                        delta.relation,
-                        database.table_names(),
-                        hint="(in ingested batch)",
-                    )
-                arity = len(database.table(delta.relation).schema)
-                for bag in (delta.inserts, delta.deletes):
-                    if len(bag.schema) != arity:
-                        raise WarehouseError(
-                            f"delta bag for {delta.relation!r} has arity "
-                            f"{len(bag.schema)}, the table expects {arity} "
-                            f"(in ingested batch)"
-                        )
-            # Caller-supplied inserts consume key space too — advance the
-            # warehouse high-water mark so a later *generated* batch cannot
-            # restart its key sequences underneath these pending rows.
-            wh._advance_issued_keys(batch)
-            return batch
-        spec = wh._batch_spec(batch, "ingest()")
-        relations = wh.view_relations
-        # Vary the seed per tick (identical consecutive rounds would delete
-        # the same sampled tuples twice), exclude already-pending deletes,
-        # and continue key sequences past the warehouse high-water mark.
-        tick_seed = (wh.config.seed + self._ticks) if seed is None else seed
-        deltas = updategen.generate_deltas(
-            database,
-            spec.restricted_to(relations),
-            relations,
-            seed=tick_seed,
-            exclude_deletes=self._pending_deletes,
-            key_offsets=wh._key_offsets(relations),
-        )
-        wh._advance_issued_keys(deltas)
-        return deltas
-
-    def _track_pending(self, deltas: DeltaStore) -> None:
-        for delta in deltas:
-            if len(delta.deletes):
-                self._pending_deletes.setdefault(delta.relation, []).extend(
-                    delta.deletes.rows
-                )
 
     # ----------------------------------------------------------------- flush
 
@@ -179,9 +209,7 @@ class StreamSession:
         had_batches = self._scheduler.pending.batches > 0
         annihilated = self._scheduler.pending.annihilated_rows
         rounds = self._scheduler.take()
-        # Flushed deletes are applied, so the exclusion pool resets; the
-        # issued-keys high-water mark deliberately survives (see __init__).
-        self._pending_deletes = {}
+        self._resolver.flushed()
         if not rounds:
             if had_batches:
                 # Batches were pending but coalesced to nothing — the

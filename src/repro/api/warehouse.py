@@ -204,9 +204,7 @@ class Warehouse:
             from repro.parallel import ShardPool, ShardSpec
 
             spec = ShardSpec.for_database(self._database, self.config.workers)
-            self._shard_pool = ShardPool(
-                self._database, spec, use_physical=self.config.use_physical
-            )
+            self._shard_pool = ShardPool(self._database, spec)
         return self._shard_pool
 
     def _close_shard_pool(self) -> None:
@@ -457,10 +455,8 @@ class Warehouse:
             self._views,
             temporary_subexpressions=temporaries,
             recompute_views=recompute,
-            use_physical=self.config.use_physical,
-            vectorized_differentials=self.config.vectorized_differentials,
             verify_differentials=self.config.verify_differentials,
-            physical_executor=self._runtime if self.config.use_physical else None,
+            physical_executor=self._runtime,
             parallel=self.shard_pool(),
         )
         try:

@@ -190,7 +190,6 @@ def _measure_mode(
     )
     executor = PhysicalExecutor(
         database,
-        strict=True,
         estimator=estimator,
         feedback=mode == "histogram_feedback",
     )
@@ -216,7 +215,7 @@ def _measure_mode(
                 )
             )
 
-        execute_plan(plan, database, strict=True, output_schema=schema, observer=collect)
+        execute_plan(plan, database, output_schema=schema, observer=collect)
 
     def run_all() -> None:
         for expression in views.values():

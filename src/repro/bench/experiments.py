@@ -154,7 +154,7 @@ def run_optimization_cost(
 ) -> OptimizationCostResult:
     """Measure Greedy's optimization time for the 10-view workload of Figure 5."""
     config = _config(scale_factor)
-    optimizer = config.optimizer()
+    optimizer = config.warehouse().optimizer
     views = queries.large_view_set()
     spec = UpdateSpec.uniform(update_percentage)
     no_greedy = optimizer.no_greedy(views, spec)
@@ -219,7 +219,7 @@ def run_temp_vs_perm(
     ]
     result = TempPermResult()
     config = _config(scale_factor)
-    optimizer = config.optimizer()
+    optimizer = config.warehouse().optimizer
     for percentage in update_percentages:
         bucket = TempPermCounts()
         spec = UpdateSpec.uniform(percentage)
@@ -357,8 +357,8 @@ def run_physical_vs_interpreter(
     """Execute the fig3/fig5 query sets through both execution paths.
 
     Every view is first checked for bag-equality between the two paths (the
-    physical executor runs strictly — no silent interpreter fallback), then
-    timed; the best of ``repetitions`` runs is kept for each path.
+    physical executor has no interpreter fallback), then timed; the best of
+    ``repetitions`` runs is kept for each path.
 
     The physical timings measure *execution* with a warm plan cache:
     planning (DAG build + Volcano search) is a once-per-expression cost in
@@ -374,7 +374,7 @@ def run_physical_vs_interpreter(
         combined.update(queries.large_view_set())
         views = combined
     database = small_database(scale_factor=scale_factor)
-    executor = PhysicalExecutor(database, strict=True)
+    executor = PhysicalExecutor(database)
     result = ExecutionComparisonResult(
         experiment="physical_exec", scale_factor=scale_factor
     )
@@ -412,35 +412,26 @@ def run_physical_vs_interpreter(
     return result
 
 
-# ------------------------------------------ differential refresh vs interpreter
+# ------------------------------------------------------- differential refresh
 
 @dataclass
 class RefreshComparisonPoint:
-    """One view set's refresh timings under both differential paths."""
+    """One view set's refresh timing and verification outcome."""
 
     workload: str
     views: int
     rounds: int
-    #: Tuples inserted+deleted across all views and rounds (same for both
-    #: paths — the differentials are bag-identical by construction).
+    #: Tuples inserted+deleted across all views and rounds.
     changes: int
-    interpreted_seconds: float
     vectorized_seconds: float
     #: Whether ``verify_against_recomputation`` passed for every view after
-    #: every refresh round, on both paths.
+    #: every refresh round.
     verified: bool
-
-    @property
-    def speedup(self) -> float:
-        """Interpreted-differential time over vectorized-engine time."""
-        if self.vectorized_seconds <= 0:
-            return float("inf")
-        return self.interpreted_seconds / self.vectorized_seconds
 
 
 @dataclass
 class RefreshComparisonResult:
-    """Vectorized differential engine vs the interpreted differential path."""
+    """Refresh through the differential engine, verified against recomputation."""
 
     experiment: str
     scale_factor: float
@@ -448,25 +439,13 @@ class RefreshComparisonResult:
     points: List[RefreshComparisonPoint] = field(default_factory=list)
 
     @property
-    def total_interpreted_seconds(self) -> float:
-        """Total interpreted-differential refresh time."""
-        return sum(p.interpreted_seconds for p in self.points)
-
-    @property
     def total_vectorized_seconds(self) -> float:
-        """Total vectorized-engine refresh time."""
+        """Total refresh time."""
         return sum(p.vectorized_seconds for p in self.points)
 
     @property
-    def overall_speedup(self) -> float:
-        """Workload-level refresh speedup of the vectorized engine."""
-        if self.total_vectorized_seconds <= 0:
-            return float("inf")
-        return self.total_interpreted_seconds / self.total_vectorized_seconds
-
-    @property
     def all_verified(self) -> bool:
-        """Whether every benchmarked refresh round verified on both paths."""
+        """Whether every benchmarked refresh round verified."""
         return all(p.verified for p in self.points)
 
     def as_rows(self) -> List[Dict[str, object]]:
@@ -477,9 +456,7 @@ class RefreshComparisonResult:
                 "views": p.views,
                 "rounds": p.rounds,
                 "changes": p.changes,
-                "interpreted_ms": p.interpreted_seconds * 1000.0,
                 "vectorized_ms": p.vectorized_seconds * 1000.0,
-                "speedup": p.speedup,
                 "verified": p.verified,
             }
             for p in self.points
@@ -491,19 +468,17 @@ def run_refresh_comparison(
     update_percentage: float = 0.05,
     refresh_rounds: int = 2,
 ) -> RefreshComparisonResult:
-    """Refresh the fig3/fig5 view sets through both differential paths.
+    """Refresh the fig3/fig5 view sets and verify every round.
 
-    For each view set, the same sequence of update batches is propagated
-    twice from identical database copies: once with the interpreted
-    ``differentiate`` (the PR-1 refresh path — full computations already
-    physical, differentials row-at-a-time and uncached) and once through the
-    vectorized :class:`~repro.engine.differential.DifferentialEngine` with
-    its per-round shared old-value cache.  After *every* refresh round each
-    path's views are verified against recomputation; a point only counts as
-    verified if every view passed every time.
+    For each view set, a sequence of update batches is propagated through
+    the vectorized :class:`~repro.engine.differential.DifferentialEngine`
+    with its per-round shared old-value cache.  After *every* refresh round
+    the views are verified against recomputation (the interpreter
+    reference); a point only counts as verified if every view passed every
+    time.
 
     Update batches are generated against a lock-step simulation of the base
-    tables, so both paths replay the identical δ+/δ− bags.
+    tables.
     """
     workloads: Dict[str, Dict[str, object]] = {
         "fig3": {**queries.standalone_join_view(), **queries.standalone_agg_view()},
@@ -530,29 +505,19 @@ def run_refresh_comparison(
             for delta in deltas:
                 sim.apply_delta(delta)
 
-        timings: Dict[bool, float] = {}
         verified = True
         changes = 0
-        for vectorized in (False, True):
-            database = base.copy()
-            refresher = ViewRefresher(
-                database,
-                views,
-                use_physical=True,
-                vectorized_differentials=vectorized,
+        refresher = ViewRefresher(base.copy(), views)
+        refresher.initialize_views()
+        elapsed = 0.0
+        for deltas in batches:
+            started = time.perf_counter()
+            report = refresher.refresh(deltas)
+            elapsed += time.perf_counter() - started
+            verified = verified and all(
+                refresher.verify_against_recomputation().values()
             )
-            refresher.initialize_views()
-            elapsed = 0.0
-            for deltas in batches:
-                started = time.perf_counter()
-                report = refresher.refresh(deltas)
-                elapsed += time.perf_counter() - started
-                verified = verified and all(
-                    refresher.verify_against_recomputation().values()
-                )
-                if vectorized:
-                    changes += report.total_changes()
-            timings[vectorized] = elapsed
+            changes += report.total_changes()
 
         result.points.append(
             RefreshComparisonPoint(
@@ -560,8 +525,7 @@ def run_refresh_comparison(
                 views=len(views),
                 rounds=refresh_rounds,
                 changes=changes,
-                interpreted_seconds=timings[False],
-                vectorized_seconds=timings[True],
+                vectorized_seconds=elapsed,
                 verified=verified,
             )
         )
@@ -749,7 +713,7 @@ def run_sharing_examples(scale_factor: float = PAPER_SCALE_FACTOR) -> SharingExa
     example31 = mqo.optimize(queries.example_3_1_queries())
 
     config = _config(scale_factor)
-    optimizer = config.optimizer()
+    optimizer = config.warehouse().optimizer
     spec = UpdateSpec.uniform(0.05)
     views = queries.example_3_2_view()
     no_greedy = optimizer.no_greedy(views, spec).total_cost

@@ -16,7 +16,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.algebra.expressions import Expression
 from repro.api import Warehouse, WarehouseConfig
 from repro.catalog.catalog import Catalog
-from repro.maintenance.optimizer import ViewMaintenanceOptimizer
 from repro.maintenance.update_spec import UpdateSpec
 from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.storage.buffer import BufferPool
@@ -52,14 +51,6 @@ class ExperimentConfig:
     def cost_model(self) -> CostModel:
         """The cost model implied by this configuration."""
         return CostModel(CostParameters(), BufferPool(self.buffer_blocks, self.block_size))
-
-    def optimizer(self) -> ViewMaintenanceOptimizer:
-        """Deprecated shim: the warehouse session's underlying optimizer.
-
-        Callers should go through :meth:`warehouse` — kept for one release so
-        existing scripts keep working.
-        """
-        return self.warehouse().optimizer
 
 
 @dataclass

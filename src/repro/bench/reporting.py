@@ -191,18 +191,12 @@ def refresh_payload(result) -> Dict[str, Any]:
                 "rounds": p.rounds,
                 "changes": p.changes,
                 "verified": p.verified,
-                "timing": {
-                    "interpreted_seconds": p.interpreted_seconds,
-                    "vectorized_seconds": p.vectorized_seconds,
-                    "speedup": p.speedup,
-                },
+                "timing": {"vectorized_seconds": p.vectorized_seconds},
             }
             for p in result.points
         ],
         "timing": {
-            "total_interpreted_seconds": result.total_interpreted_seconds,
             "total_vectorized_seconds": result.total_vectorized_seconds,
-            "overall_speedup": result.overall_speedup,
         },
     }
 
@@ -271,8 +265,8 @@ def format_refresh_comparison(result) -> str:
     )
     summary = f"verified={result.all_verified} {_timing_note(result.experiment)}"
     return (
-        f"{result.experiment}: vectorized differential engine vs interpreted "
-        f"differentials (scale factor {result.scale_factor}, "
+        f"{result.experiment}: vectorized differential engine, every round "
+        f"verified against recomputation (scale factor {result.scale_factor}, "
         f"{result.update_percentage:.0%} updates)\n{table}\n{summary}"
     )
 

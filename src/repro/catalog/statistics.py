@@ -85,7 +85,7 @@ class Histogram:
         population size when ``values`` is only a sample of it.  Returns
         ``None`` for an empty value list.
         """
-        if _np is not None and isinstance(values, _np.ndarray):
+        if isinstance(values, _np.ndarray):
             ordered = _np.sort(values)
         else:
             ordered = sorted(values)
@@ -125,7 +125,7 @@ class Histogram:
         vectorized route: ``np.sort`` plus a single ``np.searchsorted``
         over all bucket bounds.
         """
-        if _np is not None and isinstance(values, _np.ndarray):
+        if isinstance(values, _np.ndarray):
             ordered = _np.sort(values.astype(_np.float64, copy=False))
             positions = _np.searchsorted(
                 ordered, _np.asarray(self.bounds[1:], dtype=_np.float64), side="right"
@@ -347,7 +347,7 @@ class TableStats:
                 histogram = histogram.shifted(values, sign)
             min_v, max_v = cs.min_value, cs.max_value
             if sign > 0 and len(values):
-                if _np is not None and isinstance(values, _np.ndarray):
+                if isinstance(values, _np.ndarray):
                     lo, hi = float(values.min()), float(values.max())
                 else:
                     lo, hi = float(min(values)), float(max(values))
@@ -459,14 +459,11 @@ class TableStats:
 
 
 def _vector_store_of(delta):
-    """The delta's numpy column store when one is (or is worth) building.
+    """The delta's column store when one is (or is worth) building.
 
     Duck-typed like the rest of the stats measurement path: any relation
-    that does not expose ``vector_store`` (or whose backend is pure Python)
-    simply stays on the row route.
+    that does not expose ``vector_store`` simply stays on the row route.
     """
-    if _np is None:
-        return None
     vector_store = getattr(delta, "vector_store", None)
     if vector_store is None:
         return None

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.catalog.catalog import Catalog, IndexDef
 from repro.catalog.schema import TableDef
 from repro.catalog.statistics import TableStats
-from repro.storage.columns import NumpyColumnStore, numpy as _np
+from repro.storage.columns import numpy as _np
 from repro.storage.delta import Delta, DeltaKind
 from repro.storage.index import build_index
 from repro.storage.relation import Relation, Row, multiset_subtract
@@ -222,18 +222,7 @@ class Database:
         large enough for the build to amortize over the carried rounds —
         after that every merge stays columnar.
         """
-        store = current.cached_store()
-        if store is None:
-            store = current.vector_store(_STORE_CARRY_MIN_ROWS)
-        return store
-
-    @staticmethod
-    def _delta_tail(carried, delta_rows: Relation, current: Relation):
-        """The insert bag as a store of ``carried``'s kind, reusing its own."""
-        tail = delta_rows.cached_store()
-        if tail is not None and type(tail) is type(carried):
-            return tail
-        return type(carried).from_rows(delta_rows.rows, len(current.schema))
+        return current.vector_store(_STORE_CARRY_MIN_ROWS)
 
     def _apply_insert(self, name: str, current: Relation, delta_rows: Relation) -> Relation:
         """Append an insert bag; index the appended tail incrementally."""
@@ -247,12 +236,10 @@ class Database:
             # Pure columnar append: the old rows never have to exist as
             # tuples.  (Index maintenance below needs the row list, so
             # indexed relations stay on the row path and just adopt.)
-            tail = self._delta_tail(carried, delta_rows, current)
-            if delta_rows.cached_store() is None:
-                # The tail store holds exactly the delta's rows — hand it to
-                # the delta too, so the statistics maintenance that follows
-                # runs its vectorized route even for tiny bags.
-                delta_rows.adopt_store(tail)
+            # The delta keeps the store built here, so the statistics
+            # maintenance that follows runs its vectorized route even for
+            # tiny bags.
+            tail = delta_rows.vector_store()
             updated = Relation.from_store(current.schema, carried.concat(tail), name)
             self._store(name, updated)
             return updated
@@ -264,10 +251,7 @@ class Database:
             # concat with the (small) delta's columns costs O(δ + n) array
             # copying instead of re-inferring dtypes over the whole new row
             # list next time a vectorized kernel touches this table.
-            tail = self._delta_tail(carried, delta_rows, current)
-            if delta_rows.cached_store() is None:
-                delta_rows.adopt_store(tail)
-            updated.adopt_store(carried.concat(tail))
+            updated.adopt_store(carried.concat(delta_rows.vector_store()))
         self._store(name, updated)
         if entries:
             if len(delta_rows) > INCREMENTAL_INDEX_FRACTION * max(1, len(current)):
@@ -302,8 +286,6 @@ class Database:
         otherwise, or ``None`` when neither route applies (caller falls
         back to the row path).
         """
-        if _np is None or not isinstance(store, NumpyColumnStore):
-            return None
         target = len(delta_rows)
         candidates = None
         narrowed = False

@@ -26,8 +26,7 @@ from repro.algebra.predicates import (
     compile_predicate,
 )
 from repro.catalog.schema import Column, ColumnType, Schema, SchemaError
-from repro.storage import columns as _backend_columns
-from repro.storage.columns import numpy as _np
+from repro.storage.columns import NumpyColumnStore, numpy as _np
 from repro.storage.relation import Relation, Row
 
 #: Minimum bag size before a vector kernel will *build* a column store for a
@@ -36,11 +35,11 @@ from repro.storage.relation import Relation, Row
 #: (store-to-store pipelines stay columnar end to end).
 VECTOR_MIN_ROWS = 64
 
-#: Minimum bag size before a *single-use* kernel (semijoin, aggregation,
-#: join) converts a row-backed input to typed arrays.  Scans amortize a
+#: Minimum bag size before a *single-use* kernel (a join of two row-backed
+#: inputs) converts a row-backed input to typed arrays.  Scans amortize a
 #: build across every later kernel touching the same relation — the store
 #: is cached and the database update path carries it across deltas — but a
-#: one-shot group-by or key probe only recoups the per-cell inference cost
+#: one-shot key probe only recoups the per-cell inference cost
 #: on bags this large.
 VECTOR_BUILD_MIN_ROWS = 4096
 
@@ -56,9 +55,9 @@ def select(relation: Relation, predicate: Predicate) -> Relation:
 def select_batch(relation: Relation, predicate: Predicate) -> Relation:
     """Batch σ_predicate over the columnar fast path.
 
-    With the numpy backend the predicate compiles to a whole-column mask
+    Over a column store the predicate compiles to a whole-column mask
     (:func:`~repro.algebra.predicates.compile_mask`) and selection is one
-    boolean gather over the store.  On the fallback path, single
+    boolean gather over the store.  On small row-backed bags, single
     column-vs-literal comparisons — the dominant selection shape in the
     workloads — are evaluated directly against the column array; every
     other predicate runs as one compiled closure over the row batch.
@@ -263,9 +262,9 @@ def vectorizable_join(
     building anything, so physical operators with their own row fallbacks
     can decide whether delegating to the batch kernel is worthwhile.
     """
-    if _np is None or not left_pos or not right_pos:
+    if not left_pos or not right_pos:
         return False
-    if left.has_vector_store or right.has_vector_store:
+    if left.cached_store() is not None or right.cached_store() is not None:
         return True
     return min(len(left), len(right)) >= VECTOR_BUILD_MIN_ROWS
 
@@ -287,22 +286,14 @@ def _vector_equi_join(
     *exactly* that of :func:`hash_join` (left order outer, original right
     order within a key) — not just the same bag.
     """
-    if _np is None:
-        return None
-    if (
-        max(len(left), len(right)) < VECTOR_MIN_ROWS
-        and not left.has_vector_store
-        and not right.has_vector_store
-    ):
+    columnar = left.cached_store() is not None or right.cached_store() is not None
+    if max(len(left), len(right)) < VECTOR_MIN_ROWS and not columnar:
         return None
     # A side with a cached store vectorizes for free; once one side is
     # columnar the other converts even when small (delta bags probing a
     # stored table).  Two row-backed sides must both be large enough to
     # amortize a single-use conversion, else the dict join wins.
-    if left.has_vector_store or right.has_vector_store:
-        build_min = 0
-    else:
-        build_min = VECTOR_BUILD_MIN_ROWS
+    build_min = 0 if columnar else VECTOR_BUILD_MIN_ROWS
     left_store = left.vector_store(build_min)
     right_store = right.vector_store(build_min)
     if left_store is None or right_store is None:
@@ -337,7 +328,7 @@ def hash_join_batch(
 ) -> Relation:
     """Vectorized hash join producing the same bag as :func:`hash_join`.
 
-    With the numpy backend, qualifying joins (typed numeric keys) run as
+    Qualifying joins (typed numeric keys, large or store-backed inputs) run as
     one whole-column sort/search/gather pass — see :func:`_vector_equi_join`.
     Otherwise build and probe run over column arrays: single-condition
     joins (the common case for foreign-key joins) key the hash table on the
@@ -433,14 +424,14 @@ def vector_probe_build(
 ) -> Optional[VectorProbeBuild]:
     """A :class:`VectorProbeBuild` over ``relation``, or ``None``.
 
-    Requires an already-cached numpy store (the whole point is skipping row
+    Requires an already-cached column store (the whole point is skipping row
     materialization), a single join column, and a typed numeric key —
     object keys carry ``None`` whose bucket semantics belong to the dict
     path.
     """
-    if _np is None or len(positions) != 1 or not relation.has_vector_store:
+    store = relation.cached_store()
+    if len(positions) != 1 or store is None:
         return None
-    store = relation.vector_store()
     key = store.column(positions[0])
     if key.dtype.kind not in "if":
         return None
@@ -463,9 +454,7 @@ def _vector_delta_probe(
     """
     if len(bag) == 0:
         return Relation(schema, [])
-    bag_store = bag.vector_store(0)
-    if bag_store is None:
-        return None
+    bag_store = bag.vector_store()
     dkey = bag_store.column(delta_pos[0])
     if dkey.dtype.kind != vbuild.key.dtype.kind:
         return None
@@ -734,17 +723,16 @@ def semijoin_keys(
     one pass, so building typed arrays just for it costs more than the row
     loop it would replace.
     """
-    if _np is not None and len(positions) == 1 and relation.has_vector_store:
-        store = relation.vector_store()
-        if store is not None:
-            array = store.column(positions[0])
-            if array.dtype != object and keys:
-                probe = _np.asarray([k[0] for k in keys])
-                if probe.dtype.kind == array.dtype.kind:
-                    keep = _np.isin(array, probe)
-                    return Relation.from_store(
-                        relation.schema, store.mask(keep), relation.name
-                    )
+    store = relation.cached_store()
+    if len(positions) == 1 and store is not None:
+        array = store.column(positions[0])
+        if array.dtype != object and keys:
+            probe = _np.asarray([k[0] for k in keys])
+            if probe.dtype.kind == array.dtype.kind:
+                keep = _np.isin(array, probe)
+                return Relation.from_store(
+                    relation.schema, store.mask(keep), relation.name
+                )
     if len(positions) == 1:
         i = positions[0]
         scalar_keys = {k[0] for k in keys}
@@ -855,24 +843,9 @@ def _vector_aggregate(
     ``None``-skipping rule needs per-value checks), and group columns numpy
     cannot factorize (e.g. ``None`` mixed with values).
     """
-    if _np is None or len(relation) == 0:
+    if len(relation) == 0:
         return None
-    store = relation.vector_store()
-    if store is not None:
-        column = store.column
-    elif len(relation) >= VECTOR_BUILD_MIN_ROWS and _backend_columns.numpy_enabled():
-        # Row-backed but large: convert only the group/aggregate columns
-        # this node touches instead of building the whole store.
-        converted: Dict[int, Any] = {}
-
-        def column(pos):
-            array = converted.get(pos)
-            if array is None:
-                array = _backend_columns._typed_array(relation.column_at(pos))
-                converted[pos] = array
-            return array
-    else:
-        return None
+    column = relation.vector_store().column
     value_arrays: List[Any] = []
     for pos in agg_pos:
         if pos is None:
@@ -947,8 +920,6 @@ def _vector_aggregate(
                 sums = [s / c for s, c in zip(sums, counts_list)]
             out_arrays.append(_np.asarray(sums, dtype=_np.float64)[emit])
 
-    from repro.storage.columns import NumpyColumnStore
-
     out_store = NumpyColumnStore(tuple(out_arrays), len(segment_starts))
     return Relation.from_store(out_schema, out_store)
 
@@ -960,7 +931,7 @@ def aggregate_batch(
 ) -> Relation:
     """Vectorized hash aggregation, bag-identical to :func:`aggregate`.
 
-    With the numpy backend, qualifying inputs group-reduce over factorized
+    Qualifying inputs group-reduce over factorized
     key codes (:func:`_vector_aggregate`).  Otherwise grouping runs over the
     group-by column array (scalar dictionary keys for single-column
     group-bys), and each aggregate is then computed column-at-a-time from

@@ -25,10 +25,12 @@ The compiled pipeline honors every decision the optimizer made:
   predicate closures) instead of per-tuple interpretation.
 
 ``evaluate_physical`` is the end-to-end entry point (expression → DAG →
-best plan → compiled pipeline → result); the row-at-a-time interpreter
-:func:`repro.engine.executor.evaluate` remains the correctness oracle, and
-non-strict callers fall back to it for expression shapes the planner cannot
-handle (e.g. relations missing from the catalog).
+best plan → compiled pipeline → result).  There is no runtime fallback: an
+expression that cannot be planned, or a plan step that cannot be resolved,
+raises :class:`PhysicalPlanError` carrying a rendered ``REPRO-P`` diagnostic.
+The row-at-a-time interpreter :func:`repro.engine.executor.evaluate` is the
+reference the tests and the ``verify_*`` options compare this layer against;
+nothing in this module calls it.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.algebra.expressions import BaseRelation, Expression, base_relations
 from repro.algebra.predicates import Predicate
 from repro.algebra.schema_derivation import derive_schema
+from repro.analysis.diagnostics import Diagnostic, has_errors, render_diagnostics
+from repro.catalog.catalog import CatalogError
 from repro.catalog.estimator import CardinalityEstimator
 from repro.catalog.schema import Schema, SchemaError
 from repro.engine import operators
 from repro.engine.database import Database, DatabaseError
-from repro.engine.executor import MaterializedRegistry, evaluate
+from repro.engine.executor import MaterializedRegistry
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.dag import OperatorKind
 from repro.optimizer.dag_builder import DagBuilder
@@ -57,7 +61,32 @@ PlanObserver = Callable[[PlanNode, Relation], None]
 
 
 class PhysicalPlanError(RuntimeError):
-    """Raised when a plan step cannot be compiled into a physical operator."""
+    """An expression cannot be planned, or a plan step cannot be compiled.
+
+    The message renders the matching ``REPRO-P`` diagnostic.
+    """
+
+
+#: The typed lookup failures that mean "this expression names something the
+#: catalog/database does not hold".  A bare ``KeyError``/``TypeError`` is not
+#: among them: that is an operator defect and must surface as itself.
+_RESOLUTION_ERRORS = (SchemaError, CatalogError, DatabaseError)
+
+
+def _unresolvable(phase: str, expression: Expression, exc: Exception) -> PhysicalPlanError:
+    """The :class:`PhysicalPlanError` for a resolution failure in ``phase``."""
+    headline = f"cannot {phase} {expression.canonical()} physically"
+    if isinstance(exc, PhysicalPlanError):
+        return PhysicalPlanError(f"{headline}:\n{exc}")
+    if isinstance(exc, SchemaError):
+        code, hint = "REPRO-P001", "check the column names against the input schemas"
+    else:
+        code, hint = "REPRO-P009", "load the relation (or materialize the view) first"
+    # KeyError subclasses str() to the repr of their message; unwrap it.
+    message = exc.args[0] if exc.args else str(exc)
+    return PhysicalPlanError(
+        f"{headline}:\n" + Diagnostic(code, "error", str(message), hint=hint).render()
+    )
 
 
 # ------------------------------------------------------------------- operators
@@ -137,33 +166,6 @@ class MaterializedScan(PhysicalOperator):
 
     def describe(self) -> str:
         return f"reuse({self.view_name})"
-
-
-class LogicalFallback(PhysicalOperator):
-    """Evaluate a sub-expression through the logical interpreter.
-
-    Used for plan steps without an executable payload (exotic leaves) so a
-    partially compilable plan still runs end to end.
-    """
-
-    kind = "logical"
-
-    def __init__(
-        self,
-        database: Database,
-        expression: Expression,
-        materialized: Optional[MaterializedRegistry] = None,
-    ) -> None:
-        super().__init__()
-        self.database = database
-        self.expression = expression
-        self.materialized = materialized
-
-    def _produce(self) -> Relation:
-        return evaluate(self.expression, self.database, self.materialized)
-
-    def describe(self) -> str:
-        return f"logical({self.expression.canonical()})"
 
 
 class Filter(PhysicalOperator):
@@ -582,16 +584,13 @@ def compile_plan(
     plan: PlanNode,
     database: Database,
     materialized: Optional[MaterializedRegistry] = None,
-    strict: bool = False,
     observer: Optional[PlanObserver] = None,
 ) -> PhysicalOperator:
     """Compile an optimizer-extracted plan tree into a physical pipeline.
 
     ``materialized`` resolves reuse steps whose equivalence node has no view
     name of its own (temporary materializations registered by expression).
-    With ``strict`` set, steps that cannot be compiled raise
-    :class:`PhysicalPlanError`; otherwise they degrade to a
-    :class:`LogicalFallback` over the step's logical expression.
+    Steps that cannot be compiled raise :class:`PhysicalPlanError`.
 
     ``observer`` instruments every compiled operator that carries a logical
     expression payload: it is called with the originating plan step and the
@@ -600,9 +599,7 @@ def compile_plan(
     """
 
     def fail(message: str, node: PlanNode) -> PhysicalOperator:
-        if strict or node.expression is None:
-            raise PhysicalPlanError(f"{message} (plan step: {node.description})")
-        return LogicalFallback(database, node.expression, materialized)
+        raise PhysicalPlanError(f"{message} (plan step: {node.description})")
 
     def instrument(node: PlanNode, compiled: PhysicalOperator) -> PhysicalOperator:
         if observer is not None and node.expression is not None:
@@ -671,8 +668,14 @@ def compile_plan(
                 # The reused result is stored as a base relation (e.g. a
                 # permanently materialized result loaded as a table).
                 return TableScan(database, name)
-        return fail(
-            f"reused result {candidates or [node.description]} is not materialized", node
+        raise PhysicalPlanError(
+            Diagnostic(
+                "REPRO-P006",
+                "error",
+                f"reused result {candidates or [node.description]} is not materialized",
+                node.description,
+                "materialize the result (or re-plan) before executing",
+            ).render()
         )
 
     def compile_join(node: PlanNode, children: List[PhysicalOperator]) -> PhysicalOperator:
@@ -712,12 +715,11 @@ def execute_plan(
     plan: PlanNode,
     database: Database,
     materialized: Optional[MaterializedRegistry] = None,
-    strict: bool = False,
     output_schema: Optional[Schema] = None,
     observer: Optional[PlanObserver] = None,
 ) -> Relation:
     """Compile and run one optimizer plan; optionally conform the output."""
-    pipeline = compile_plan(plan, database, materialized, strict=strict, observer=observer)
+    pipeline = compile_plan(plan, database, materialized, observer=observer)
     result = pipeline.execute()
     if output_schema is not None:
         result = _conform(result, output_schema)
@@ -748,7 +750,6 @@ class PhysicalExecutor:
         self,
         database: Database,
         cost_model: Optional[CostModel] = None,
-        strict: bool = False,
         estimator: Optional[CardinalityEstimator] = None,
         feedback: bool = True,
         verify_plans: str = "cache-insert",
@@ -760,7 +761,6 @@ class PhysicalExecutor:
             )
         self.database = database
         self.cost_model = cost_model or CostModel()
-        self.strict = strict
         self.estimator = estimator or CardinalityEstimator(database.catalog)
         self.feedback = feedback
         #: When the static plan verifier runs: on every planning call
@@ -855,12 +855,9 @@ class PhysicalExecutor:
     def _verify(self, plan: PlanNode, materialized: Optional[MaterializedRegistry]) -> None:
         """Statically verify a plan; verifier errors abort before execution.
 
-        Deliberately raises :class:`PhysicalPlanError` from ``plan()`` —
-        ``evaluate``'s interpreter fallback does not catch it, because a
-        plan the verifier rejects signals a planner/compiler defect, not an
-        expected planning limitation.
+        Raises :class:`PhysicalPlanError` from ``plan()``: a plan the
+        verifier rejects signals a planner/compiler defect.
         """
-        from repro.analysis.diagnostics import has_errors, render_diagnostics
         from repro.analysis.planlint import verify_plan
 
         diagnostics = verify_plan(plan, database=self.database, materialized=materialized)
@@ -880,9 +877,11 @@ class PhysicalExecutor:
         """Evaluate ``expression`` through the physical layer.
 
         Mirrors :func:`repro.engine.executor.evaluate`: a registry hit on the
-        whole expression short-circuits to the stored view.  Expressions the
-        planner cannot handle fall back to the logical interpreter unless
-        ``strict`` was set.
+        whole expression short-circuits to the stored view.  An expression
+        over a relation the catalog or database does not hold, or whose
+        columns cannot be resolved, raises :class:`PhysicalPlanError` with
+        the matching ``REPRO-P`` diagnostic; a bare ``KeyError``/``TypeError``
+        is an operator defect and surfaces unchanged.
         """
         if materialized is not None:
             view_name = materialized.lookup(expression)
@@ -890,35 +889,20 @@ class PhysicalExecutor:
                 return self.database.view(view_name)
         try:
             plan, schema = self.plan(expression, materialized)
-        except (SchemaError, DatabaseError, KeyError, TypeError) as exc:
-            # Planning failures (relations missing from the catalog, exotic
-            # expression shapes) are expected for some callers; fall back to
-            # the interpreter unless strict.
-            if self.strict:
-                raise PhysicalPlanError(
-                    f"cannot plan {expression.canonical()} physically: {exc}"
-                ) from exc
-            return evaluate(expression, self.database, materialized)
+        except _RESOLUTION_ERRORS as exc:
+            raise _unresolvable("plan", expression, exc) from exc
         try:
             return execute_plan(
                 plan,
                 self.database,
                 materialized,
-                strict=self.strict,
                 output_schema=schema,
                 observer=self._record_actual if self.feedback else None,
             )
-        except (PhysicalPlanError, SchemaError, DatabaseError) as exc:
-            # Execution-time *resolution* failures (a reused view dropped
-            # between planning and execution, unresolvable columns) degrade
-            # to the interpreter.  Anything else — TypeError, KeyError — is
-            # a genuine operator defect and must surface, not be silently
-            # absorbed by the fallback.
-            if self.strict:
-                raise PhysicalPlanError(
-                    f"cannot execute {expression.canonical()} physically: {exc}"
-                ) from exc
-            return evaluate(expression, self.database, materialized)
+        except (PhysicalPlanError, *_RESOLUTION_ERRORS) as exc:
+            # Execution-time *resolution* failures: a reused view dropped
+            # between planning and execution, unresolvable columns.
+            raise _unresolvable("execute", expression, exc) from exc
 
     # ----------------------------------------------------------------- feedback
 
@@ -944,9 +928,8 @@ def evaluate_physical(
     database: Database,
     materialized: Optional[MaterializedRegistry] = None,
     cost_model: Optional[CostModel] = None,
-    strict: bool = False,
 ) -> Relation:
     """One-shot convenience wrapper around :class:`PhysicalExecutor`."""
-    return PhysicalExecutor(database, cost_model=cost_model, strict=strict).evaluate(
+    return PhysicalExecutor(database, cost_model=cost_model).evaluate(
         expression, materialized
     )

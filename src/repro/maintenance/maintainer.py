@@ -13,13 +13,16 @@ chosen by the greedy algorithm: they are registered so every view's
 differential computation reuses them, recomputed only when a base update
 actually invalidates them, and discarded at the end of the refresh.
 
-Differentials run through the vectorized
-:class:`~repro.engine.differential.DifferentialEngine` by default, sharing
-old values, sub-expression deltas and hash builds across all views of an
-update round (and across rounds, until invalidated) via an
-:class:`~repro.engine.differential.OldValueCache`; the interpreted
-:func:`~repro.engine.differential.differentiate` remains available as the
-fallback path and as the oracle ``verify_differentials`` checks against.
+There is one execution path.  Full computations run through the
+:class:`~repro.engine.physical.PhysicalExecutor`; differentials run through
+the vectorized :class:`~repro.engine.differential.DifferentialEngine`,
+sharing old values, sub-expression deltas and hash builds across all views
+of an update round (and across rounds, until invalidated) via an
+:class:`~repro.engine.differential.OldValueCache`.  The interpreter
+:func:`~repro.engine.executor.evaluate` and the interpreted
+:func:`~repro.engine.differential.differentiate` are references only:
+``verify_against_recomputation`` and ``verify_differentials`` compare the
+product path against them, nothing falls back to them.
 """
 
 from __future__ import annotations
@@ -80,8 +83,6 @@ class ViewRefresher:
         views: Mapping[str, Expression],
         temporary_subexpressions: Optional[Mapping[str, Expression]] = None,
         recompute_views: Optional[Iterable[str]] = None,
-        use_physical: bool = True,
-        vectorized_differentials: Optional[bool] = None,
         verify_differentials: bool = False,
         physical_executor: Optional[PhysicalExecutor] = None,
         parallel: Optional["ShardPool"] = None,
@@ -99,36 +100,14 @@ class ViewRefresher:
         #: Views whose chosen strategy is full recomputation instead of deltas.
         self.recompute_views = set(recompute_views or ())
         #: Full (re)computations of views and temporaries run through the
-        #: physical layer (optimizer-chosen plans, vectorized operators);
-        #: the logical interpreter remains the verification oracle.  A caller
-        #: owning a long-lived executor (the :class:`repro.api.Warehouse`
+        #: physical layer (optimizer-chosen plans, vectorized operators).  A
+        #: caller owning a long-lived executor (the :class:`repro.api.Warehouse`
         #: session, which accumulates cardinality feedback across refresh
         #: rounds) can inject it instead of this refresher building its own.
-        if physical_executor is not None and not use_physical:
-            raise ValueError(
-                "physical_executor was injected but use_physical is False — "
-                "drop one of the two"
-            )
-        self.use_physical = use_physical
-        self._physical = (
-            physical_executor
-            if physical_executor is not None
-            else (PhysicalExecutor(database) if use_physical else None)
-        )
-        #: Differentials run through the vectorized engine (delta kernels +
-        #: per-round old-value cache shared across views) by default whenever
-        #: the physical layer is on; the interpreted ``differentiate`` stays
-        #: available both as the fallback path and as the oracle that
-        #: ``verify_differentials`` checks every computed delta against.
-        if vectorized_differentials is None:
-            vectorized_differentials = use_physical
-        self.vectorized_differentials = vectorized_differentials
+        self._physical = physical_executor or PhysicalExecutor(database)
+        #: Check every computed delta against the interpreted ``differentiate``.
         self.verify_differentials = verify_differentials
-        self._diff_engine = (
-            DifferentialEngine(database, physical=self._physical)
-            if vectorized_differentials
-            else None
-        )
+        self._diff_engine = DifferentialEngine(database, physical=self._physical)
         #: Temporaries whose materialization no longer reflects the current
         #: base-table state (set when a relation they depend on is updated).
         self._stale_temporaries: Dict[str, bool] = {}
@@ -145,10 +124,8 @@ class ViewRefresher:
     def _compute(
         self, expression: Expression, materialized: Optional[MaterializedRegistry] = None
     ) -> Relation:
-        """Full computation of an expression (physical plan when enabled)."""
-        if self._physical is not None:
-            return self._physical.evaluate(expression, materialized)
-        return evaluate(expression, self.database, materialized)
+        """Full computation of an expression through its physical plan."""
+        return self._physical.evaluate(expression, materialized)
 
     def _compute_parallel(
         self, views: Mapping[str, Expression]
@@ -221,7 +198,7 @@ class ViewRefresher:
         # sub-expressions (and their hash builds) evaluate once across all
         # views; across rounds, entries survive until a base update actually
         # invalidates them (advance_round's dependency check).
-        round_cache = OldValueCache() if self._diff_engine is not None else None
+        round_cache = OldValueCache()
         incremental_views = {
             name: expr for name, expr in self.views.items() if name not in self.recompute_views
         }
@@ -251,7 +228,7 @@ class ViewRefresher:
         deltas: DeltaStore,
         incremental_views: Mapping[str, Expression],
         report: RefreshReport,
-        round_cache: Optional[OldValueCache],
+        round_cache: OldValueCache,
     ) -> None:
         """Propagate one round's updates (incremental views only)."""
         for update in deltas.update_ids(only_nonempty=True):
@@ -317,8 +294,7 @@ class ViewRefresher:
                     update.relation, update.kind, delta_rows, stale_temporaries=stale
                 )
             self._flag_stale_temporaries(update.relation)
-            if round_cache is not None:
-                round_cache.advance_round(update.relation)
+            round_cache.advance_round(update.relation)
 
     # ------------------------------------------------------------ differentials
 
@@ -328,23 +304,14 @@ class ViewRefresher:
         relation: str,
         kind: DeltaKind,
         delta_rows: Relation,
-        round_cache: Optional[OldValueCache],
+        round_cache: OldValueCache,
         view_name: str,
     ):
-        """One view's differential, through the configured engine.
+        """One view's differential, through the vectorized engine.
 
-        With ``verify_differentials`` set, the vectorized result is checked
-        bag-for-bag against the interpreted oracle before it is trusted.
+        With ``verify_differentials`` set, the result is checked bag-for-bag
+        against the interpreted reference before it is trusted.
         """
-        if self._diff_engine is None:
-            return differentiate(
-                expression,
-                self.database,
-                relation,
-                kind,
-                delta_rows,
-                materialized=self.registry,
-            )
         change = self._diff_engine.differentiate(
             expression,
             relation,
@@ -438,8 +405,6 @@ def apply_and_refresh(
     deltas: DeltaStore,
     temporary_subexpressions: Optional[Mapping[str, Expression]] = None,
     recompute_views: Optional[Iterable[str]] = None,
-    use_physical: bool = True,
-    vectorized_differentials: Optional[bool] = None,
     verify_differentials: bool = False,
 ) -> Tuple[RefreshReport, Dict[str, bool]]:
     """Convenience wrapper: refresh the views and verify them against recomputation."""
@@ -448,8 +413,6 @@ def apply_and_refresh(
         views,
         temporary_subexpressions=temporary_subexpressions,
         recompute_views=recompute_views,
-        use_physical=use_physical,
-        vectorized_differentials=vectorized_differentials,
         verify_differentials=verify_differentials,
     )
     if not all(database.has_view(name) for name in views):

@@ -40,9 +40,8 @@ from repro.engine.differential import (
     DifferentialEngine,
     ExpressionDelta,
     OldValueCache,
-    differentiate,
 )
-from repro.engine.executor import MaterializedRegistry, evaluate
+from repro.engine.executor import MaterializedRegistry
 from repro.parallel.shard import (
     MERGE_CONCAT,
     ShardPlan,
@@ -65,19 +64,13 @@ class ShardPoolError(RuntimeError):
 class _WorkerState:
     """Everything one shard worker owns; shared by fork and inline modes."""
 
-    def __init__(
-        self, database: Database, spec: ShardSpec, shard: int, use_physical: bool
-    ) -> None:
+    def __init__(self, database: Database, spec: ShardSpec, shard: int) -> None:
+        from repro.engine.physical import PhysicalExecutor
         from repro.parallel.shard import shard_database
 
         self.database = shard_database(database, spec, shard)
-        self.physical = None
-        self.engine: Optional[DifferentialEngine] = None
-        if use_physical:
-            from repro.engine.physical import PhysicalExecutor
-
-            self.physical = PhysicalExecutor(self.database)
-            self.engine = DifferentialEngine(self.database, physical=self.physical)
+        self.physical = PhysicalExecutor(self.database)
+        self.engine = DifferentialEngine(self.database, physical=self.physical)
         self.registry = MaterializedRegistry()
         self.temporaries: Dict[str, Expression] = {}
         self.cache = OldValueCache()
@@ -89,11 +82,16 @@ class _WorkerState:
         if command == "ping":
             return message[1]
         if command == "eval":
-            return [self._evaluate(expression) for _key, expression in message[1]]
+            return [
+                self.physical.evaluate(expression, self.registry)
+                for _key, expression in message[1]
+            ]
         if command == "temporaries":
             for name, expression in message[1]:
                 if not self.database.has_view(name):
-                    self.database.materialize_view(name, self._evaluate(expression))
+                    self.database.materialize_view(
+                        name, self.physical.evaluate(expression, self.registry)
+                    )
                 self.registry.register(expression, name)
                 self.temporaries[name] = expression
             return None
@@ -110,7 +108,14 @@ class _WorkerState:
             _, items, relation, kind, delta_rows = message
             replies = []
             for _name, expression in items:
-                change = self._differentiate(expression, relation, kind, delta_rows)
+                change = self.engine.differentiate(
+                    expression,
+                    relation,
+                    kind,
+                    delta_rows,
+                    materialized=self.registry,
+                    cache=self.cache,
+                )
                 replies.append((change.inserts, change.deletes))
             return replies
         if command == "apply":
@@ -121,37 +126,11 @@ class _WorkerState:
             return None
         raise ValueError(f"unknown shard-pool command {command!r}")
 
-    def _evaluate(self, expression: Expression) -> Relation:
-        if self.physical is not None:
-            return self.physical.evaluate(expression, self.registry)
-        return evaluate(expression, self.database, self.registry)
 
-    def _differentiate(
-        self, expression: Expression, relation: str, kind: DeltaKind, delta_rows: Relation
-    ) -> ExpressionDelta:
-        if self.engine is not None:
-            return self.engine.differentiate(
-                expression,
-                relation,
-                kind,
-                delta_rows,
-                materialized=self.registry,
-                cache=self.cache,
-            )
-        return differentiate(
-            expression,
-            self.database,
-            relation,
-            kind,
-            delta_rows,
-            materialized=self.registry,
-        )
-
-
-def _worker_main(connection: Any, database: Database, spec: ShardSpec, shard: int, use_physical: bool) -> None:
+def _worker_main(connection: Any, database: Database, spec: ShardSpec, shard: int) -> None:
     """Forked worker loop: build the shard state, then serve commands."""
     try:
-        state = _WorkerState(database, spec, shard, use_physical)
+        state = _WorkerState(database, spec, shard)
         # The inherited heap (the parent's full database plus whatever else
         # was live at fork time) is permanent from this worker's point of
         # view.  Freeze it so cyclic-GC passes neither scan those objects nor
@@ -190,7 +169,6 @@ class ShardPool:
         self,
         database: Database,
         spec: ShardSpec,
-        use_physical: bool = True,
         mode: Optional[str] = None,
     ) -> None:
         if mode not in (None, "fork", "inline"):
@@ -216,7 +194,7 @@ class ShardPool:
                 parent_end, child_end = context.Pipe(duplex=True)
                 process = context.Process(
                     target=_worker_main,
-                    args=(child_end, database, spec, shard, use_physical),
+                    args=(child_end, database, spec, shard),
                     daemon=True,
                 )
                 process.start()
@@ -231,8 +209,7 @@ class ShardPool:
                     raise ShardPoolError(f"shard {shard} failed to start:\n{payload}")
         else:
             self._states = [
-                _WorkerState(database, spec, shard, use_physical)
-                for shard in range(spec.workers)
+                _WorkerState(database, spec, shard) for shard in range(spec.workers)
             ]
 
     # ------------------------------------------------------------------ plumbing

@@ -173,14 +173,10 @@ class ShardSpec:
         return _stable_hash(value) % self.workers
 
     def shard_ids(self, relation: Relation, key_column: str) -> Any:
-        """Per-row shard assignment (an ``int64`` array on the numpy path)."""
+        """Per-row shard assignment (an ``int64`` array for typed int keys)."""
         position = _key_position(relation.schema, key_column)
         store = relation.cached_store()
-        if (
-            _np is not None
-            and isinstance(store, NumpyColumnStore)
-            and store.column(position).dtype.kind == "i"
-        ):
+        if store is not None and store.column(position).dtype.kind == "i":
             column = store.column(position)
             if self.mode == "range":
                 return _np.searchsorted(
@@ -230,7 +226,7 @@ def partition_relation(
     """Split a relation into ``spec.workers`` shards by key column.
 
     Store-backed relations partition through the columnar kernels
-    (:meth:`ColumnStore.partition`), so shards stay columnar end-to-end;
+    (:meth:`NumpyColumnStore.partition`), so shards stay columnar end-to-end;
     every row lands in exactly one shard and the union of all shards is the
     input bag.
     """
@@ -257,10 +253,7 @@ def shard_of_relation(
     ids = spec.shard_ids(relation, key_column)
     store = relation.cached_store()
     if store is not None:
-        if _np is not None and isinstance(store, NumpyColumnStore):
-            keep = _np.asarray(ids, dtype=_np.int64) == shard
-        else:
-            keep = [i == shard for i in ids]
+        keep = _np.asarray(ids, dtype=_np.int64) == shard
         return Relation.from_store(relation.schema, store.mask(keep), relation.name)
     rows = [row for row, i in zip(relation.rows, ids) if i == shard]
     return Relation.from_trusted_rows(relation.schema, rows, relation.name)
@@ -403,8 +396,8 @@ def _co_partitioned(
 def merge_concat(parts: Sequence[Relation]) -> Relation:
     """Bag union of per-shard results (shard-local join/select/project).
 
-    Store-backed parts of one backend merge through the columnar
-    ``concat_many`` kernel; anything else falls back to row concatenation.
+    Store-backed parts merge through the columnar ``concat_many`` kernel;
+    anything else falls back to row concatenation.
     """
     parts = list(parts)
     if not parts:
@@ -413,10 +406,8 @@ def merge_concat(parts: Sequence[Relation]) -> Relation:
         return parts[0]
     schema = parts[0].schema
     stores = [part.cached_store() for part in parts]
-    if all(store is not None for store in stores) and len(
-        {type(store) for store in stores}
-    ) == 1:
-        return Relation.from_store(schema, type(stores[0]).concat_many(stores))
+    if all(store is not None for store in stores):
+        return Relation.from_store(schema, NumpyColumnStore.concat_many(stores))
     rows = [row for part in parts for row in part.rows]
     return Relation.from_trusted_rows(schema, rows)
 

@@ -1,21 +1,13 @@
 """Bag-relational storage layer.
 
 Provides the multiset :class:`Relation` the execution engine operates on
-(backed by pluggable column stores — numpy typed arrays when available, a
-pure-Python tuple fallback otherwise; see ``repro.storage.columns``), delta
+(rows and/or typed numpy columns; see ``repro.storage.columns``), delta
 relations capturing inserts and deletes (the paper's δ+ and δ−), in-memory
 hash and sorted indexes, and a buffer-pool descriptor consumed by the cost
 model.
 """
 
-from repro.storage.columns import (
-    PythonColumnStore,
-    active_backend,
-    available_backends,
-    forced_backend,
-    numpy_enabled,
-    set_active_backend,
-)
+from repro.storage.columns import NumpyColumnStore
 from repro.storage.relation import Relation
 from repro.storage.delta import Delta, DeltaKind, DeltaStore
 from repro.storage.index import HashIndex, SortedIndex, build_index
@@ -23,12 +15,7 @@ from repro.storage.buffer import BufferPool
 
 __all__ = [
     "Relation",
-    "PythonColumnStore",
-    "active_backend",
-    "available_backends",
-    "forced_backend",
-    "numpy_enabled",
-    "set_active_backend",
+    "NumpyColumnStore",
     "Delta",
     "DeltaKind",
     "DeltaStore",

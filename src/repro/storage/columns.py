@@ -1,26 +1,15 @@
-"""Pluggable column storage backends.
+"""The column store.
 
-A :class:`~repro.storage.relation.Relation`'s authoritative storage is a
-*column store*: one contiguous array per schema column.  Two interchangeable
-backends implement the same store protocol:
+A :class:`~repro.storage.relation.Relation`'s columnar representation is a
+:class:`NumpyColumnStore`: one contiguous typed ``numpy`` array per schema
+column (``int64`` for pure-int columns, ``float64`` for pure-float columns,
+``object`` for everything else: strings, dates, ``None``-bearing or
+mixed-type columns).  Typed columns are what the vectorized operator kernels
+in ``repro.engine.operators`` run whole-column mask/gather/reduce passes
+over.  numpy is a hard requirement; this module is its only importer
+(lint ``REPRO-L001``), so the dtype policy below has exactly one owner.
 
-* :class:`NumpyColumnStore` — typed ``numpy`` arrays (``int64`` for pure-int
-  columns, ``float64`` for pure-float columns, ``object`` for everything
-  else: strings, dates, ``None``-bearing or mixed-type columns).  Typed
-  columns are what the vectorized operator kernels in
-  ``repro.engine.operators`` run whole-column mask/gather/reduce passes
-  over.
-* :class:`PythonColumnStore` — plain tuples of Python values.  Functionally
-  identical, no third-party dependency; selected automatically when numpy
-  is not importable so the engine (and tier-1 tests) keep working without
-  it.
-
-The backend is chosen once at import time — numpy if available, the Python
-fallback otherwise — and can be forced with the ``REPRO_BACKEND``
-environment variable (``numpy`` or ``python``) or, for tests, swapped at
-runtime via :func:`set_active_backend` / :func:`forced_backend`.
-
-Two invariants every store upholds, because the engine's correctness oracle
+Two invariants the store upholds, because the engine's correctness oracle
 compares plain Python tuples:
 
 * ``to_rows``/``iter_rows``/``column_native`` always yield *native* Python
@@ -37,31 +26,15 @@ views may be shared — no store ever writes to an array it handed out).
 
 from __future__ import annotations
 
-import contextlib
 import operator as _operator
-import os
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+
+import numpy as _numpy
+
+#: Re-exported: how every other module reaches numpy (lint ``REPRO-L001``).
+numpy = _numpy
 
 Row = Tuple[Any, ...]
-
-try:  # pragma: no cover - exercised indirectly via both CI legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: The numpy module, or ``None`` when unavailable (import-time fallback).
-numpy = _numpy
 
 _OPS: Dict[str, Callable[[Any, Any], Any]] = {
     "==": _operator.eq,
@@ -71,165 +44,6 @@ _OPS: Dict[str, Callable[[Any, Any], Any]] = {
     ">": _operator.gt,
     ">=": _operator.ge,
 }
-
-
-class ColumnStore(Protocol):
-    """The store protocol both backends implement (structural typing).
-
-    A store holds one array per schema column for a fixed row count and is
-    immutable: every operation returns a new store.  ``column`` may hand out
-    backend-native arrays (numpy dtypes on the vectorized path);
-    ``column_native``/``to_rows``/``iter_rows`` always yield plain Python
-    values — see the module invariants.
-    """
-
-    kind: str
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], arity: int) -> "ColumnStore": ...
-
-    @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence[Any]], arity: int
-    ) -> "ColumnStore": ...
-
-    def __len__(self) -> int: ...
-
-    @property
-    def arity(self) -> int: ...
-
-    def column(self, position: int) -> Sequence[Any]: ...
-
-    def column_native(self, position: int) -> Tuple[Any, ...]: ...
-
-    def to_rows(self) -> List[Row]: ...
-
-    def iter_rows(self) -> Iterator[Row]: ...
-
-    def take(self, positions: Sequence[int]) -> "ColumnStore": ...
-
-    def gather(self, indices: Sequence[int]) -> "ColumnStore": ...
-
-    def mask(self, keep: Sequence[bool]) -> "ColumnStore": ...
-
-    def concat(self, other: Any) -> "ColumnStore": ...
-
-    def hstack(self, other: Any) -> "ColumnStore": ...
-
-
-class PythonColumnStore:
-    """Column store backed by plain Python tuples (the no-dependency path)."""
-
-    kind = "python"
-
-    __slots__ = ("_columns", "_length")
-
-    def __init__(self, columns: Sequence[Sequence[Any]], length: Optional[int] = None) -> None:
-        self._columns: Tuple[Tuple[Any, ...], ...] = tuple(
-            column if isinstance(column, tuple) else tuple(column) for column in columns
-        )
-        if length is None:
-            length = len(self._columns[0]) if self._columns else 0
-        self._length = length
-
-    # --------------------------------------------------------- constructors
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], arity: int) -> "PythonColumnStore":
-        if not rows:
-            return cls(tuple(() for _ in range(arity)), 0)
-        return cls(tuple(zip(*rows)), len(rows))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Any]], arity: int) -> "PythonColumnStore":
-        return cls(columns)
-
-    # --------------------------------------------------------------- access
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def arity(self) -> int:
-        return len(self._columns)
-
-    def column(self, position: int) -> Tuple[Any, ...]:
-        return self._columns[position]
-
-    def column_native(self, position: int) -> Tuple[Any, ...]:
-        return self._columns[position]
-
-    def to_rows(self) -> List[Row]:
-        if not self._columns:
-            return [()] * self._length
-        return list(zip(*self._columns))
-
-    def iter_rows(self) -> Iterator[Row]:
-        if not self._columns:
-            return iter([()] * self._length)
-        return zip(*self._columns)
-
-    # ----------------------------------------------------------- operations
-
-    def take(self, positions: Sequence[int]) -> "PythonColumnStore":
-        """Column subset (projection); shares the column tuples."""
-        return PythonColumnStore(
-            tuple(self._columns[p] for p in positions), self._length
-        )
-
-    def gather(self, indices: Sequence[int]) -> "PythonColumnStore":
-        """Row subset by index list."""
-        return PythonColumnStore(
-            tuple(tuple(column[i] for i in indices) for column in self._columns),
-            len(indices),
-        )
-
-    def mask(self, keep: Sequence[bool]) -> "PythonColumnStore":
-        """Row subset by boolean mask."""
-        count = sum(1 for flag in keep if flag)
-        return PythonColumnStore(
-            tuple(
-                tuple(v for v, flag in zip(column, keep) if flag)
-                for column in self._columns
-            ),
-            count,
-        )
-
-    def concat(self, other: "PythonColumnStore") -> "PythonColumnStore":
-        """Vertical concatenation (bag union)."""
-        return PythonColumnStore(
-            tuple(a + b for a, b in zip(self._columns, other._columns)),
-            self._length + other._length,
-        )
-
-    def hstack(self, other: "PythonColumnStore") -> "PythonColumnStore":
-        """Horizontal concatenation (join output assembly)."""
-        return PythonColumnStore(self._columns + other._columns, self._length)
-
-    def partition(self, shard_ids: Sequence[int], shards: int) -> List["PythonColumnStore"]:
-        """Split rows into ``shards`` stores by per-row shard id.
-
-        Every row lands in exactly one output store (``shard_ids[i]`` names
-        it); empty shards come back as empty stores, so the concatenation of
-        all outputs is a permutation of the input bag.
-        """
-        buckets: List[List[int]] = [[] for _ in range(shards)]
-        for position, shard in enumerate(shard_ids):
-            buckets[shard].append(position)
-        return [self.gather(bucket) for bucket in buckets]
-
-    @classmethod
-    def concat_many(cls, stores: Sequence["PythonColumnStore"]) -> "PythonColumnStore":
-        """Vertical concatenation of several stores (bag union of shards)."""
-        if not stores:
-            raise ValueError("concat_many needs at least one store")
-        if len(stores) == 1:
-            return stores[0]
-        columns = tuple(
-            tuple(v for store in stores for v in store._columns[p])
-            for p in range(stores[0].arity)
-        )
-        return cls(columns, sum(len(store) for store in stores))
 
 
 def _typed_array(values: Sequence[Any]) -> Any:
@@ -254,9 +68,7 @@ def _typed_array(values: Sequence[Any]) -> Any:
 
 
 class NumpyColumnStore:
-    """Column store backed by numpy arrays (the vectorized path)."""
-
-    kind = "numpy"
+    """Column store backed by typed numpy arrays."""
 
     __slots__ = ("_arrays", "_length")
 
@@ -435,59 +247,16 @@ class NumpyColumnStore:
         )
 
 
-# -------------------------------------------------------------- backend choice
-
-_BACKENDS: Dict[str, Type[Any]] = {"python": PythonColumnStore}
-if _numpy is not None:
-    _BACKENDS["numpy"] = NumpyColumnStore
+# ``perf/`` (frozen) is the only caller of the two functions below: its tracer
+# wraps ``active_backend().from_rows``/``to_rows`` and ``perf/run.py`` gates on
+# ``numpy_enabled()``.  Everything else names :class:`NumpyColumnStore` directly.
 
 
-def _initial_backend() -> Type[Any]:
-    forced = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in ("python", "numpy"):
-            raise ValueError(
-                f"REPRO_BACKEND={forced!r} not recognized (use 'numpy' or 'python')"
-            )
-        if forced == "numpy" and _numpy is None:
-            raise RuntimeError("REPRO_BACKEND=numpy requested but numpy is not importable")
-        return _BACKENDS[forced]
-    return _BACKENDS.get("numpy", PythonColumnStore)
-
-
-_ACTIVE = _initial_backend()
-
-
-def active_backend() -> Type[Any]:
-    """The store class relations build columns with (numpy when available)."""
-    return _ACTIVE
+def active_backend() -> Type[NumpyColumnStore]:
+    """The store class (kept for ``perf/``)."""
+    return NumpyColumnStore
 
 
 def numpy_enabled() -> bool:
-    """Whether the vectorized kernels may run (active backend is numpy)."""
-    return _ACTIVE.kind == "numpy"
-
-
-def set_active_backend(name: str) -> None:
-    """Switch the backend at runtime (tests and the benchmark harness)."""
-    if name not in _BACKENDS:
-        available = ", ".join(sorted(_BACKENDS))
-        raise ValueError(f"unknown backend {name!r} (available: {available})")
-    global _ACTIVE
-    _ACTIVE = _BACKENDS[name]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names importable in this environment."""
-    return tuple(sorted(_BACKENDS))
-
-
-@contextlib.contextmanager
-def forced_backend(name: str) -> Iterator[Type[Any]]:
-    """Context manager pinning the active backend (restores on exit)."""
-    previous = _ACTIVE.kind
-    set_active_backend(name)
-    try:
-        yield _BACKENDS[name]
-    finally:
-        set_active_backend(previous)
+    """Always true (kept for ``perf/``)."""
+    return True

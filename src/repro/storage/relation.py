@@ -8,8 +8,8 @@ incremental refresh produces the same bag as recomputation.
 
 Storage is dual-representation.  A relation is authoritative either as a
 list of Python row tuples (how user code and the interpreted oracle build
-bags) or as a backend column store (how the vectorized operators hand
-results to each other — see ``repro.storage.columns``); whichever side is
+bags) or as a :class:`~repro.storage.columns.NumpyColumnStore` (how the
+vectorized operators hand results to each other); whichever side is
 missing is derived lazily and cached.  Mutation always goes through
 :meth:`_invalidate`, which drops every derived columnar view, so a cached
 column read can never go stale.
@@ -23,7 +23,7 @@ from operator import itemgetter as _itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema
-from repro.storage import columns as _backends
+from repro.storage.columns import NumpyColumnStore
 
 Row = Tuple[Any, ...]
 
@@ -79,14 +79,14 @@ class Relation:
     column store ``_store`` (at least one is always present); the other
     representation is derived on first use and cached.  Row tuples exposed
     through :attr:`rows`/:meth:`iter_rows` always carry native Python
-    values, whichever backend produced them.
+    values, whichever representation produced them.
     """
 
     def __init__(self, schema: Schema, rows: Optional[Iterable[Row]] = None, name: str = "") -> None:
         self.schema = schema
         self.name = name
         self._rows: Optional[List[Row]] = [tuple(r) for r in rows] if rows is not None else []
-        #: Backend column store (``repro.storage.columns``), the columnar
+        #: Column store (``repro.storage.columns``), the columnar
         #: authority when ``_rows`` is None; else a cached derivation.
         self._store = None
         #: Lazily built native column tuples (the columnar read path);
@@ -137,7 +137,7 @@ class Relation:
 
     @staticmethod
     def from_store(schema: Schema, store, name: str = "") -> "Relation":
-        """Wrap a backend column store; rows are derived lazily on demand.
+        """Wrap a column store; rows are derived lazily on demand.
 
         The store must not be mutated after being handed over (stores are
         immutable by convention — see ``repro.storage.columns``).
@@ -155,7 +155,7 @@ class Relation:
     def from_columns(
         schema: Schema, columns: Sequence[Sequence[Any]], name: str = ""
     ) -> "Relation":
-        """Build a relation from parallel column arrays (active backend)."""
+        """Build a relation from parallel column arrays."""
         if len(columns) != len(schema):
             raise ValueError(
                 f"{len(columns)} column arrays do not match schema arity {len(schema)}"
@@ -163,7 +163,7 @@ class Relation:
         lengths = {len(column) for column in columns}
         if len(lengths) > 1:
             raise ValueError(f"column arrays have unequal lengths {sorted(lengths)}")
-        store = _backends.active_backend().from_columns(columns, len(schema))
+        store = NumpyColumnStore.from_columns(columns, len(schema))
         return Relation.from_store(schema, store, name)
 
     # -------------------------------------------------------------- basic bag
@@ -213,40 +213,23 @@ class Relation:
         self._columns = None
         self._column_cache.clear()
 
-    def column_store(self):
-        """The backend column store, building one (active backend) if needed."""
-        if self._store is None:
-            self._store = _backends.active_backend().from_rows(self.rows, len(self.schema))
-        return self._store
-
     def cached_store(self):
         """The column store if one is already built, else ``None`` (no work)."""
         return self._store
 
     def vector_store(self, min_rows: int = 0):
-        """The numpy column store for the vectorized kernels, or ``None``.
+        """The column store for the vectorized kernels, or ``None``.
 
-        Returns ``None`` when the active backend is not numpy (fallback
-        environment, or forced via ``REPRO_BACKEND=python``) so callers
-        drop to their row paths.  An already-cached numpy store is returned
-        regardless of size; building a fresh one requires at least
-        ``min_rows`` rows, since array conversion costs more than it saves
-        on tiny bags.
+        An already-cached store is returned regardless of size; building a
+        fresh one requires at least ``min_rows`` rows, since array
+        conversion costs more than it saves on tiny bags — callers given
+        ``None`` drop to their row paths.
         """
-        store = self._store
-        if store is not None:
-            return store if store.kind == "numpy" else None
-        if not _backends.numpy_enabled():
-            return None
-        if len(self._rows) < min_rows:
-            return None
-        self._store = _backends.active_backend().from_rows(self._rows, len(self.schema))
+        if self._store is None:
+            if len(self._rows) < min_rows:
+                return None
+            self._store = NumpyColumnStore.from_rows(self._rows, len(self.schema))
         return self._store
-
-    @property
-    def has_vector_store(self) -> bool:
-        """Whether a numpy store is already cached (no conversion cost)."""
-        return self._store is not None and self._store.kind == "numpy"
 
     def adopt_store(self, store) -> None:
         """Attach a pre-built column store the caller derived columnar-ly.
@@ -355,11 +338,7 @@ class Relation:
     def union_all(self, other: "Relation") -> "Relation":
         """Multiset union: concatenation of the two bags."""
         self._check_compatible(other)
-        if (
-            self._store is not None
-            and other._store is not None
-            and self._store.kind == other._store.kind
-        ):
+        if self._store is not None and other._store is not None:
             # Store-to-store concat: no row materialization on either side.
             return Relation.from_store(
                 self.schema, self._store.concat(other._store), self.name
@@ -368,12 +347,12 @@ class Relation:
             # State ∪ delta: convert only the (smaller) row side so the
             # columnar state survives the merge without materializing the
             # stored side's rows.
-            tail = type(self._store).from_rows(other.rows, len(self.schema))
+            tail = NumpyColumnStore.from_rows(other.rows, len(self.schema))
             return Relation.from_store(
                 self.schema, self._store.concat(tail), self.name
             )
         if other._store is not None and len(self) <= len(other):
-            head = type(other._store).from_rows(self.rows, len(self.schema))
+            head = NumpyColumnStore.from_rows(self.rows, len(self.schema))
             return Relation.from_store(
                 self.schema, head.concat(other._store), self.name
             )

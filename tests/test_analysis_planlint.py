@@ -177,21 +177,15 @@ def test_unresolved_reuse_is_p006(full_tpcd_database):
         BaseRelation("customer"), BaseRelation("orders"),
         [("c_custkey", "o_custkey")],
     )
-    recoverable = PlanNode(
-        description="reuse[v_missing]", node_id=1, cost=0.0, cardinality=0.0,
-        reused=True, expression=expression, view_name="v_missing",
-    )
-    diagnostics = verify_plan(recoverable, database=full_tpcd_database)
-    assert [d.code for d in diagnostics] == ["REPRO-P006"]
-    assert diagnostics[0].severity == "warning"  # can recompute via expression
-
-    unrecoverable = PlanNode(
-        description="reuse[v_missing]", node_id=2, cost=0.0, cardinality=0.0,
-        reused=True, expression=None, view_name="v_missing",
-    )
-    diagnostics = verify_plan(unrecoverable, database=full_tpcd_database)
-    assert [d.code for d in diagnostics] == ["REPRO-P006"]
-    assert diagnostics[0].severity == "error"
+    # With or without a logical expression: nothing recomputes a reuse step.
+    for node_id, carried in ((1, expression), (2, None)):
+        unresolved = PlanNode(
+            description="reuse[v_missing]", node_id=node_id, cost=0.0, cardinality=0.0,
+            reused=True, expression=carried, view_name="v_missing",
+        )
+        diagnostics = verify_plan(unresolved, database=full_tpcd_database)
+        assert [d.code for d in diagnostics] == ["REPRO-P006"]
+        assert diagnostics[0].severity == "error"
 
 
 def test_misordered_temporaries_is_p007():

@@ -156,8 +156,6 @@ def test_config_validation():
         WarehouseConfig(buffer_pages=0)
     with pytest.raises(WarehouseError, match="update_percentage"):
         WarehouseConfig(update_percentage=-0.1)
-    with pytest.raises(WarehouseError, match="vectorized"):
-        WarehouseConfig(verify_differentials=True, use_physical=False)
 
 
 # ----------------------------------------------------------- façade ≡ direct
@@ -331,20 +329,6 @@ def test_lazy_optimize_uses_the_delta_store_actual_fractions(tiny_tpcd_database)
     assert wh.verify() == {"v": True}
 
 
-def test_refresher_rejects_contradictory_executor_injection(tiny_tpcd_database):
-    from repro.engine.physical import PhysicalExecutor
-    from repro.maintenance.maintainer import ViewRefresher
-
-    database = tiny_tpcd_database.copy()
-    with pytest.raises(ValueError, match="use_physical"):
-        ViewRefresher(
-            database,
-            {"v": Q.table("orders").join("customer").build()},
-            use_physical=False,
-            physical_executor=PhysicalExecutor(database),
-        )
-
-
 # ------------------------------------------------------------- transactionality
 
 def test_apply_rolls_back_on_mid_refresh_failure(tiny_tpcd_database):
@@ -414,7 +398,6 @@ def test_experiment_config_goes_through_warehouse():
     config = ExperimentConfig(catalog=tpcd.tpcd_catalog(scale_factor=0.05))
     warehouse = config.warehouse()
     assert isinstance(warehouse, Warehouse)
-    assert config.optimizer() is not None  # deprecated shim still works
 
     series = run_figure_sweep(
         "mini", "façade sweep", queries.standalone_join_view(), config, (0.05,)

@@ -228,13 +228,8 @@ def test_base_table_cardinality_tracks_updates_cheaply(star_database):
 
 # ---------------------------------------------------- vectorized delete path
 
-from repro.storage.columns import NumpyColumnStore, numpy_enabled  # noqa: E402
+from repro.storage.columns import NumpyColumnStore  # noqa: E402
 from repro.storage.relation import multiset_subtract  # noqa: E402
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="numpy backend unavailable"
-)
-
 
 def _subtract_via_mask(names, rows, deletes):
     """Run the columnar keep-mask; None means the row fallback was chosen."""
@@ -248,7 +243,6 @@ def _subtract_via_mask(names, rows, deletes):
     return [row for row, kept in zip(rows, keep) if kept]
 
 
-@needs_numpy
 def test_codes_mask_handles_string_only_keys():
     # No numeric column to narrow on: the factorized-codes route must run
     # (before this path, string-keyed views always fell back to Python rows).
@@ -259,7 +253,6 @@ def test_codes_mask_handles_string_only_keys():
     )
 
 
-@needs_numpy
 def test_codes_mask_removes_one_copy_per_match_in_first_match_order():
     rows = [("x", 1), ("x", 1), ("x", 1), ("y", 2)]
     deletes = [("x", 1), ("x", 1)]
@@ -268,14 +261,12 @@ def test_codes_mask_removes_one_copy_per_match_in_first_match_order():
     assert result == [("x", 1), ("y", 2)]
 
 
-@needs_numpy
 def test_codes_mask_over_delete_removes_every_copy():
     rows = [("x", 1), ("x", 1)]
     deletes = [("x", 1)] * 5
     assert _subtract_via_mask(["k", "n"], rows, deletes) == []
 
 
-@needs_numpy
 def test_codes_mask_matches_ints_against_floats():
     # multiset_subtract hashes 1 == 1.0 equal; dtype promotion inside the
     # codes route must agree.
@@ -286,7 +277,6 @@ def test_codes_mask_matches_ints_against_floats():
     )
 
 
-@needs_numpy
 def test_codes_mask_falls_back_on_none_values():
     # None beside strings makes an object column np.unique cannot order:
     # the vector path must bow out, not crash or guess.
@@ -295,7 +285,6 @@ def test_codes_mask_falls_back_on_none_values():
     assert _subtract_via_mask(["k", "v"], rows, deletes) is None
 
 
-@needs_numpy
 def test_codes_mask_falls_back_on_nan_probes():
     # NaN breaks equality-by-value; first-match semantics are undefined for
     # it in array form, so the row path (object identity) must decide.
@@ -306,7 +295,6 @@ def test_codes_mask_falls_back_on_nan_probes():
     assert Database._vector_codes_mask(store, Relation(schema, deletes)) is None
 
 
-@needs_numpy
 def test_codes_route_taken_when_narrowing_stays_wide():
     # Every row shares the numeric value, so isin-narrowing cannot shrink
     # the candidate set; the codes route must still subtract exactly.
@@ -317,7 +305,6 @@ def test_codes_route_taken_when_narrowing_stays_wide():
     )
 
 
-@needs_numpy
 def test_vector_mask_empty_delta_keeps_everything():
     rows = [("a", 1), ("b", 2)]
     assert _subtract_via_mask(["k", "n"], rows, []) == rows

@@ -2,7 +2,8 @@
 
 Covers plan compilation (per-node join algorithms, reuse resolution through
 the materialized registry), the end-to-end ``evaluate``-shaped entry point,
-schema conformance after join reassociation, and strict-mode failures.
+schema conformance after join reassociation, and the ``PhysicalPlanError``
+raised where the interpreter fallback used to hide a failure.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.algebra.expressions import (
     UnionAll,
 )
 from repro.algebra.predicates import eq, gt, lit
+from repro.catalog.catalog import CatalogError
 from repro.engine.executor import MaterializedRegistry, evaluate
 from repro.engine.physical import (
     Filter,
@@ -68,7 +70,7 @@ def join_plan(algorithm: str, conditions=(("product_id", "p_id"),)) -> PlanNode:
 # ----------------------------------------------------------------- compilation
 
 def test_scan_compiles_to_table_scan(star_database):
-    pipeline = compile_plan(scan_plan("sales"), star_database, strict=True)
+    pipeline = compile_plan(scan_plan("sales"), star_database)
     assert isinstance(pipeline, TableScan)
     assert len(pipeline.execute()) == 6
 
@@ -86,7 +88,7 @@ def test_scan_compiles_to_table_scan(star_database):
 )
 def test_every_join_algorithm_executes_identically(star_database, algorithm, operator_type):
     plan = join_plan(algorithm)
-    pipeline = compile_plan(plan, star_database, strict=True)
+    pipeline = compile_plan(plan, star_database)
     assert isinstance(pipeline, operator_type)
     expected = evaluate(plan.expression, star_database)
     assert pipeline.execute().same_bag(expected)
@@ -96,7 +98,7 @@ def test_index_nested_loop_left_preserves_column_order(star_database):
     # The stored/indexed side is the LEFT child; output must still be
     # left ++ right like every other join operator.
     plan = join_plan("index_nested_loop_left")
-    result = compile_plan(plan, star_database, strict=True).execute()
+    result = compile_plan(plan, star_database).execute()
     assert result.schema.names[:5] == ("sale_id", "product_id", "store_id", "quantity", "amount")
     assert result.same_bag(evaluate(plan.expression, star_database))
 
@@ -112,7 +114,7 @@ def test_filter_and_aggregate_compile(star_database):
         children=[scan_plan("sales")],
         expression=Select(BaseRelation("sales"), gt("amount", 25.0)),
     )
-    pipeline = compile_plan(select_node, star_database, strict=True)
+    pipeline = compile_plan(select_node, star_database)
     assert isinstance(pipeline, Filter)
     assert pipeline.execute().same_bag(evaluate(select_node.expression, star_database))
 
@@ -123,7 +125,7 @@ def test_reuse_resolves_through_view_name(star_database):
     stored = Relation(star_database.table("sales").schema, [(9, 9, 9, 9, 9.0)])
     star_database.materialize_view("t_shared", stored)
     plan = reuse_plan(5, "t_shared", 0.1, star_database.catalog.stats("sales"))
-    pipeline = compile_plan(plan, star_database, strict=True)
+    pipeline = compile_plan(plan, star_database)
     assert isinstance(pipeline, MaterializedScan)
     assert pipeline.execute().same_bag(stored)
 
@@ -137,7 +139,7 @@ def test_reuse_resolves_through_registry(star_database):
     plan = reuse_plan(
         5, "e5", 0.1, star_database.catalog.stats("sales"), expression=expression
     )
-    pipeline = compile_plan(plan, star_database, registry, strict=True)
+    pipeline = compile_plan(plan, star_database, registry)
     assert isinstance(pipeline, MaterializedScan)
     assert pipeline.view_name == "t_reg"
 
@@ -145,16 +147,18 @@ def test_reuse_resolves_through_registry(star_database):
 def test_unresolvable_reuse_raises_in_strict_mode(star_database):
     plan = reuse_plan(5, "missing_view", 0.1, star_database.catalog.stats("sales"))
     with pytest.raises(PhysicalPlanError):
-        compile_plan(plan, star_database, strict=True)
+        compile_plan(plan, star_database)
 
 
-def test_unresolvable_reuse_falls_back_to_logical(star_database):
-    expression = BaseRelation("sales")
+def test_unresolvable_reuse_with_expression_raises_p006(star_database):
+    # Carrying a logical expression does not make the step recomputable:
+    # there is no interpreter fallback, the unmaterialized reuse is named.
     plan = reuse_plan(
-        5, "missing_view", 0.1, star_database.catalog.stats("sales"), expression=expression
+        5, "missing_view", 0.1, star_database.catalog.stats("sales"),
+        expression=BaseRelation("sales"),
     )
-    result = execute_plan(plan, star_database)
-    assert result.same_bag(star_database.table("sales"))
+    with pytest.raises(PhysicalPlanError, match="REPRO-P006.*missing_view"):
+        execute_plan(plan, star_database)
 
 
 # ------------------------------------------------------------- end-to-end path
@@ -198,7 +202,7 @@ STAR_EXPRESSIONS = [
 @pytest.mark.parametrize("expression", STAR_EXPRESSIONS, ids=lambda e: e.canonical()[:48])
 def test_evaluate_physical_matches_interpreter(star_database, expression):
     logical = evaluate(expression, star_database)
-    physical = evaluate_physical(expression, star_database, strict=True)
+    physical = evaluate_physical(expression, star_database)
     assert physical.same_bag(logical)
     # Column order must match the logical schema exactly, not just the bag.
     assert physical.schema.names == logical.schema.names
@@ -217,12 +221,12 @@ def test_physical_executor_uses_materialized_views(star_database):
     )
     star_database.materialize_view("v_joined", marker)
     registry.register(expression, "v_joined")
-    result = evaluate_physical(expression, star_database, registry, strict=True)
+    result = evaluate_physical(expression, star_database, registry)
     assert len(result) == 0
 
 
 def test_plan_cache_reused(star_database):
-    executor = PhysicalExecutor(star_database, strict=True)
+    executor = PhysicalExecutor(star_database)
     expression = Join(
         BaseRelation("sales"), BaseRelation("products"), [("product_id", "p_id")]
     )
@@ -233,17 +237,31 @@ def test_plan_cache_reused(star_database):
 
 def test_strict_mode_raises_for_unknown_relation(star_database):
     with pytest.raises(PhysicalPlanError):
-        evaluate_physical(BaseRelation("nonexistent"), star_database, strict=True)
+        evaluate_physical(BaseRelation("nonexistent"), star_database)
 
 
-def test_non_strict_falls_back_for_unknown_catalog_entries(star_database):
-    # A view over a relation the catalog does not know cannot be planned,
-    # but the non-strict path still executes it through the interpreter.
+def test_unknown_catalog_entry_raises_p009_naming_the_relation(star_database):
+    # A stored view the catalog does not know cannot be planned as a base
+    # relation; the error names it instead of silently interpreting.
     extra = Relation(star_database.table("stores").schema, [(900, "x", "west")])
     star_database.materialize_view("aux_stores", extra)
-    expression = BaseRelation("aux_stores")
-    result = evaluate_physical(expression, star_database)
-    assert result.same_bag(extra)
+    with pytest.raises(PhysicalPlanError, match="REPRO-P009.*aux_stores") as excinfo:
+        evaluate_physical(BaseRelation("aux_stores"), star_database)
+    assert isinstance(excinfo.value.__cause__, CatalogError)
+
+
+def test_operator_defects_surface_unchanged(star_database, monkeypatch):
+    # A bare KeyError out of planning is a defect, not a resolution failure:
+    # it must not be dressed up as a PhysicalPlanError.
+    executor = PhysicalExecutor(star_database)
+
+    def broken_plan(expression, materialized=None):
+        raise KeyError("planner bug")
+
+    monkeypatch.setattr(executor, "plan", broken_plan)
+    with pytest.raises(KeyError, match="planner bug") as excinfo:
+        executor.evaluate(BaseRelation("sales"))
+    assert not isinstance(excinfo.value, PhysicalPlanError)
 
 
 # ------------------------------------------- review regressions (edge semantics)
@@ -258,13 +276,13 @@ def test_union_of_permuted_same_name_branches_stays_positional(star_database):
         ]
     )
     logical = evaluate(expression, star_database)
-    physical = evaluate_physical(expression, star_database, strict=True)
+    physical = evaluate_physical(expression, star_database)
     assert physical.same_bag(logical)
 
 
 def test_reuse_step_naming_a_base_table_scans_it(star_database):
     plan = reuse_plan(5, "products", 0.1, star_database.catalog.stats("products"))
-    pipeline = compile_plan(plan, star_database, strict=True)
+    pipeline = compile_plan(plan, star_database)
     assert isinstance(pipeline, TableScan)
     assert pipeline.execute().same_bag(star_database.table("products"))
 
@@ -272,7 +290,7 @@ def test_reuse_step_naming_a_base_table_scans_it(star_database):
 def test_plan_cache_invalidated_by_registry_rebinding(star_database):
     # Re-registering the same view name for a different expression must not
     # replay a cached reuse plan against the re-purposed view.
-    executor = PhysicalExecutor(star_database, strict=True)
+    executor = PhysicalExecutor(star_database)
     join = Join(BaseRelation("sales"), BaseRelation("products"), [("product_id", "p_id")])
     query = Select(join, gt("amount", 25.0))
 
@@ -300,7 +318,7 @@ def test_index_nested_loop_sorted_probe_with_none_key(star_database):
     star_database.load_table("sales", with_null)
     try:
         plan = join_plan("index_nested_loop_right")
-        result = compile_plan(plan, star_database, strict=True).execute()
+        result = compile_plan(plan, star_database).execute()
         expected = evaluate(plan.expression, star_database)
         assert result.same_bag(expected)
     finally:

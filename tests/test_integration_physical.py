@@ -1,7 +1,7 @@
 """Integration tests: the physical layer across the TPC-D-derived workload.
 
 Checks the acceptance bar of the physical execution subsystem: every view of
-the paper's fig3/fig4/fig5 workloads executes physically (strict mode, no
+the paper's fig3/fig4/fig5 workloads executes physically (there is no
 interpreter fallback) to exactly the interpreter's bag; view refresh and
 multi-query execution run through the physical layer; forced materialization
 produces plans with reuse steps that resolve to stored results.
@@ -38,8 +38,8 @@ def workload_views():
 
 
 def test_entire_workload_executes_physically(workload_database):
-    """Strict physical execution matches the interpreter on all 21 views."""
-    executor = PhysicalExecutor(workload_database, strict=True)
+    """Physical execution matches the interpreter on all 21 views."""
+    executor = PhysicalExecutor(workload_database)
     for name, expression in workload_views().items():
         logical = evaluate(expression, workload_database)
         physical = executor.evaluate(expression)
@@ -53,22 +53,19 @@ def test_refresher_through_physical_layer(workload_database):
     views = queries.view_set_plain()
     deltas = uniform_deltas(database, 0.10, relations=["orders", "lineitem"], seed=5)
     report, verification = apply_and_refresh(
-        database, views, deltas, recompute_views={"v_cust_orders"}, use_physical=True
+        database, views, deltas, recompute_views={"v_cust_orders"}
     )
     assert all(verification.values()), f"stale views: {verification}"
     assert report.recomputed_views == ["v_cust_orders"]
 
 
 def test_physical_and_logical_refresh_agree(workload_database):
-    """use_physical=True and use_physical=False produce identical view bags."""
+    """Views the refresher materializes match interpreter recomputation."""
     views = queries.standalone_join_view()
-    db_physical = workload_database.copy()
-    db_logical = workload_database.copy()
-    for database, use_physical in ((db_physical, True), (db_logical, False)):
-        refresher = ViewRefresher(database, views, use_physical=use_physical)
-        refresher.initialize_views()
-    for name in views:
-        assert db_physical.view(name).same_bag(db_logical.view(name))
+    database = workload_database.copy()
+    ViewRefresher(database, views).initialize_views()
+    for name, expression in views.items():
+        assert database.view(name).same_bag(evaluate(expression, database))
 
 
 def test_mqo_batch_executes_with_temporaries(workload_database):
@@ -109,7 +106,7 @@ def test_forced_shared_materialization_is_reused(workload_database):
     try:
         expected = evaluate(batch["Q1"], workload_database)
         result = execute_plan(
-            plan, workload_database, registry, strict=True, output_schema=expected.schema
+            plan, workload_database, registry, output_schema=expected.schema
         )
         assert result.same_bag(expected)
     finally:

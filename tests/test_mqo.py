@@ -105,7 +105,9 @@ def test_execute_with_temporaries_cleans_up_on_failure():
     import pytest as _pytest
 
     from repro.algebra.expressions import BaseRelation, Project
-    from repro.engine.database import Database, DatabaseError
+    from repro.catalog.catalog import CatalogError
+    from repro.engine.database import Database
+    from repro.engine.physical import PhysicalPlanError
     from repro.catalog.schema import Schema, TableDef
     from repro.mqo.sharing import execute_with_temporaries
     from repro.optimizer.plans import PlanNode, reuse_plan
@@ -128,8 +130,10 @@ def test_execute_with_temporaries_cleans_up_on_failure():
         ],
         expression=good,
     )
-    with _pytest.raises(DatabaseError):
+    with _pytest.raises(PhysicalPlanError, match="zz_missing") as excinfo:
         execute_with_temporaries(database, {}, {"q": plan})
+    # The typed lookup failure is preserved as the cause.
+    assert isinstance(excinfo.value.__cause__, CatalogError)
     # The successfully materialized temporary was rolled back.
     assert database.view_names() == []
 

@@ -1,9 +1,8 @@
 """Sharding layer: partitioning, eligibility, merge kernels, static checks.
 
 The load-bearing property throughout: partition → execute → merge is
-**bag-identical** to serial execution, on both column-store backends,
-including NULL shard keys, empty shards, and groups that exist only on
-some shards.  The serial engine stays the oracle.
+**bag-identical** to serial execution, including NULL shard keys, empty
+shards, and groups that exist only on some shards.  The serial engine stays the oracle.
 """
 
 import pytest
@@ -33,18 +32,13 @@ from repro.parallel.shard import (
     plan_shards,
     shard_database,
 )
-from repro.storage.columns import forced_backend, numpy_enabled
 from repro.storage.relation import Relation
 from repro.workloads import queries
 from repro.workloads.datagen import TpcdDataGenerator
 
-BACKENDS = ["python"] + (["numpy"] if numpy_enabled() else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    with forced_backend(request.param):
-        yield request.param
+#: Keeps the ``[numpy]`` ids these tests were recorded under (the test floor
+#: and CI history name them); there is one store, so nothing to vary.
+numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 
 def workload_views():
@@ -98,11 +92,12 @@ def test_spec_validation():
 
 # ----------------------------------------------------------------- partitioning
 
-def test_partition_is_exact_including_null_keys_and_empty_shards(backend):
+@numpy_id
+def test_partition_is_exact_including_null_keys_and_empty_shards():
     schema = Schema.from_names(["k", "v"])
     rows = [(0, "a"), (4, "b"), (None, "c"), (8, "d"), (None, "e"), (12, "f")]
     relation = Relation.from_trusted_rows(schema, rows, "t")
-    relation.column_store()  # exercise the store-backed kernel path
+    relation.vector_store()  # exercise the store-backed kernel path
     spec = ShardSpec((("t", "k"),), workers=4)
     parts = partition_relation(relation, "k", spec)
     assert len(parts) == 4
@@ -113,11 +108,12 @@ def test_partition_is_exact_including_null_keys_and_empty_shards(backend):
     assert merge_concat(parts).same_bag(relation)
 
 
-def test_partition_round_trips_the_bag(backend):
+@numpy_id
+def test_partition_round_trips_the_bag():
     schema = Schema.from_names(["k", "v"])
     rows = [(i % 7, i) for i in range(100)] + [(None, -1)] * 3
     relation = Relation.from_trusted_rows(schema, rows, "t")
-    relation.column_store()
+    relation.vector_store()
     for mode, bounds in (("hash", ()), ("range", (2.0, 4.0))):
         spec = ShardSpec((("t", "k"),), workers=3, mode=mode, bounds=bounds)
         parts = partition_relation(relation, "k", spec)
@@ -129,22 +125,20 @@ def test_partition_agrees_between_store_and_row_paths():
     schema = Schema.from_names(["k", "v"])
     rows = [(i, i * 10) for i in range(50)] + [(None, -1)]
     spec = ShardSpec((("t", "k"),), workers=4)
-    with forced_backend("python"):
-        row_backed = Relation.from_trusted_rows(schema, list(rows), "t")
-        python_parts = partition_relation(row_backed, "k", spec)
-    if not numpy_enabled():
-        pytest.skip("numpy backend unavailable")
-    with forced_backend("numpy"):
-        store_backed = Relation.from_trusted_rows(schema, list(rows), "t")
-        store_backed.column_store()
-        numpy_parts = partition_relation(store_backed, "k", spec)
-    for python_part, numpy_part in zip(python_parts, numpy_parts):
-        assert python_part.same_bag(numpy_part)
+    row_backed = Relation.from_trusted_rows(schema, list(rows), "t")
+    assert row_backed.cached_store() is None
+    row_parts = partition_relation(row_backed, "k", spec)
+    store_backed = Relation.from_trusted_rows(schema, list(rows), "t")
+    store_backed.vector_store()
+    store_parts = partition_relation(store_backed, "k", spec)
+    for row_part, store_part in zip(row_parts, store_parts):
+        assert row_part.same_bag(store_part)
 
 
 # ------------------------------------------------------------------ eligibility
 
-def test_plan_shards_on_the_workload(backend):
+@numpy_id
+def test_plan_shards_on_the_workload():
     spec = ShardSpec((("lineitem", "l_orderkey"), ("orders", "o_orderkey")), workers=2)
     merges = {
         name: plan_shards(expression, spec).merge
@@ -225,7 +219,8 @@ def _parallel_oracle_check(database, spec, expression):
     assert merged.schema.names == serial.schema.names
 
 
-def test_every_parallel_workload_view_matches_serial(backend, tpcd_database):
+@numpy_id
+def test_every_parallel_workload_view_matches_serial(tpcd_database):
     spec = ShardSpec(
         (("lineitem", "l_orderkey"), ("orders", "o_orderkey")), workers=3
     )
@@ -236,7 +231,8 @@ def test_every_parallel_workload_view_matches_serial(backend, tpcd_database):
         _parallel_oracle_check(tpcd_database, spec, expression)
 
 
-def test_range_partitioning_matches_serial(backend, tpcd_database):
+@numpy_id
+def test_range_partitioning_matches_serial(tpcd_database):
     spec = ShardSpec.for_database(tpcd_database, workers=3, mode="range")
     assert spec.mode == "range" and len(spec.bounds) == 2
     for expression in (
@@ -246,7 +242,8 @@ def test_range_partitioning_matches_serial(backend, tpcd_database):
         _parallel_oracle_check(tpcd_database, spec, expression)
 
 
-def test_groups_present_on_a_single_shard_survive_the_merge(backend):
+@numpy_id
+def test_groups_present_on_a_single_shard_survive_the_merge():
     # Aggregate over a relation where whole groups live on one shard and
     # other shards are empty: re-aggregation must keep exactly the serial
     # group set — no vanished groups, no resurrected ones.

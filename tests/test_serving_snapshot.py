@@ -4,8 +4,8 @@ The unit half exercises :class:`~repro.serving.SnapshotManager` mechanics
 directly (publish / pin / retire accounting).  The property half is the
 serving layer's core guarantee, end to end: a reader pinned at version *v*
 keeps observing bag-identical view contents no matter how many refresh
-commits land concurrently — under both column backends and under the
-``REPRO_WORKERS=2`` sharded executor.
+commits land concurrently — serially and under the ``REPRO_WORKERS=2``
+sharded executor.
 """
 
 import pytest
@@ -13,11 +13,9 @@ import pytest
 from repro import Q, Warehouse, WarehouseConfig
 from repro.catalog.schema import Schema
 from repro.serving import SnapshotError, SnapshotManager
-from repro.storage.columns import available_backends, forced_backend
 from repro.storage.relation import Relation
 
 SCHEMA = Schema.from_names(["k", "v"])
-BACKENDS = available_backends()
 
 
 def rel(rows):
@@ -139,10 +137,12 @@ def serving_warehouse(workers):
     return wh
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# The empty outer parametrization keeps the recorded ``[N-numpy]`` ids (the
+# test floor and CI history name them); there is one store, nothing varies.
+@pytest.mark.parametrize((), [pytest.param(id="numpy")])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pinned_reader_is_bag_identical_across_refresh_commits(backend, workers):
-    """The serving layer's core property, per backend and worker count.
+def test_pinned_reader_is_bag_identical_across_refresh_commits(workers):
+    """The serving layer's core property, per worker count.
 
     A reader pins version *v*, remembers the exact bag it saw, and keeps
     re-reading through the handle while refresh commits publish newer
@@ -150,25 +150,24 @@ def test_pinned_reader_is_bag_identical_across_refresh_commits(backend, workers)
     remembered contents, and the final unpinned read must differ (the
     stream really did change the view).
     """
-    with forced_backend(backend):
-        wh = serving_warehouse(workers)
-        with wh.serve(read_policy="serve-stale") as session:
-            pinned = session.pin()
-            baseline = Relation(pinned.view("v_rev").schema, pinned.view("v_rev").rows)
-            version = pinned.version
-            for _ in range(3):
-                session.ingest(0.02)
-                session.flush(timeout=60.0)
-                assert session.current_version > version
-                observed = pinned.view("v_rev")
-                assert observed.same_bag(baseline), (
-                    "a pinned reader observed view contents change under it"
-                )
-                assert pinned.version == version
-            fresh = session.query("v_rev")
-            assert fresh.version > version
-            assert not fresh.relation.same_bag(baseline), (
-                "three churn rounds left the aggregate view unchanged — the "
-                "property test is not exercising refresh"
+    wh = serving_warehouse(workers)
+    with wh.serve(read_policy="serve-stale") as session:
+        pinned = session.pin()
+        baseline = Relation(pinned.view("v_rev").schema, pinned.view("v_rev").rows)
+        version = pinned.version
+        for _ in range(3):
+            session.ingest(0.02)
+            session.flush(timeout=60.0)
+            assert session.current_version > version
+            observed = pinned.view("v_rev")
+            assert observed.same_bag(baseline), (
+                "a pinned reader observed view contents change under it"
             )
-            pinned.close()
+            assert pinned.version == version
+        fresh = session.query("v_rev")
+        assert fresh.version > version
+        assert not fresh.relation.same_bag(baseline), (
+            "three churn rounds left the aggregate view unchanged — the "
+            "property test is not exercising refresh"
+        )
+        pinned.close()

@@ -72,7 +72,7 @@ def test_view_and_table_stats_stay_fresh_across_refresh_rounds():
     views.update(queries.view_set_plain())
     involved = sorted({r for e in views.values() for r in base_relations(e)})
 
-    refresher = ViewRefresher(database, views, use_physical=True)
+    refresher = ViewRefresher(database, views)
     refresher.initialize_views()
 
     for round_number in range(3):

@@ -1,16 +1,15 @@
-"""Column store backends and the Relation store lifecycle.
+"""The column store and the Relation store lifecycle.
 
-Covers the backend protocol both implementations must satisfy, the
-invalidation chokepoint (satellite of the columnar-engine PR: a mutation
-after a cached column read must never serve stale columns), and the store
-hand-over APIs the database update path relies on.
+Covers the store operations the engine relies on, the invalidation
+chokepoint (satellite of the columnar-engine PR: a mutation after a cached
+column read must never serve stale columns), and the store hand-over APIs
+the database update path relies on.
 """
 
 import pytest
 
 from repro.catalog.schema import Schema
-from repro.storage import columns as backends
-from repro.storage.columns import PythonColumnStore, available_backends, forced_backend
+from repro.storage.columns import NumpyColumnStore
 from repro.storage.relation import Relation
 
 SCHEMA = Schema.of(("a", "INTEGER"), ("b", "VARCHAR"), ("c", "DOUBLE"))
@@ -21,44 +20,45 @@ ROWS = [
     (None, "z", None),
 ]
 
-BACKENDS = available_backends()
+#: Keeps the ``[numpy]`` ids these tests were recorded under (the test floor
+#: and CI history name them); there is one store, so nothing to vary.
+numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 
-def _store(backend, rows=ROWS):
-    with forced_backend(backend):
-        return backends.active_backend().from_rows(rows, 3)
+def _store(rows=ROWS):
+    return NumpyColumnStore.from_rows(rows, 3)
 
 
-# ------------------------------------------------------------ backend protocol
+# ------------------------------------------------------------ store operations
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_round_trip_preserves_rows_and_nulls(backend):
-    store = _store(backend)
+@numpy_id
+def test_round_trip_preserves_rows_and_nulls():
+    store = _store()
     assert len(store) == len(ROWS)
     assert store.arity == 3
     assert store.to_rows() == ROWS
     assert list(store.iter_rows()) == ROWS
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_column_native_returns_python_values(backend):
-    store = _store(backend)
+@numpy_id
+def test_column_native_returns_python_values():
+    store = _store()
     column = store.column_native(0)
     assert tuple(column) == (1, 2, 2, None)
     # Native values, not numpy scalars: ints hash/compare like dict keys.
     assert all(v is None or type(v) is int for v in column)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_take_reorders_columns_by_reference(backend):
-    store = _store(backend)
+@numpy_id
+def test_take_reorders_columns_by_reference():
+    store = _store()
     assert store.take([2, 0]).to_rows() == [(r[2], r[0]) for r in ROWS]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gather_mask_concat_hstack(backend):
-    store = _store(backend)
+@numpy_id
+def test_gather_mask_concat_hstack():
+    store = _store()
     assert store.gather([3, 1, 1]).to_rows() == [ROWS[3], ROWS[1], ROWS[1]]
     assert store.mask([True, False, True, False]).to_rows() == [ROWS[0], ROWS[2]]
     doubled = store.concat(store)
@@ -68,51 +68,36 @@ def test_gather_mask_concat_hstack(backend):
     assert wide.to_rows() == [r + r for r in ROWS]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_store(backend):
-    store = _store(backend, rows=[])
+@numpy_id
+def test_empty_store():
+    store = _store(rows=[])
     assert len(store) == 0
     assert store.to_rows() == []
     assert store.mask([]).to_rows() == []
 
 
 def test_numpy_mask_accepts_plain_bool_lists():
-    if "numpy" not in BACKENDS:
-        pytest.skip("numpy unavailable")
-    store = _store("numpy")
+    store = _store()
     assert store.mask([False, True, False, True]).to_rows() == [ROWS[1], ROWS[3]]
-
-
-def test_forced_backend_restores_previous():
-    before = backends.active_backend()
-    with forced_backend("python"):
-        assert backends.active_backend() is PythonColumnStore
-    assert backends.active_backend() is before
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        backends.set_active_backend("arrow")
 
 
 # ------------------------------------------ invalidation regression (satellite)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mutation_after_cached_column_read_never_serves_stale_columns(backend):
-    with forced_backend(backend):
-        relation = Relation(SCHEMA, list(ROWS))
-        # Populate every derived representation a reader can cache.
-        assert relation.column_at(0) == (1, 2, 2, None)
-        assert relation.columns()[1] == ("x", "y", None, "z")
-        assert relation.column_store() is not None
-        relation.add((7, "w", 0.0))
-        assert relation.column_at(0) == (1, 2, 2, None, 7)
-        assert relation.columns()[1] == ("x", "y", None, "z", "w")
-        assert relation.column_store().to_rows()[-1] == (7, "w", 0.0)
-        relation.extend([(8, "v", 1.0)])
-        assert relation.column_at(0)[-1] == 8
-        assert relation.cached_store() is None or len(relation.cached_store()) == 6
+@numpy_id
+def test_mutation_after_cached_column_read_never_serves_stale_columns():
+    relation = Relation(SCHEMA, list(ROWS))
+    # Populate every derived representation a reader can cache.
+    assert relation.column_at(0) == (1, 2, 2, None)
+    assert relation.columns()[1] == ("x", "y", None, "z")
+    assert relation.vector_store() is not None
+    relation.add((7, "w", 0.0))
+    assert relation.column_at(0) == (1, 2, 2, None, 7)
+    assert relation.columns()[1] == ("x", "y", None, "z", "w")
+    assert relation.vector_store().to_rows()[-1] == (7, "w", 0.0)
+    relation.extend([(8, "v", 1.0)])
+    assert relation.column_at(0)[-1] == 8
+    assert relation.cached_store() is None
 
 
 # --------------------------------------------------------- store hand-over APIs
@@ -120,34 +105,30 @@ def test_mutation_after_cached_column_read_never_serves_stale_columns(backend):
 
 def test_adopt_store_validates_length():
     relation = Relation(SCHEMA, list(ROWS))
-    short = PythonColumnStore.from_rows(ROWS[:2], 3)
+    short = NumpyColumnStore.from_rows(ROWS[:2], 3)
     with pytest.raises(ValueError):
         relation.adopt_store(short)
-    exact = PythonColumnStore.from_rows(ROWS, 3)
+    exact = NumpyColumnStore.from_rows(ROWS, 3)
     relation.adopt_store(exact)
     assert relation.cached_store() is exact
 
 
 def test_from_store_rows_are_lazy_and_identical():
-    store = PythonColumnStore.from_rows(ROWS, 3)
+    store = NumpyColumnStore.from_rows(ROWS, 3)
     relation = Relation.from_store(SCHEMA, store)
     assert len(relation) == len(ROWS)
     assert list(relation.iter_rows()) == ROWS
     assert relation.rows == ROWS
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_vector_store_gates(backend):
-    with forced_backend(backend):
-        relation = Relation(SCHEMA, list(ROWS))
-        small = relation.vector_store(min_rows=100)
-        assert small is None  # below the build threshold, never built
-        store = relation.vector_store(min_rows=0)
-        if backend == "numpy":
-            assert store is not None and store.kind == "numpy"
-            assert relation.has_vector_store
-            # Cached stores are returned regardless of any later threshold.
-            assert relation.vector_store(min_rows=10**6) is store
-        else:
-            assert store is None
-            assert not relation.has_vector_store
+@numpy_id
+def test_vector_store_gates():
+    relation = Relation(SCHEMA, list(ROWS))
+    small = relation.vector_store(min_rows=100)
+    assert small is None  # below the build threshold, never built
+    assert relation.cached_store() is None
+    store = relation.vector_store(min_rows=0)
+    assert isinstance(store, NumpyColumnStore)
+    assert relation.cached_store() is store
+    # Cached stores are returned regardless of any later threshold.
+    assert relation.vector_store(min_rows=10**6) is store

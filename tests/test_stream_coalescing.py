@@ -256,7 +256,7 @@ def test_coalesced_refresh_is_bag_identical_to_eager_replay(stream):
     # Eager replay: one refresh per round (the PR-2 path, pinned against
     # recomputation below).
     eager_db = make_database(facts, dims)
-    eager = ViewRefresher(eager_db, views, use_physical=False)
+    eager = ViewRefresher(eager_db, views)
     eager.initialize_views()
     for s in stores:
         eager.refresh(s)
@@ -265,7 +265,7 @@ def test_coalesced_refresh_is_bag_identical_to_eager_replay(stream):
     # when everything annihilated).
     merged, _ = coalesce_stores(stores)
     coalesced_db = make_database(facts, dims)
-    coalesced = ViewRefresher(coalesced_db, views, use_physical=False)
+    coalesced = ViewRefresher(coalesced_db, views)
     coalesced.initialize_views()
     if merged.total_rows() > 0:
         coalesced.refresh(merged)
@@ -310,13 +310,13 @@ def test_refresh_many_shares_cache_and_matches_per_round_refresh(stream):
     stores = [as_store(ins, dels) for ins, dels in rounds]
 
     one_by_one = make_database(facts, dims)
-    refresher = ViewRefresher(one_by_one, views, use_physical=False)
+    refresher = ViewRefresher(one_by_one, views)
     refresher.initialize_views()
     for s in stores:
         refresher.refresh(s)
 
     many = make_database(facts, dims)
-    multi = ViewRefresher(many, views, use_physical=False)
+    multi = ViewRefresher(many, views)
     multi.initialize_views()
     multi.refresh_many(stores)
 

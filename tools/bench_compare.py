@@ -3,7 +3,7 @@
 
 Every benchmark in this repo records its machine-readable numbers under
 ``results/BENCH_<name>.json`` with wall-clock measurements grouped in
-``timing`` objects (possibly nested — per point, per backend).  This tool
+``timing`` objects (possibly nested — per point, per policy).  This tool
 pairs two such trees — typically a baseline checkout's ``results/``
 directory against the working tree's — and prints one line per shared
 timing entry:

@@ -6,9 +6,10 @@ tool makes them machine-checked so they cannot erode silently:
 
 * **REPRO-L001** — ``numpy`` is imported in exactly one place,
   ``src/repro/storage/columns.py``; everything else goes through the column
-  store protocol (or the sanctioned ``from repro.storage.columns import
-  numpy`` re-export, which keeps the optional-dependency gating in one
-  module).
+  store (or the sanctioned ``from repro.storage.columns import numpy``
+  re-export).  numpy is a hard requirement — the point is one owner of the
+  dtype policy (which columns are typed, which stay ``object``, native
+  values at every boundary), not optionality.
 * **REPRO-L002** — wall-clock access (the ``time`` / ``datetime`` modules)
   is confined to the sanctioned timing writers: the bench package and the
   API/optimizer modules that fill ``*_seconds`` report fields.  Everywhere
@@ -155,9 +156,9 @@ def _check_numpy_imports(tree: ast.Module, path: Path) -> List[Finding]:
                     path,
                     node.lineno,
                     "REPRO-L001",
-                    "numpy imported outside storage/columns.py — use the "
-                    "column store protocol (or the repro.storage.columns "
-                    "re-export)",
+                    "numpy imported outside storage/columns.py, the one owner "
+                    "of the dtype policy — use the column store (or the "
+                    "repro.storage.columns re-export)",
                 )
             )
     return findings
