@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema
 from repro.storage.columns import numpy as _np
+from repro.storage.relation import VECTOR_MIN_ROWS
 
 #: Default selectivity used when a predicate cannot be estimated from stats.
 DEFAULT_EQUALITY_SELECTIVITY = 0.1
@@ -36,10 +37,6 @@ _MEASUREMENT_SEED = 8191
 
 #: Exact numeric types (bool, although an int subclass, is not a measurement).
 _NUMERIC_TYPES = {int, float}
-
-#: Minimum delta size worth *building* a fresh numpy store for during stats
-#: maintenance; already-cached stores are used regardless of size.
-_VECTOR_STATS_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -467,7 +464,7 @@ def _vector_store_of(delta):
     vector_store = getattr(delta, "vector_store", None)
     if vector_store is None:
         return None
-    return vector_store(_VECTOR_STATS_MIN_ROWS)
+    return vector_store(VECTOR_MIN_ROWS)
 
 
 def _gee_distinct(values: Sequence, population: float) -> float:

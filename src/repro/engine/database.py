@@ -9,26 +9,19 @@ views against recomputation over the same database.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog, IndexDef
 from repro.catalog.schema import TableDef
 from repro.catalog.statistics import TableStats
-from repro.storage.columns import numpy as _np
+from repro.storage.bagdiff import surviving_positions
 from repro.storage.delta import Delta, DeltaKind
 from repro.storage.index import build_index
-from repro.storage.relation import Relation, Row, multiset_subtract
+from repro.storage.relation import Relation
 
 #: Delta fraction beyond which a full index rebuild beats incremental
 #: maintenance (sorted-index splicing degrades towards re-sort cost).
 INCREMENTAL_INDEX_FRACTION = 0.25
-
-#: Row count from which an update builds a column store for a relation that
-#: does not have one yet.  The build is a one-off dtype-inference pass; it
-#: pays for itself because the store is carried across every later merge,
-#: which then runs columnar instead of re-walking Python row tuples.
-_STORE_CARRY_MIN_ROWS = 4096
 
 
 class DatabaseError(KeyError):
@@ -209,255 +202,37 @@ class Database:
     def _indexes_on(self, name: str) -> List[Tuple[Tuple[str, Tuple[str, ...], str], object]]:
         return [(key, built) for key, built in self._indexes.items() if key[0] == name]
 
-    def _carry_store(self, name: str, current: Relation):
-        """The column store to maintain across an update, or ``None``.
-
-        Base tables carry their stores forward because every differential's
-        ``old()`` evaluation re-reads them; keeping the columns current saves
-        a full dtype-inference rebuild per update.  Views carry theirs so the
-        merge itself can run columnar (:meth:`_vector_delete_mask`) instead
-        of re-materializing the whole view as row tuples each round.
-
-        A relation that arrives row-backed gets a store built once it is
-        large enough for the build to amortize over the carried rounds —
-        after that every merge stays columnar.
-        """
-        return current.vector_store(_STORE_CARRY_MIN_ROWS)
-
     def _apply_insert(self, name: str, current: Relation, delta_rows: Relation) -> Relation:
         """Append an insert bag; index the appended tail incrementally."""
-        if len(current.schema) != len(delta_rows.schema):
-            raise ValueError(
-                f"incompatible schemas: {current.schema.names} vs {delta_rows.schema.names}"
-            )
-        carried = self._carry_store(name, current)
-        entries = self._indexes_on(name)
-        if carried is not None and not entries:
-            # Pure columnar append: the old rows never have to exist as
-            # tuples.  (Index maintenance below needs the row list, so
-            # indexed relations stay on the row path and just adopt.)
-            # The delta keeps the store built here, so the statistics
-            # maintenance that follows runs its vectorized route even for
-            # tiny bags.
-            tail = delta_rows.vector_store()
-            updated = Relation.from_store(current.schema, carried.concat(tail), name)
-            self._store(name, updated)
-            return updated
-        updated = Relation.from_trusted_rows(
-            current.schema, current.rows + delta_rows.rows, name
-        )
-        if carried is not None and len(delta_rows):
-            # Carry the previous version's columns across the insert: a
-            # concat with the (small) delta's columns costs O(δ + n) array
-            # copying instead of re-inferring dtypes over the whole new row
-            # list next time a vectorized kernel touches this table.
-            updated.adopt_store(carried.concat(delta_rows.vector_store()))
+        updated = current.union_all(delta_rows)
+        updated.name = name
         self._store(name, updated)
+        entries = self._indexes_on(name)
         if entries:
             if len(delta_rows) > INCREMENTAL_INDEX_FRACTION * max(1, len(current)):
                 self.rebuild_indexes(name)
             else:
                 try:
                     for _, built in entries:
-                        built.apply_insert(updated, len(current.rows))
+                        built.apply_insert(updated, len(current))
                 except Exception:
                     # e.g. un-orderable keys a sorted index cannot splice.
                     self.rebuild_indexes(name)
         return updated
 
-    @staticmethod
-    def _vector_delete_mask(store, delta_rows: Relation):
-        """Keep-mask for ``store − delta``, columnar end to end.
-
-        Two vectorized routes, exact first-match multiset semantics either
-        way (mirroring :func:`multiset_subtract`):
-
-        1. **Candidate narrowing** — numeric columns cheaply narrow the rows
-           that could possibly match a delete (``isin`` membership per
-           column); when few candidates survive, only those are gathered as
-           tuples for the Counter-based subtraction.
-        2. **Codes subtraction** (:meth:`_vector_codes_mask`) — when no
-           numeric column exists (string-keyed views) or narrowing leaves a
-           large candidate set, every column is factorized into integer
-           codes and the whole subtraction runs as array arithmetic: no
-           per-row Python loop at all.
-
-        Returns ``True`` when no row matched, a boolean keep array
-        otherwise, or ``None`` when neither route applies (caller falls
-        back to the row path).
-        """
-        target = len(delta_rows)
-        candidates = None
-        narrowed = False
-        for position in range(store.arity):
-            column = store.column(position)
-            if column.dtype.kind not in "if":
-                continue
-            probe = _np.asarray(delta_rows.column_at(position))
-            if probe.dtype.kind not in "if":
-                continue
-            hit = _np.isin(column, probe)
-            candidates = hit if candidates is None else candidates & hit
-            if int(candidates.sum()) <= 4 * target:
-                narrowed = True
-                break
-        if candidates is not None:
-            positions = _np.flatnonzero(candidates)
-            if not len(positions):
-                return True
-            if narrowed:
-                return Database._candidate_delete_mask(store, positions, delta_rows)
-        keep = Database._vector_codes_mask(store, delta_rows)
-        if keep is not None:
-            return keep
-        if candidates is not None:
-            return Database._candidate_delete_mask(
-                store, _np.flatnonzero(candidates), delta_rows
-            )
-        return None
-
-    @staticmethod
-    def _candidate_delete_mask(store, positions, delta_rows: Relation):
-        """Exact subtraction over a narrowed candidate set (gathered rows)."""
-        target = len(delta_rows)
-        remaining = Counter(delta_rows.rows)
-        get = remaining.get
-        deleted: List[int] = []
-        matched = 0
-        rows = store.gather(positions).to_rows()
-        for position, row in zip(positions.tolist(), rows):
-            if get(row, 0) > 0:
-                remaining[row] -= 1
-                deleted.append(position)
-                matched += 1
-                if matched == target:
-                    break
-        if not deleted:
-            return True
-        keep = _np.ones(len(store), dtype=bool)
-        keep[_np.asarray(deleted, dtype=_np.int64)] = False
-        return keep
-
-    @staticmethod
-    def _vector_codes_mask(store, delta_rows: Relation):
-        """Fully vectorized first-match multiset delete via column codes.
-
-        Each column of ``store ⧺ delta`` is factorized into dense integer
-        codes (``np.unique`` with ``return_inverse``), the per-column codes
-        are folded into one row-group id, and the delete quota per group is
-        the delta's group histogram.  A store row is deleted iff its rank
-        among equal rows *in store order* is below the quota — exactly the
-        first-match order of :func:`multiset_subtract`, with no Python loop
-        over rows.
-
-        Returns ``None`` (caller falls back) when the columns cannot be
-        factorized faithfully: un-orderable mixed values (``None`` beside
-        strings) make ``np.unique`` raise, and NaN keys in the delta would
-        collapse under ``np.unique`` even though ``Counter`` equality never
-        matches them.
-        """
-        n = len(store)
-        target = len(delta_rows)
-        if n == 0 or target == 0:
-            return True
-        group = None
-        for position in range(store.arity):
-            column = store.column(position)
-            probe = _np.asarray(delta_rows.column_at(position))
-            if probe.dtype.kind == "f" and bool(_np.isnan(probe).any()):
-                return None
-            if probe.dtype.kind == "O" and any(
-                isinstance(value, float) and value != value for value in probe.tolist()
-            ):
-                return None
-            try:
-                merged = _np.concatenate([column, probe])
-                _, codes = _np.unique(merged, return_inverse=True)
-            except (TypeError, ValueError):
-                return None
-            codes = codes.astype(_np.int64, copy=False)
-            if group is None:
-                group = codes
-            else:
-                paired = group * _np.int64(int(codes.max()) + 1) + codes
-                _, group = _np.unique(paired, return_inverse=True)
-                group = group.astype(_np.int64, copy=False)
-        if group is None:
-            return None
-        store_groups = group[:n]
-        delta_groups = group[n:]
-        quota = _np.bincount(delta_groups, minlength=int(group.max()) + 1)
-        if not bool((quota[store_groups] > 0).any()):
-            return True
-        # Rank of each store row among equal rows, in store order: stable
-        # argsort groups equal rows together preserving arrival order, so
-        # rank = position-in-run of the sorted sequence scattered back.
-        order = _np.argsort(store_groups, kind="stable")
-        sorted_groups = store_groups[order]
-        run_flags = _np.concatenate(
-            ([False], sorted_groups[1:] != sorted_groups[:-1])
-        )
-        run_ids = _np.cumsum(run_flags)
-        starts = _np.concatenate(([0], _np.flatnonzero(run_flags)))
-        ranks_sorted = _np.arange(n, dtype=_np.int64) - starts[run_ids]
-        ranks = _np.empty(n, dtype=_np.int64)
-        ranks[order] = ranks_sorted
-        delete = ranks < quota[store_groups]
-        if not bool(delete.any()):
-            return True
-        return ~delete
-
     def _apply_delete(self, name: str, current: Relation, delta_rows: Relation) -> Relation:
         """Remove a delete bag (one copy per match) and remap index positions."""
-        if len(current.schema) != len(delta_rows.schema):
-            raise ValueError(
-                f"incompatible schemas: {current.schema.names} vs {delta_rows.schema.names}"
-            )
-        entries = self._indexes_on(name)
-        carried = self._carry_store(name, current)
-        if not entries:
-            if carried is not None:
-                keep = self._vector_delete_mask(carried, delta_rows)
-                if keep is not None:
-                    survived = carried if keep is True else carried.mask(keep)
-                    updated = Relation.from_store(current.schema, survived, name)
-                    self._store(name, updated)
-                    return updated
-            # No indexes to remap and no columnar path: plain bag
-            # difference, no position tracking.
-            kept = multiset_subtract(current.rows, delta_rows.rows)
-            updated = Relation.from_trusted_rows(current.schema, kept, name)
-            if carried is not None:
-                if len(kept) == len(current):
-                    updated.adopt_store(carried)
-            self._store(name, updated)
-            return updated
-        remaining = Counter(delta_rows.rows)
-        get = remaining.get
-        kept: List[Row] = []
-        append = kept.append
-        old_to_new: List[Optional[int]] = []
-        for row in current.rows:
-            if get(row, 0) > 0:
-                remaining[row] -= 1
-                old_to_new.append(None)
-            else:
-                old_to_new.append(len(kept))
-                append(row)
-        updated = Relation.from_trusted_rows(current.schema, kept, name)
-        if carried is not None and len(kept) != len(current.rows):
-            # Same survivors, column form: mask the previous version's store
-            # with the positions the subtraction kept.
-            updated.adopt_store(carried.mask([p is not None for p in old_to_new]))
-        elif carried is not None:
-            updated.adopt_store(carried)
+        keep = current.difference_mask(delta_rows)
+        updated = current.masked(keep)
+        updated.name = name
         self._store(name, updated)
-        removed = len(current.rows) - len(kept)
+        entries = self._indexes_on(name)
         try:
-            if removed == 0:
+            if keep is None:
                 for _, built in entries:
                     built.retarget(updated)
-            else:
+            elif entries:
+                old_to_new = surviving_positions(keep)
                 for _, built in entries:
                     built.apply_delete(updated, old_to_new)
         except Exception:

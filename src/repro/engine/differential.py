@@ -236,13 +236,10 @@ def differentiate(
                 old_agg = Relation(old_agg.schema, [])
 
         new_child = new(node.child, child_delta)
+        # Groups that became empty vanish from new_agg on their own:
+        # restrict() leaves them no input rows, and hash aggregation only
+        # emits groups present in its input.
         new_agg = operators.aggregate(restrict(new_child), node.group_by, node.aggregates)
-        if node.group_by:
-            # Groups that became empty vanish from new_agg automatically
-            # because restrict() leaves them with no input rows; but the
-            # hash aggregation only emits groups present in its input, so
-            # nothing extra to do here.
-            pass
 
         # Replace the affected old rows by the affected new rows.
         inserts = new_agg.difference(old_agg)
@@ -334,9 +331,10 @@ class DifferentialEngine:
       :class:`~repro.engine.physical.PhysicalExecutor` — optimizer-chosen
       plans over the columnar batch kernels — instead of the row-at-a-time
       interpreter;
-    * δ-select/δ-project/δ-join run through the delta kernels of
-      :mod:`repro.engine.operators`, which share one predicate compilation /
-      projection resolution / hash build between the δ+ and δ− bags;
+    * δ-select and δ-project are the batch select/project kernels applied to
+      each bag; δ-join runs through the delta join kernel of
+      :mod:`repro.engine.operators`, which shares one hash build between
+      the δ+ and δ− bags;
     * everything is memoized in a per-round :class:`OldValueCache`, shared
       across all views of a single-relation update round.
     """
@@ -458,17 +456,17 @@ class DifferentialEngine:
 
             if isinstance(node, Select):
                 child = recurse(node.child)
-                inserts, deletes = operators.delta_select_batch(
-                    child.inserts, child.deletes, node.predicate
+                return ExpressionDelta(
+                    operators.select_batch(child.inserts, node.predicate),
+                    operators.select_batch(child.deletes, node.predicate),
                 )
-                return ExpressionDelta(inserts, deletes)
 
             if isinstance(node, Project):
                 child = recurse(node.child)
-                inserts, deletes = operators.delta_project_batch(
-                    child.inserts, child.deletes, node.columns
+                return ExpressionDelta(
+                    operators.project(child.inserts, node.columns),
+                    operators.project(child.deletes, node.columns),
                 )
-                return ExpressionDelta(inserts, deletes)
 
             if isinstance(node, Join):
                 return join_delta(node, schema)
@@ -515,8 +513,8 @@ class DifferentialEngine:
             left_delta = recurse(node.left) if left_dep else None
             right_delta = recurse(node.right) if right_dep else None
 
-            insert_rows: List[Row] = []
-            delete_rows: List[Row] = []
+            insert_parts: List[Relation] = []
+            delete_parts: List[Relation] = []
             # δ_left ⋈ OLD right: one build over the old right input, probed
             # by both delta bags (and by every view sharing this sub-join).
             if left_delta is not None and not left_delta.is_empty:
@@ -539,8 +537,8 @@ class DifferentialEngine:
                     delta_side="left",
                     build=build,
                 )
-                insert_rows.extend(ins.rows)
-                delete_rows.extend(dels.rows)
+                insert_parts.append(ins)
+                delete_parts.append(dels)
             # NEW left ⋈ δ_right (paper §5.3: (δE1 ⋈ E2) ∪ ((E1 ∪ δE1) ⋈ δE2)).
             if right_delta is not None and not right_delta.is_empty:
                 new_left = new(node.left, left_delta)
@@ -563,12 +561,15 @@ class DifferentialEngine:
                     delta_side="right",
                     build=build,
                 )
-                insert_rows.extend(ins.rows)
-                delete_rows.extend(dels.rows)
+                insert_parts.append(ins)
+                delete_parts.append(dels)
 
+            # The kernel's output relations as they are (one side) or unioned
+            # (both sides contribute): no store → rows → store round trip.
+            if not insert_parts:
+                return ExpressionDelta.empty(schema)
             return ExpressionDelta(
-                Relation.from_trusted_rows(schema, insert_rows),
-                Relation.from_trusted_rows(schema, delete_rows),
+                operators.union_all(*insert_parts), operators.union_all(*delete_parts)
             )
 
         def aggregate_delta(node: Aggregate, schema: Schema) -> ExpressionDelta:

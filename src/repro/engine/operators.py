@@ -27,21 +27,7 @@ from repro.algebra.predicates import (
 )
 from repro.catalog.schema import Column, ColumnType, Schema, SchemaError
 from repro.storage.columns import NumpyColumnStore, numpy as _np
-from repro.storage.relation import Relation, Row
-
-#: Minimum bag size before a vector kernel will *build* a column store for a
-#: row-backed input.  Below this, array conversion costs more than the row
-#: loop saves; inputs that already carry a numpy store vectorize regardless
-#: (store-to-store pipelines stay columnar end to end).
-VECTOR_MIN_ROWS = 64
-
-#: Minimum bag size before a *single-use* kernel (a join of two row-backed
-#: inputs) converts a row-backed input to typed arrays.  Scans amortize a
-#: build across every later kernel touching the same relation — the store
-#: is cached and the database update path carries it across deltas — but a
-#: one-shot key probe only recoups the per-cell inference cost
-#: on bags this large.
-VECTOR_BUILD_MIN_ROWS = 4096
+from repro.storage.relation import VECTOR_BUILD_MIN_ROWS, VECTOR_MIN_ROWS, Relation, Row
 
 
 # ---------------------------------------------------------------- select / project
@@ -368,11 +354,12 @@ def hash_join_batch(
 # ------------------------------------------------------------- delta kernels
 #
 # Differential maintenance evaluates the *same* operator over the insert and
-# delete bags of a differential (δ+ and δ−).  These kernels run both bags
-# through one shared setup — one compiled predicate, one resolved projection,
-# one hash build over the non-delta join input — so the per-round cost is
-# paid once instead of once per bag (and, via the caller-supplied ``build``,
-# once per refresh round instead of once per view).
+# delete bags of a differential (δ+ and δ−).  The join kernel runs both bags
+# against one hash build over the non-delta join input, so the per-round cost
+# is paid once instead of once per bag (and, via the caller-supplied
+# ``build``, once per refresh round instead of once per view).  Selection and
+# projection have no shared setup worth a kernel of their own: the
+# differential engine applies :func:`select_batch` / :func:`project` per bag.
 
 def hash_build(relation: Relation, positions: Sequence[int]) -> Dict[Any, List[Row]]:
     """Key → rows bucket table over ``positions`` (scalar key when single).
@@ -475,38 +462,6 @@ def _vector_delta_probe(
         out = vbuild.store.gather(other_idx).hstack(bag_store.gather(delta_idx))
     out = _residual_mask_store(out, schema, residual)
     return Relation.from_store(schema, out)
-
-
-def delta_select_batch(
-    inserts: Relation, deletes: Relation, predicate: Predicate
-) -> Tuple[Relation, Relation]:
-    """δ-σ: filter both bags of a differential with one compiled predicate."""
-    schema = inserts.schema
-    fn = compile_predicate(predicate, schema)
-    return (
-        Relation.from_trusted_rows(schema, [r for r in inserts.rows if fn(r)]),
-        Relation.from_trusted_rows(schema, [r for r in deletes.rows if fn(r)]),
-    )
-
-
-def delta_project_batch(
-    inserts: Relation, deletes: Relation, columns: Sequence[str]
-) -> Tuple[Relation, Relation]:
-    """δ-π: project both bags of a differential (positions resolved once)."""
-    idxs = inserts.schema.positions(columns)
-    schema = inserts.schema.project(columns)
-    if len(idxs) == 1:
-        i = idxs[0]
-        ins = [(row[i],) for row in inserts.rows]
-        dels = [(row[i],) for row in deletes.rows]
-    else:
-        getter = itemgetter(*idxs)
-        ins = [getter(row) for row in inserts.rows]
-        dels = [getter(row) for row in deletes.rows]
-    return (
-        Relation.from_trusted_rows(schema, ins),
-        Relation.from_trusted_rows(schema, dels),
-    )
 
 
 def delta_hash_join_batch(

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.storage.relation import Relation, Row, multiset_subtract
+from repro.storage.bagdiff import multiset_subtract
+from repro.storage.relation import Relation, Row
 
 
 class DeltaKind(enum.Enum):

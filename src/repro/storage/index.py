@@ -77,19 +77,18 @@ class HashIndex:
         for pos in range(start, len(rows)):
             self._buckets.setdefault(self._key(rows[pos]), []).append(pos)
 
-    def apply_delete(self, relation: Relation, old_to_new: Sequence[Optional[int]]) -> None:
+    def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
         """Remap the index after rows were deleted.
 
-        ``old_to_new[p]`` is the deleted rows' position translation: the new
-        position of the row formerly at ``p``, or ``None`` if it was removed.
-        No key is re-hashed — buckets are remapped in place, which is the
-        whole point of maintaining instead of rebuilding.
+        ``old_to_new[p]`` is the new position of the row formerly at ``p``,
+        or ``-1`` if it was removed (the delete's keep-mask as positions —
+        :func:`repro.storage.bagdiff.surviving_positions`).  No key is
+        re-hashed — buckets are remapped in place, which is the whole point
+        of maintaining instead of rebuilding.
         """
         self._relation = relation
         for key in list(self._buckets):
-            positions = self._buckets[key]
-            remapped = [old_to_new[p] for p in positions]
-            kept = [p for p in remapped if p is not None]
+            kept = [new for p in self._buckets[key] if (new := old_to_new[p]) >= 0]
             if kept:
                 self._buckets[key] = kept
             else:
@@ -193,18 +192,19 @@ class SortedIndex:
             self._keys.insert(at, key)
             self._rowpos.insert(at, pos)
 
-    def apply_delete(self, relation: Relation, old_to_new: Sequence[Optional[int]]) -> None:
+    def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
         """Remap the index after rows were deleted.
 
-        Entries of removed rows are dropped and surviving positions
-        translated; the key order is untouched, so no re-sort happens.
+        Entries of removed rows (``-1`` in ``old_to_new``) are dropped and
+        surviving positions translated; the key order is untouched, so no
+        re-sort happens.
         """
         self._relation = relation
         keys: List[Key] = []
         rowpos: List[int] = []
         for key, pos in zip(self._keys, self._rowpos):
             new_pos = old_to_new[pos]
-            if new_pos is not None:
+            if new_pos >= 0:
                 keys.append(key)
                 rowpos.append(new_pos)
         self._keys = keys

@@ -19,32 +19,27 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import compress
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema
+from repro.storage.bagdiff import Row, rows_keep_mask, store_keep_mask
 from repro.storage.columns import NumpyColumnStore
 
-Row = Tuple[Any, ...]
+#: Bag size from which a kernel builds a column store for a row-backed input
+#: it will *scan*: the store is cached on the relation and reused by every
+#: later kernel, so the build amortizes.  Below this, array conversion costs
+#: more than the row loop saves.  (A relation that already carries a store
+#: vectorizes regardless of size — see :meth:`Relation.vector_store`.)
+VECTOR_MIN_ROWS = 64
 
-
-def multiset_subtract(rows: Iterable[Row], excluded: Iterable[Row]) -> List[Row]:
-    """``rows`` with one copy removed per row in ``excluded`` (bag difference).
-
-    Order-preserving over ``rows``; excluded rows with no match are simply
-    ignored.  The shared kernel for every "remove this multiset from that
-    pool" scan (delete-pool filtering in the update generators, etc.).
-    """
-    remaining = Counter(excluded)
-    if not remaining:
-        return list(rows)
-    kept: List[Row] = []
-    for row in rows:
-        if remaining.get(row, 0) > 0:
-            remaining[row] -= 1
-        else:
-            kept.append(row)
-    return kept
+#: Bag size from which a *single-use* kernel (a join of two row-backed
+#: inputs, a merge into a row-backed state) converts its input to typed
+#: arrays: a one-shot pass only recoups the per-cell dtype inference on bags
+#: this large — after which the state stays columnar across every later
+#: merge.
+VECTOR_BUILD_MIN_ROWS = 4096
 
 
 def reservoir_sample(rows: Iterable[Row], k: int, rng: random.Random) -> List[Row]:
@@ -117,6 +112,18 @@ class Relation:
         return Relation(other.schema, [], name or other.name)
 
     @staticmethod
+    def _wrap(schema: Schema, rows: Optional[List[Row]], store, name: str) -> "Relation":
+        """A relation over the given representations (at least one), unchecked."""
+        relation = Relation.__new__(Relation)
+        relation.schema = schema
+        relation.name = name
+        relation._rows = rows
+        relation._store = store
+        relation._columns = None
+        relation._column_cache = {}
+        return relation
+
+    @staticmethod
     def from_trusted_rows(schema: Schema, rows: List[Row], name: str = "") -> "Relation":
         """Wrap an already-validated list of tuples without copying it.
 
@@ -126,14 +133,7 @@ class Relation:
         the cost of the hot loop.  The caller must hand over ownership of
         ``rows``.
         """
-        relation = Relation.__new__(Relation)
-        relation.schema = schema
-        relation.name = name
-        relation._rows = rows
-        relation._store = None
-        relation._columns = None
-        relation._column_cache = {}
-        return relation
+        return Relation._wrap(schema, rows, None, name)
 
     @staticmethod
     def from_store(schema: Schema, store, name: str = "") -> "Relation":
@@ -142,14 +142,7 @@ class Relation:
         The store must not be mutated after being handed over (stores are
         immutable by convention — see ``repro.storage.columns``).
         """
-        relation = Relation.__new__(Relation)
-        relation.schema = schema
-        relation.name = name
-        relation._rows = None
-        relation._store = store
-        relation._columns = None
-        relation._column_cache = {}
-        return relation
+        return Relation._wrap(schema, None, store, name)
 
     @staticmethod
     def from_columns(
@@ -231,20 +224,6 @@ class Relation:
             self._store = NumpyColumnStore.from_rows(self._rows, len(self.schema))
         return self._store
 
-    def adopt_store(self, store) -> None:
-        """Attach a pre-built column store the caller derived columnar-ly.
-
-        The store must hold exactly this relation's rows in order — used by
-        the database's update path to carry a table's columns across an
-        insert/delete (concat or mask of the previous version's store)
-        instead of re-inferring dtypes from the new row list.
-        """
-        if len(store) != len(self):
-            raise ValueError(
-                f"store length {len(store)} does not match relation length {len(self)}"
-            )
-        self._store = store
-
     def columns(self) -> Tuple[Tuple[Any, ...], ...]:
         """Column arrays, one tuple of native values per schema column.
 
@@ -309,10 +288,9 @@ class Relation:
         return [rows[i] for i in positions]
 
     def copy(self, name: str = "") -> "Relation":
-        """A shallow copy of the relation."""
-        if self._rows is None:
-            return Relation.from_store(self.schema, self._store, name or self.name)
-        return Relation.from_trusted_rows(self.schema, list(self._rows), name or self.name)
+        """A shallow copy: its own row list, the same (immutable) store."""
+        rows = None if self._rows is None else list(self._rows)
+        return Relation._wrap(self.schema, rows, self._store, name or self.name)
 
     def add(self, row: Row) -> None:
         """Append one tuple."""
@@ -336,60 +314,54 @@ class Relation:
     # --------------------------------------------------------- bag operations
 
     def union_all(self, other: "Relation") -> "Relation":
-        """Multiset union: concatenation of the two bags."""
-        self._check_compatible(other)
-        if self._store is not None and other._store is not None:
-            # Store-to-store concat: no row materialization on either side.
-            return Relation.from_store(
-                self.schema, self._store.concat(other._store), self.name
-            )
-        if self._store is not None and len(other) <= len(self):
-            # State ∪ delta: convert only the (smaller) row side so the
-            # columnar state survives the merge without materializing the
-            # stored side's rows.
-            tail = NumpyColumnStore.from_rows(other.rows, len(self.schema))
-            return Relation.from_store(
-                self.schema, self._store.concat(tail), self.name
-            )
-        if other._store is not None and len(self) <= len(other):
-            head = NumpyColumnStore.from_rows(self.rows, len(self.schema))
-            return Relation.from_store(
-                self.schema, head.concat(other._store), self.name
-            )
-        return Relation.from_trusted_rows(self.schema, self.rows + other.rows, self.name)
+        """Multiset union: concatenation of the two bags.
 
-    def difference(self, other: "Relation") -> "Relation":
-        """Multiset difference: remove one copy per matching tuple in ``other``.
-
-        When this side already carries a column store, the survivors' store
-        is derived by masking it — the result stays columnar without a
-        dtype re-inference pass.
+        The larger side is the state the union extends, and the result keeps
+        the representations that state holds: a store when it carries one
+        (or is large enough to build one that later merges reuse), the row
+        list when it carries that.  Only the smaller side is ever converted.
         """
         self._check_compatible(other)
-        remaining = Counter(other.iter_rows())
-        carried = self._store
-        result: List[Row] = []
-        if carried is None:
-            for row in self.iter_rows():
-                if remaining.get(row, 0) > 0:
-                    remaining[row] -= 1
-                else:
-                    result.append(row)
-            return Relation.from_trusted_rows(self.schema, result, self.name)
-        keep: List[bool] = []
-        for row in self.iter_rows():
-            if remaining.get(row, 0) > 0:
-                remaining[row] -= 1
-                keep.append(False)
-            else:
-                result.append(row)
-                keep.append(True)
-        out = Relation.from_trusted_rows(self.schema, result, self.name)
-        if len(result) == len(keep):
-            out.adopt_store(carried)
-        else:
-            out.adopt_store(carried.mask(keep))
-        return out
+        state = self if len(self) >= len(other) else other
+        rows = store = None
+        if state.vector_store(VECTOR_BUILD_MIN_ROWS) is not None:
+            store = self.vector_store().concat(other.vector_store())
+        if store is None or state._rows is not None:
+            rows = self.rows + other.rows
+        return Relation._wrap(self.schema, rows, store, self.name)
+
+    def difference_mask(self, other: "Relation"):
+        """Keep-mask of ``self − other`` over this bag's positions.
+
+        One copy goes per matching tuple in ``other``, earliest first;
+        ``None`` means nothing matched.  A receiver that carries a column
+        store (or is large enough to build one) is subtracted columnar-ly,
+        without walking its rows; a small row-backed one runs the Counter
+        loop — both in :mod:`repro.storage.bagdiff`.
+        """
+        self._check_compatible(other)
+        if not len(other):
+            return None
+        store = self.vector_store(VECTOR_BUILD_MIN_ROWS)
+        if store is None:
+            return rows_keep_mask(self._rows, other.iter_rows())
+        return store_keep_mask(store, other)
+
+    def masked(self, keep) -> "Relation":
+        """The sub-bag at the kept positions (``None`` keeps every row).
+
+        Each representation this relation holds is cut by the same mask, so
+        neither is rebuilt from the other.
+        """
+        if keep is None:
+            return self.copy()
+        rows = None if self._rows is None else list(compress(self._rows, keep.tolist()))
+        store = None if self._store is None else self._store.mask(keep)
+        return Relation._wrap(self.schema, rows, store, self.name)
+
+    def difference(self, other: "Relation") -> "Relation":
+        """Multiset difference: remove one copy per matching tuple in ``other``."""
+        return self.masked(self.difference_mask(other))
 
     def apply_delta(self, inserts: Optional["Relation"] = None, deletes: Optional["Relation"] = None) -> "Relation":
         """Return ``self − deletes ∪ inserts`` (the view-update merge step)."""
@@ -398,16 +370,7 @@ class Relation:
             result = result.difference(deletes)
         if inserts is not None and len(inserts):
             result = result.union_all(inserts)
-        if result is self:
-            if self._rows is None:
-                # Store-backed and untouched: share the immutable store.
-                return Relation.from_store(self.schema, self._store, self.name)
-            fresh = Relation.from_trusted_rows(self.schema, list(self._rows), self.name)
-            if self._store is not None:
-                fresh.adopt_store(self._store)
-            return fresh
-        result.name = self.name
-        return result
+        return self.copy() if result is self else result
 
     def distinct(self) -> "Relation":
         """Duplicate elimination, preserving first-occurrence order."""

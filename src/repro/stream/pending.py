@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.storage.delta import Delta, DeltaStore, merge_delta_sizes
-from repro.storage.relation import Relation, Row, multiset_subtract
+from repro.storage.bagdiff import multiset_subtract
+from repro.storage.relation import Relation, Row
 
 
 @dataclass

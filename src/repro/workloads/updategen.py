@@ -25,7 +25,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.engine.database import Database
 from repro.maintenance.update_spec import UpdateSpec
 from repro.storage.delta import Delta, DeltaStore
-from repro.storage.relation import Relation, Row, multiset_subtract
+from repro.storage.bagdiff import multiset_subtract
+from repro.storage.relation import Relation, Row
 from repro.workloads.datagen import TpcdDataGenerator
 
 

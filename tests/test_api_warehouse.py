@@ -363,6 +363,30 @@ def test_apply_rolls_back_on_mid_refresh_failure(tiny_tpcd_database):
     assert report.total_changes() >= 0
 
 
+def test_rolled_back_apply_keeps_tables_columnar(tiny_tpcd_database, monkeypatch):
+    from repro.engine.database import Database
+
+    wh = Warehouse().load_data(database=tiny_tpcd_database.copy())
+    wh.define_view("v_co", Q.table("orders").join("customer"))
+    wh.apply(0.05)
+    database = wh.database
+    stores = {n: database.table(n).vector_store() for n in database.table_names()}
+
+    def failing_merge(self, relation, kind, delta_rows):
+        raise RuntimeError("merge failed")
+
+    monkeypatch.setattr(Database, "apply_update", failing_merge)
+    with pytest.raises(RuntimeError, match="merge failed"):
+        wh.apply(0.05)
+    monkeypatch.undo()
+    # The pre-batch snapshot is live now; it shares the (immutable) column
+    # stores instead of re-inferring dtypes for every table on next touch.
+    assert wh.database is not database
+    for name, store in stores.items():
+        assert wh.database.table(name).cached_store() is store
+    assert wh.verify() == {"v_co": True}
+
+
 def test_apply_unknown_relation_in_batch(tiny_tpcd_database):
     wh = Warehouse().load_data(database=tiny_tpcd_database.copy())
     wh.define_view("v", Q.table("orders").join("customer"))

@@ -227,18 +227,29 @@ def test_base_table_cardinality_tracks_updates_cheaply(star_database):
 
 
 # ---------------------------------------------------- vectorized delete path
+#
+# The keep-mask kernel lives in ``repro.storage.bagdiff``; ``Database`` only
+# stores what ``Relation.difference_mask`` / ``masked`` hand back.
 
+from repro.storage import bagdiff  # noqa: E402
+from repro.storage.bagdiff import multiset_subtract  # noqa: E402
 from repro.storage.columns import NumpyColumnStore  # noqa: E402
-from repro.storage.relation import multiset_subtract  # noqa: E402
+
+
+def _store_and_deletes(names, rows, deletes):
+    schema = Schema.from_names(names)
+    return NumpyColumnStore.from_rows(rows, len(names)), Relation(schema, deletes)
+
+
+def _codes_route_applies(names, rows, deletes):
+    store, bag = _store_and_deletes(names, rows, deletes)
+    return bagdiff._codes_mask(store, bag.vector_store())[0]
+
 
 def _subtract_via_mask(names, rows, deletes):
-    """Run the columnar keep-mask; None means the row fallback was chosen."""
-    schema = Schema.from_names(names)
-    store = NumpyColumnStore.from_rows(rows, len(names))
-    keep = Database._vector_delete_mask(store, Relation(schema, deletes))
+    """Survivors under the columnar keep-mask (``None`` mask: nothing matched)."""
+    keep = bagdiff.store_keep_mask(*_store_and_deletes(names, rows, deletes))
     if keep is None:
-        return None
-    if keep is True:
         return list(rows)
     return [row for row, kept in zip(rows, keep) if kept]
 
@@ -248,6 +259,7 @@ def test_codes_mask_handles_string_only_keys():
     # (before this path, string-keyed views always fell back to Python rows).
     rows = [("fr", "a"), ("de", "b"), ("fr", "a"), ("us", "c")]
     deletes = [("fr", "a"), ("us", "c")]
+    assert _codes_route_applies(["k", "v"], rows, deletes)
     assert _subtract_via_mask(["k", "v"], rows, deletes) == multiset_subtract(
         rows, deletes
     )
@@ -279,20 +291,21 @@ def test_codes_mask_matches_ints_against_floats():
 
 def test_codes_mask_falls_back_on_none_values():
     # None beside strings makes an object column np.unique cannot order:
-    # the vector path must bow out, not crash or guess.
+    # the codes route must bow out, not crash or guess — and the kernel
+    # still answers, through the Counter loop.
     rows = [("a", None), ("b", "x")]
     deletes = [("a", None)]
-    assert _subtract_via_mask(["k", "v"], rows, deletes) is None
+    assert not _codes_route_applies(["k", "v"], rows, deletes)
+    assert _subtract_via_mask(["k", "v"], rows, deletes) == [("b", "x")]
 
 
 def test_codes_mask_falls_back_on_nan_probes():
     # NaN breaks equality-by-value; first-match semantics are undefined for
-    # it in array form, so the row path (object identity) must decide.
+    # it in array form, so the row loop (which never matches it) must decide.
     rows = [(1.5, "a"), (2.5, "b")]
     deletes = [(float("nan"), "a")]
-    schema = Schema.from_names(["n", "v"])
-    store = NumpyColumnStore.from_rows(rows, 2)
-    assert Database._vector_codes_mask(store, Relation(schema, deletes)) is None
+    assert not _codes_route_applies(["n", "v"], rows, deletes)
+    assert _subtract_via_mask(["n", "v"], rows, deletes) == rows
 
 
 def test_codes_route_taken_when_narrowing_stays_wide():
@@ -307,4 +320,63 @@ def test_codes_route_taken_when_narrowing_stays_wide():
 
 def test_vector_mask_empty_delta_keeps_everything():
     rows = [("a", 1), ("b", 2)]
-    assert _subtract_via_mask(["k", "n"], rows, []) == rows
+    store, deletes = _store_and_deletes(["k", "n"], rows, [])
+    assert bagdiff.store_keep_mask(store, deletes) is None
+
+
+# ------------------------------------- indexes follow the mask-derived remap
+
+_INDEXES = ((("k",), "hash"), (("v",), "btree"))
+
+
+def _indexed_database(rows):
+    from repro.catalog.schema import TableDef
+
+    schema = Schema.from_names(["k", "v"])
+    db = Database()
+    db.create_table(TableDef("t", schema), rows)
+    for columns, kind in _INDEXES:
+        db.build_index(IndexDef("t", columns, kind=kind))
+    return db, schema
+
+
+def _assert_every_index_matches_rebuild(db, probes):
+    from repro.storage.index import build_index
+
+    table = db.table("t")
+    for columns, kind in _INDEXES:
+        built = db.index_for("t", columns)
+        fresh = build_index(table, columns, kind=kind)
+        assert len(built) == len(fresh) == len(table)
+        assert built.distinct_keys == fresh.distinct_keys
+        for probe in probes:
+            assert built.lookup((probe,)) == fresh.lookup((probe,)), (kind, probe)
+        if kind == "btree":
+            assert list(built.scan_sorted()) == list(fresh.scan_sorted())
+
+
+@pytest.mark.parametrize("size", [12, 5000], ids=["counter-loop", "vector-kernel"])
+def test_indexes_answer_like_rebuilt_after_delete(size):
+    rows = [(i % 7, i) for i in range(size)]
+    db, schema = _indexed_database(rows)
+    maintained = [db.index_for("t", columns) for columns, _ in _INDEXES]
+    deletes = [(3, 3), (0, 7), (3, 3), (6, 99999)]  # a duplicate and a phantom
+    db.apply_update("t", DeltaKind.DELETE, Relation(schema, deletes))
+    assert db.table("t").rows == multiset_subtract(rows, deletes)
+    # Remapped in place from the keep-mask, not rebuilt.
+    assert [db.index_for("t", columns) for columns, _ in _INDEXES] == maintained
+    _assert_every_index_matches_rebuild(db, probes=[0, 3, 6, 7, 99999])
+
+
+@pytest.mark.parametrize("size", [12, 5000], ids=["counter-loop", "vector-kernel"])
+def test_indexes_retargeted_when_delete_matches_nothing(size):
+    rows = [(i % 7, i) for i in range(size)]
+    db, schema = _indexed_database(rows)
+    before = db.table("t")
+    db.apply_update("t", DeltaKind.DELETE, Relation(schema, [(99, -1)]))
+    assert db.table("t") is not before and db.table("t").rows == rows
+    _assert_every_index_matches_rebuild(db, probes=[0, 3, 6, 99])
+    # Positions are still valid for the next incremental step.
+    db.apply_update("t", DeltaKind.INSERT, Relation(schema, [(3, -5)]))
+    db.apply_update("t", DeltaKind.DELETE, Relation(schema, [(3, 3)]))
+    _assert_every_index_matches_rebuild(db, probes=[0, 3, -5])

@@ -103,14 +103,16 @@ def test_mutation_after_cached_column_read_never_serves_stale_columns():
 # --------------------------------------------------------- store hand-over APIs
 
 
-def test_adopt_store_validates_length():
+def test_copy_shares_the_cached_store():
+    # Stores are immutable: a copy owns its row list but shares the columns,
+    # so Database.copy() does not cost a dtype re-inference per table.
     relation = Relation(SCHEMA, list(ROWS))
-    short = NumpyColumnStore.from_rows(ROWS[:2], 3)
-    with pytest.raises(ValueError):
-        relation.adopt_store(short)
-    exact = NumpyColumnStore.from_rows(ROWS, 3)
-    relation.adopt_store(exact)
-    assert relation.cached_store() is exact
+    store = relation.vector_store()
+    clone = relation.copy()
+    assert clone.cached_store() is store
+    clone.add((9, "q", 2.0))
+    assert clone.cached_store() is None  # mutation still invalidates the copy
+    assert relation.cached_store() is store and relation.rows == ROWS
 
 
 def test_from_store_rows_are_lazy_and_identical():

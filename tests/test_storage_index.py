@@ -3,6 +3,7 @@
 import pytest
 
 from repro.catalog.schema import Schema
+from repro.storage.bagdiff import surviving_positions
 from repro.storage.index import HashIndex, SortedIndex, build_index
 from repro.storage.relation import Relation
 
@@ -95,8 +96,10 @@ def test_apply_delete_matches_rebuild(relation, kind):
     index = build_index(relation, ["k"], kind)
     # Remove positions 1 and 2 ((2, "a", 20) and (3, "b", 30)): the survivors
     # shift down, so every retained entry's position must be remapped.
+    keep = [True, False, False, True]
     shrunk = Relation(SCHEMA, [ROWS[0], ROWS[3]])
-    index.apply_delete(shrunk, old_to_new=[0, None, None, 1])
+    assert surviving_positions(keep) == [0, -1, -1, 1]
+    index.apply_delete(shrunk, old_to_new=surviving_positions(keep))
     rebuilt = build_index(shrunk, ["k"], kind)
     assert_same_index(index, rebuilt, [(1,), (2,), (3,), (99,)])
     assert index.lookup((3,)) == []
