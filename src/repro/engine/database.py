@@ -9,7 +9,7 @@ views against recomputation over the same database.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog, IndexDef
 from repro.catalog.schema import TableDef
@@ -18,6 +18,9 @@ from repro.storage.bagdiff import surviving_positions
 from repro.storage.delta import Delta, DeltaKind
 from repro.storage.index import build_index
 from repro.storage.relation import Relation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.operators import AggregateState
 
 #: Delta fraction beyond which a full index rebuild beats incremental
 #: maintenance (sorted-index splicing degrades towards re-sort cost).
@@ -35,6 +38,12 @@ class Database:
         self.catalog = catalog or Catalog()
         self._tables: Dict[str, Relation] = {}
         self._views: Dict[str, Relation] = {}
+        #: Per stored aggregate view: the exact per-group state differential
+        #: maintenance keeps beside it (``operators.AggregateState``), paired
+        #: with the very ``Relation`` it describes.  States are replaced,
+        #: never mutated, and only this module assigns the mapping (lint
+        #: ``REPRO-L010``); see :meth:`aggregate_state` for validity.
+        self._aggregate_states: Dict[str, Tuple[Relation, "AggregateState"]] = {}
         self._indexes: Dict[Tuple[str, Tuple[str, ...], str], object] = {}
 
     # ------------------------------------------------------------------ tables
@@ -83,6 +92,7 @@ class Database:
         """
         relation.name = name
         self._views[name] = relation
+        self._aggregate_states.pop(name, None)
         self.rebuild_indexes(name)
         # A full replacement invalidates the old distributions wholesale
         # (delta merges maintain them incrementally instead), so re-measure.
@@ -105,6 +115,7 @@ class Database:
     def drop_view(self, name: str) -> None:
         """Discard a materialized view (used for temporary materializations)."""
         self._views.pop(name, None)
+        self._aggregate_states.pop(name, None)
         self.catalog.drop_view_stats(name)
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
@@ -112,6 +123,21 @@ class Database:
     def view_names(self) -> List[str]:
         """Names of all materialized views."""
         return list(self._views)
+
+    def aggregate_state(self, name: str) -> Optional["AggregateState"]:
+        """The δ-aggregate state of stored view ``name``, or ``None``.
+
+        A state is honoured only while it is attached to the very
+        :class:`Relation` object :meth:`view` returns: :meth:`update_view`
+        stores the successor state together with the merged relation, and
+        every other write to the view (:meth:`materialize_view`,
+        :meth:`drop_view`, an ``update_view`` without a successor) drops it —
+        a state can be missing, never stale.
+        """
+        entry = self._aggregate_states.get(name)
+        if entry is not None and entry[0] is self._views.get(name):
+            return entry[1]
+        return None
 
     # ----------------------------------------------------------------- indexes
 
@@ -174,12 +200,17 @@ class Database:
         name: str,
         inserts: Optional[Relation] = None,
         deletes: Optional[Relation] = None,
+        state: Optional["AggregateState"] = None,
     ) -> None:
         """Merge a computed view differential into the stored view (V ← V − δ− ∪ δ+).
 
         Like :meth:`apply_update`, view indexes are maintained from the delta
         bags rather than rebuilt, and the view's catalog statistics are
         refreshed so reuse costing never reads a stale cardinality.
+        ``state`` is the δ-aggregate state of the *merged* view (the
+        differential that produced the bags derived it); without one the
+        view's previous state is dropped — even by empty bags, which may hide
+        a change of the state (a ``NULL`` joins a group whose ``SUM`` skips it).
         """
         current = self.view(name)
         deltas: List[Tuple[Relation, int]] = []
@@ -189,6 +220,10 @@ class Database:
         if inserts is not None and len(inserts):
             current = self._apply_insert(name, current, inserts)
             deltas.append((inserts, 1))
+        if state is None:
+            self._aggregate_states.pop(name, None)
+        else:
+            self._aggregate_states[name] = (current, state)
         self.refresh_statistics(name, full=False, deltas=tuple(deltas))
 
     # ------------------------------------------------- incremental update steps
@@ -292,13 +327,21 @@ class Database:
         return stats.with_cardinality(float(len(relation)))
 
     def copy(self) -> "Database":
-        """Deep-enough copy: tuple bags are copied, catalog is shared copy."""
+        """Deep-enough copy: tuple bags are copied, catalog is shared copy.
+
+        Indexes are cloned (no key is re-derived) and the immutable
+        δ-aggregate states are shared, each re-attached to the copied
+        relation it describes — a rollback to the copy restores both.
+        """
         clone = Database(self.catalog.copy())
         clone._tables = {k: v.copy() for k, v in self._tables.items()}
         clone._views = {k: v.copy() for k, v in self._views.items()}
-        for (table, columns, kind) in self._indexes:
-            if clone.has_relation(table):
-                clone._indexes[(table, columns, kind)] = build_index(
-                    clone.table(table), columns, kind="hash" if kind == "hash" else "btree"
-                )
+        clone._aggregate_states = {
+            name: (clone._views[name], state)
+            for name, (relation, state) in self._aggregate_states.items()
+            if relation is self._views.get(name)
+        }
+        for key, built in self._indexes.items():
+            if clone.has_relation(key[0]):
+                clone._indexes[key] = built.clone(clone.table(key[0]))
         return clone

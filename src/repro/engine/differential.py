@@ -13,11 +13,15 @@ refresh and recomputation agree tuple-for-tuple.
 
 Join differentials follow the paper's expansion: when the updated relation
 reaches both join inputs, the update expression for the join becomes a union
-of two joins, ``(δE1 ⋈ E2_old) ∪ (E1_new ⋈ δE2)`` (§5.3).  Aggregates are
-maintained by recomputing only the *affected groups* — the groups whose keys
-appear in the input delta — against the old aggregate rows for those groups
-(§3.1.2).  Duplicate elimination and multiset difference fall back to
-old-vs-new comparison of their (usually small) inputs.
+of two joins, ``(δE1 ⋈ E2_old) ∪ (E1_new ⋈ δE2)`` (§5.3).  A *stored*
+SUM/COUNT/AVG aggregate is maintained from the child's delta alone
+(``delta-aggregate``, §3.1.2): the delta is folded by group into the exact
+per-group state kept beside the view, and the old and new row of each touched
+group are read off that state.  Every other aggregate — and the interpreted
+reference below — recomputes the *affected groups*, the groups whose keys
+appear in the input delta, from the old and new child
+(``recompute-affected-groups``).  Duplicate elimination and multiset
+difference fall back to old-vs-new comparison of their (usually small) inputs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algebra.expressions import (
     Aggregate,
+    AggregateFunc,
     BaseRelation,
     Difference,
     Distinct,
@@ -46,12 +51,26 @@ from repro.storage.delta import DeltaKind
 from repro.storage.relation import Relation, Row
 
 
+#: The two aggregate maintenance rules, as refresh reports name them.  The
+#: second is always followed by ``:<reason>`` — what the engine observed that
+#: kept the node off the δ rule.
+DELTA_AGGREGATE = "delta-aggregate"
+RECOMPUTE_AFFECTED_GROUPS = "recompute-affected-groups"
+
+
 @dataclass
 class ExpressionDelta:
     """The insert and delete bags of an expression's differential."""
 
     inserts: Relation
     deletes: Relation
+    #: When the expression is a stored aggregate maintained by the δ rule:
+    #: the state of the view *after* merging these bags, which
+    #: ``Database.update_view`` stores with the merged relation.
+    state: Optional[operators.AggregateState] = None
+    #: Which rule each aggregate node under this expression ran (the
+    #: vectorized engine fills it in; the interpreted reference has one rule).
+    rules: Tuple[str, ...] = ()
 
     @property
     def is_empty(self) -> bool:
@@ -335,6 +354,10 @@ class DifferentialEngine:
       each bag; δ-join runs through the delta join kernel of
       :mod:`repro.engine.operators`, which shares one hash build between
       the δ+ and δ− bags;
+    * a stored SUM/COUNT/AVG aggregate is maintained from the child's delta
+      and the exact per-group state the database keeps beside the view
+      (:class:`~repro.engine.operators.AggregateState`) — no pass over the
+      child; other aggregates recompute their affected groups;
     * everything is memoized in a per-round :class:`OldValueCache`, shared
       across all views of a single-relation update round.
     """
@@ -459,6 +482,7 @@ class DifferentialEngine:
                 return ExpressionDelta(
                     operators.select_batch(child.inserts, node.predicate),
                     operators.select_batch(child.deletes, node.predicate),
+                    rules=child.rules,
                 )
 
             if isinstance(node, Project):
@@ -466,6 +490,7 @@ class DifferentialEngine:
                 return ExpressionDelta(
                     operators.project(child.inserts, node.columns),
                     operators.project(child.deletes, node.columns),
+                    rules=child.rules,
                 )
 
             if isinstance(node, Join):
@@ -481,6 +506,7 @@ class DifferentialEngine:
                 return ExpressionDelta(
                     Relation.from_trusted_rows(schema, inserts),
                     Relation.from_trusted_rows(schema, deletes),
+                    rules=rules_of(*parts),
                 )
 
             if isinstance(node, Difference):
@@ -494,7 +520,9 @@ class DifferentialEngine:
                     new(node.right, right_delta)
                 )
                 return ExpressionDelta(
-                    new_result.difference(old_result), old_result.difference(new_result)
+                    new_result.difference(old_result),
+                    old_result.difference(new_result),
+                    rules=rules_of(left_delta, right_delta),
                 )
 
             if isinstance(node, Distinct):
@@ -502,10 +530,15 @@ class DifferentialEngine:
                 old_result = old(node.child).distinct()
                 new_result = new(node.child, child_delta).distinct()
                 return ExpressionDelta(
-                    new_result.difference(old_result), old_result.difference(new_result)
+                    new_result.difference(old_result),
+                    old_result.difference(new_result),
+                    rules=child_delta.rules,
                 )
 
             raise TypeError(f"unknown expression type {type(node).__name__}")
+
+        def rules_of(*deltas: Optional[ExpressionDelta]) -> Tuple[str, ...]:
+            return tuple(rule for d in deltas if d is not None for rule in d.rules)
 
         def join_delta(node: Join, schema: Schema) -> ExpressionDelta:
             left_dep = relation in self._base_relations(node.left)
@@ -569,14 +602,94 @@ class DifferentialEngine:
             if not insert_parts:
                 return ExpressionDelta.empty(schema)
             return ExpressionDelta(
-                operators.union_all(*insert_parts), operators.union_all(*delete_parts)
+                operators.union_all(*insert_parts),
+                operators.union_all(*delete_parts),
+                rules=rules_of(left_delta, right_delta),
             )
 
         def aggregate_delta(node: Aggregate, schema: Schema) -> ExpressionDelta:
+            """One rule per case, chosen from what the node and its inputs show."""
             child_delta = recurse(node.child)
+            view_name = materialized.lookup(node) if materialized is not None else None
+            if view_name is not None and not self.database.has_view(view_name):
+                view_name = None
             if child_delta.is_empty:
-                return ExpressionDelta.empty(schema)
+                # Nothing reached the node: a stored view's state stays valid.
+                kept = self.database.aggregate_state(view_name) if view_name else None
+                return ExpressionDelta(Relation(schema, []), Relation(schema, []), state=kept)
+            if any(
+                spec.func in (AggregateFunc.MIN, AggregateFunc.MAX)
+                for spec in node.aggregates
+            ):
+                reason = "min-max"
+            elif view_name is None:
+                reason = "not-stored"
+            else:
+                result = delta_aggregate(node, schema, view_name, child_delta)
+                if result is not None:
+                    return result
+                reason = "untyped"
+            return recompute_affected_groups(node, schema, view_name, child_delta, reason)
 
+        def delta_aggregate(
+            node: Aggregate, schema: Schema, view_name: str, child_delta: ExpressionDelta
+        ) -> Optional[ExpressionDelta]:
+            """δ-aggregate of a stored SUM/COUNT/AVG view, or ``None``.
+
+            Folds δ⁺ and δ⁻ of the child by group into the view's exact
+            state and reads each touched group's old and new row off the old
+            and new state: O(|δ| + touched groups), no pass over the child or
+            the stored view.  A missing state is built once from
+            ``old(child)`` and checked against the stored rows.  ``None``
+            when an input is not exactly foldable (see
+            :meth:`~repro.engine.operators.AggregateState.of`).
+            """
+            fold = operators.AggregateState.of
+            plus = fold(child_delta.inserts, node.group_by, node.aggregates)
+            minus = fold(child_delta.deletes, node.group_by, node.aggregates)
+            if plus is None or minus is None:
+                return None
+            rule = DELTA_AGGREGATE
+            state = self.database.aggregate_state(view_name)
+            if state is None:
+                state = fold(old(node.child), node.group_by, node.aggregates)
+                if state is None:
+                    return None
+                stored = self.database.view(view_name)
+                if not stored.same_bag(Relation.from_trusted_rows(schema, state.rows())):
+                    raise DifferentialMismatch(
+                        f"stored view {view_name!r} is stale: its rows are not the "
+                        f"aggregate of its input"
+                    )
+                rule = f"{RECOMPUTE_AFFECTED_GROUPS}:state-built"
+            successor = state.merged(plus, minus)
+            if successor is None:
+                return None
+            inserts: List[Row] = []
+            deletes: List[Row] = []
+            for key in dict.fromkeys((*plus.groups, *minus.groups)):
+                old_row = state.row(key)
+                new_row = successor.row(key)
+                if old_row != new_row:
+                    if old_row is not None:
+                        deletes.append(old_row)
+                    if new_row is not None:
+                        inserts.append(new_row)
+            return ExpressionDelta(
+                Relation.from_trusted_rows(schema, inserts),
+                Relation.from_trusted_rows(schema, deletes),
+                state=successor,
+                rules=child_delta.rules + (rule,),
+            )
+
+        def recompute_affected_groups(
+            node: Aggregate,
+            schema: Schema,
+            view_name: Optional[str],
+            child_delta: ExpressionDelta,
+            reason: str,
+        ) -> ExpressionDelta:
+            """Aggregate the affected groups of the old and of the new child."""
             child_schema = self._schema(node.child)
             group_pos = child_schema.positions(node.group_by)
 
@@ -597,8 +710,7 @@ class DifferentialEngine:
             # Old aggregate rows for the affected groups: read from the
             # stored view when this exact node is materialized, else
             # recomputed from the old child restricted to those groups.
-            view_name = materialized.lookup(node) if materialized is not None else None
-            if view_name is not None and self.database.has_view(view_name):
+            if view_name is not None:
                 old_agg = restrict(self.database.view(view_name))
                 if not node.group_by:
                     old_agg = Relation(old_agg.schema, list(old_agg.rows))
@@ -616,13 +728,19 @@ class DifferentialEngine:
             return ExpressionDelta(
                 Relation.from_trusted_rows(schema, list(inserts.rows)),
                 Relation.from_trusted_rows(schema, list(deletes.rows)),
+                rules=child_delta.rules + (f"{RECOMPUTE_AFFECTED_GROUPS}:{reason}",),
             )
 
         return recurse(expression)
 
 
 class DifferentialMismatch(AssertionError):
-    """Raised when the vectorized engine disagrees with the interpreted oracle."""
+    """Raised when the vectorized engine disagrees with a reference.
+
+    The interpreted oracle (:func:`verify_differential`), or — when a stored
+    aggregate view's state is built — the view's own rows against the
+    aggregate of its input.
+    """
 
 
 def verify_differential(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -775,6 +776,37 @@ def aggregate(
     return Relation(out_schema, out)
 
 
+def _group_segments(group_arrays: Sequence[Any], n: int):
+    """Sort ``n`` (> 0) rows into one contiguous segment per group.
+
+    Group keys factorize to dense int64 codes (multi-column keys fuse by
+    successive code combination); one stable sort of the codes turns every
+    group into a contiguous run.  Returns ``(order, segment_starts,
+    counts)`` — the sorting permutation, each run's start in sorted order
+    and its length — or ``None`` for group columns numpy cannot factorize
+    (e.g. ``None`` mixed with values).
+    """
+    codes = _np.zeros(n, dtype=_np.int64)
+    capacity = 1
+    for array in group_arrays:
+        try:
+            uniques, inverse = _np.unique(array, return_inverse=True)
+        except TypeError:
+            return None
+        capacity *= max(len(uniques), 1)
+        if capacity > 2**62:
+            return None
+        codes = codes * len(uniques) + inverse
+    order = _np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    boundary = _np.empty(n, dtype=bool)
+    boundary[0] = True
+    _np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundary[1:])
+    segment_starts = _np.flatnonzero(boundary)
+    counts = _np.diff(_np.append(segment_starts, n))
+    return order, segment_starts, counts
+
+
 def _vector_aggregate(
     relation: Relation,
     group_pos: Sequence[int],
@@ -784,10 +816,9 @@ def _vector_aggregate(
 ) -> Optional[Relation]:
     """Whole-column group-by/reduce, or ``None`` when inputs do not qualify.
 
-    Group keys factorize to dense int64 codes (multi-column keys fuse by
-    successive code combination); one stable sort of the codes turns every
-    group into a contiguous segment, and each aggregate reduces segment-at-
-    a-time: ``bincount``-style counts, ``reduceat`` for int SUM / MIN / MAX,
+    :func:`_group_segments` turns every group into a contiguous segment, and
+    each aggregate reduces segment-at-a-time: ``bincount``-style counts,
+    ``reduceat`` for int SUM / MIN / MAX,
     and per-segment ``math.fsum`` for float SUM/AVG so results stay
     bit-identical to the row oracle's order-independent sums.  Output groups
     are reordered to first-occurrence order, matching the oracle's
@@ -812,28 +843,11 @@ def _vector_aggregate(
         value_arrays.append(array)
 
     n = len(relation)
-    codes = _np.zeros(n, dtype=_np.int64)
-    group_arrays = []
-    capacity = 1
-    for pos in group_pos:
-        array = column(pos)
-        try:
-            uniques, inverse = _np.unique(array, return_inverse=True)
-        except TypeError:
-            return None
-        capacity *= max(len(uniques), 1)
-        if capacity > 2**62:
-            return None
-        codes = codes * len(uniques) + inverse
-        group_arrays.append(array)
-
-    order = _np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    boundary = _np.empty(n, dtype=bool)
-    boundary[0] = True
-    _np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundary[1:])
-    segment_starts = _np.flatnonzero(boundary)
-    counts = _np.diff(_np.append(segment_starts, n))
+    group_arrays = [column(pos) for pos in group_pos]
+    segments = _group_segments(group_arrays, n)
+    if segments is None:
+        return None
+    order, segment_starts, counts = segments
     # First-occurrence row of each group: the stable sort keeps original
     # order within a segment, and argsort over those rows recovers the
     # oracle's insertion-order group emission.
@@ -932,6 +946,181 @@ def aggregate_batch(
             values.append(_compute_aggregate(spec.func, column_values, len(indices)))
         out.append(tuple(values))
     return Relation.from_trusted_rows(out_schema, out)
+
+
+# ----------------------------------------------------------- δ-aggregate state
+
+#: Every finite double is an integer multiple of 2**-1074, so ``v * 2**1074``
+#: is an exact integer: with ``n, d = v.as_integer_ratio()`` (``d`` a power of
+#: two whose exponent is ``d.bit_length() - 1``) it is
+#: ``n << (_FLOAT_SHIFT - d.bit_length())``.
+_FLOAT_SHIFT = 1075
+_FLOAT_ONE = 1 << 1074
+
+
+def _exact_group_column(array: Any) -> bool:
+    """Whether a group column's values are exact dictionary keys.
+
+    ``int64``, finite ``float64`` and all-``str`` object columns; ``None``,
+    NaN and int/float blends (``1`` and ``1.0`` are one key with two
+    spellings) are not.
+    """
+    kind = array.dtype.kind
+    if kind == "f":
+        return bool(_np.isfinite(array).all())
+    if kind == "O":
+        return set(map(type, array.tolist())) == {str}
+    return kind == "i"
+
+
+def _exact_segment_sums(sorted_values: Any, bounds: Sequence[int]) -> List[int]:
+    """Exact per-segment sums: plain ints, floats as integers scaled by 2**1074."""
+    flat = sorted_values.tolist()
+    if sorted_values.dtype.kind == "i":
+        return [sum(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [
+        sum(
+            n << (_FLOAT_SHIFT - d.bit_length())
+            for n, d in map(float.as_integer_ratio, flat[lo:hi])
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class AggregateState:
+    """Exact, mergeable partials of a SUM/COUNT/AVG group-by over one bag.
+
+    Per group the row count and, per aggregate, the *exact* sum of its input
+    column: a Python ``int`` for ``int64`` columns, the exact binary value
+    scaled by 2**1074 for ``float64`` ones.  Exact sums add and subtract
+    without error, so the state of ``R − δ⁻ ∪ δ⁺`` is ``state(R) −
+    state(δ⁻) + state(δ⁺)``, and :meth:`row` finalizes a float sum with one
+    correctly rounded ``int / int`` division — the value ``math.fsum``
+    returns for the same multiset (both round the same exact rational,
+    half-to-even; a zero sum compares equal whatever its sign), which is
+    what keeps a δ-maintained view ``==`` to recomputation.
+
+    Instances are immutable; differential maintenance keeps one beside each
+    stored aggregate view (:meth:`repro.engine.database.Database.aggregate_state`).
+    """
+
+    aggregates: Tuple[AggregateSpec, ...]
+    #: Whether there is a group-by; a scalar aggregate has its one row even
+    #: over an empty bag.
+    grouped: bool
+    #: Per aggregate, the dtype kind its sums were built from: ``"i"``,
+    #: ``"f"``, or ``""`` for COUNT and for a column no row was seen of yet.
+    kinds: Tuple[str, ...]
+    #: Group key → ``(rows, exact sum per aggregate…)`` (0 in COUNT's slot).
+    groups: Dict[Tuple[Any, ...], Tuple[int, ...]]
+
+    @classmethod
+    def of(
+        cls,
+        relation: Relation,
+        group_by: Sequence[str],
+        aggregates: Sequence[AggregateSpec],
+    ) -> Optional["AggregateState"]:
+        """The state of one bag (``aggregates`` hold no MIN/MAX), or ``None``.
+
+        ``None`` when the bag is not exactly foldable: an aggregate input
+        that is not a finite ``int64``/``float64`` column (object dtype
+        carries ``None`` and int/float blends, whose SUM type depends on
+        every value), or a group column :func:`_exact_group_column` rejects.
+        """
+        aggregates = tuple(aggregates)
+        n = len(relation)
+        if n == 0:
+            return cls(aggregates, bool(group_by), ("",) * len(aggregates), {})
+        schema = relation.schema
+        column = relation.vector_store().column
+        group_arrays = [column(pos) for pos in schema.positions(group_by)]
+        if not all(map(_exact_group_column, group_arrays)):
+            return None
+        agg_pos = [
+            None if spec.func is AggregateFunc.COUNT else schema.index_of(spec.column)
+            for spec in aggregates
+        ]
+        # Keyed by position: SUM(x) and AVG(x) share one fold of x.
+        inputs = {pos: column(pos) for pos in agg_pos if pos is not None}
+        for array in inputs.values():
+            if array.dtype.kind not in "if" or not _np.isfinite(array).all():
+                return None
+        segments = _group_segments(group_arrays, n)
+        if segments is None:
+            return None
+        order, segment_starts, counts = segments
+        first_rows = order[segment_starts]
+        keys = list(zip(*(array[first_rows].tolist() for array in group_arrays))) or [()]
+        bounds = segment_starts.tolist() + [n]
+        sums: Dict[Optional[int], List[int]] = {None: [0] * len(keys)}
+        for pos, array in inputs.items():
+            sums[pos] = _exact_segment_sums(array[order], bounds)
+        kinds = tuple("" if pos is None else inputs[pos].dtype.kind for pos in agg_pos)
+        groups = dict(zip(keys, zip(counts.tolist(), *(sums[pos] for pos in agg_pos))))
+        return cls(aggregates, bool(group_by), kinds, groups)
+
+    def merged(
+        self, plus: "AggregateState", minus: "AggregateState"
+    ) -> Optional["AggregateState"]:
+        """The state of ``bag − minus's bag ∪ plus's bag``, or ``None``.
+
+        ``None`` when the three disagree on a column's dtype kind: ints
+        meeting floats make the recomputed SUM a float blend the exact
+        representation does not model.  Groups whose row count reaches 0
+        leave the state; a delete bag that takes more than a group holds
+        raises ``ValueError`` instead of leaving a negative count behind.
+        """
+        kinds = []
+        for seen in zip(self.kinds, plus.kinds, minus.kinds):
+            known = set(seen) - {""}
+            if len(known) > 1:
+                return None
+            kinds.append(known.pop() if known else "")
+        groups = dict(self.groups)
+        absent = (0,) * (1 + len(self.aggregates))
+        for sign, bag in ((1, plus), (-1, minus)):
+            for key, partial in bag.groups.items():
+                current = groups.get(key, absent)
+                groups[key] = tuple(a + sign * b for a, b in zip(current, partial))
+        for key in minus.groups:
+            partial = groups[key]
+            if partial[0] <= 0:
+                if any(partial):
+                    raise ValueError(
+                        f"delete bag removes rows that group {key!r} does not hold"
+                    )
+                del groups[key]
+        return AggregateState(self.aggregates, self.grouped, tuple(kinds), groups)
+
+    def row(self, key: Tuple[Any, ...]) -> Optional[Row]:
+        """The aggregate's output row for ``key`` (``None``: no such group).
+
+        Mirrors :func:`aggregate`: a group exists while it has rows, except
+        the scalar aggregate's single group, which reads COUNT 0 / SUM None
+        over an empty bag.
+        """
+        partial = self.groups.get(key)
+        if partial is None:
+            if self.grouped:
+                return None
+            partial = (0,) * (1 + len(self.aggregates))
+        count = partial[0]
+        values = list(key)
+        for spec, kind, exact in zip(self.aggregates, self.kinds, partial[1:]):
+            if spec.func is AggregateFunc.COUNT:
+                values.append(count)
+            elif count == 0:
+                values.append(None)
+            else:
+                total = exact if kind == "i" else exact / _FLOAT_ONE
+                values.append(total if spec.func is AggregateFunc.SUM else total / count)
+        return tuple(values)
+
+    def rows(self) -> List[Row]:
+        """Every output row (what the stored view must hold)."""
+        return [self.row(key) for key in (self.groups if self.grouped else [()])]
 
 
 def sort(relation: Relation, columns: Sequence[str]) -> Relation:

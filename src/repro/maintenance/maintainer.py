@@ -27,6 +27,7 @@ product path against them, nothing falls back to them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,6 +57,12 @@ class ViewRefreshStep:
     kind: DeltaKind
     inserted: int
     deleted: int
+    #: The rule each aggregate node of the view ran in this step:
+    #: ``delta-aggregate`` or ``recompute-affected-groups:<reason>`` with
+    #: reason ``min-max`` | ``not-stored`` | ``untyped`` | ``state-built``
+    #: (see :mod:`repro.engine.differential`).  Empty for views without an
+    #: aggregate and for differentials computed by the shard pool.
+    aggregate_rules: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -64,6 +71,10 @@ class RefreshReport:
 
     steps: List[ViewRefreshStep] = field(default_factory=list)
     recomputed_views: List[str] = field(default_factory=list)
+
+    def aggregate_rule_counts(self) -> Dict[str, int]:
+        """How many aggregate steps ran each rule (with its reason)."""
+        return dict(Counter(rule for step in self.steps for rule in step.aggregate_rules))
 
     def total_changes(self, view: Optional[str] = None) -> int:
         """Total tuples inserted+deleted across steps (optionally one view)."""
@@ -270,7 +281,11 @@ class ViewRefresher:
                     verify_differential(change, oracle, context=name)
                 changes[name] = change
             for name, change in changes.items():
-                self.database.update_view(name, inserts=change.inserts, deletes=change.deletes)
+                # A δ-aggregate hands over the merged view's state with its
+                # bags; any other merge drops the view's previous state.
+                self.database.update_view(
+                    name, inserts=change.inserts, deletes=change.deletes, state=change.state
+                )
                 report.steps.append(
                     ViewRefreshStep(
                         view=name,
@@ -278,6 +293,7 @@ class ViewRefresher:
                         kind=update.kind,
                         inserted=len(change.inserts),
                         deleted=len(change.deletes),
+                        aggregate_rules=change.rules,
                     )
                 )
             self.database.apply_update(update.relation, update.kind, delta_rows)

@@ -53,6 +53,19 @@ class HashIndex:
         """Row positions matching ``key`` (used by delete maintenance)."""
         return list(self._buckets.get(tuple(key), []))
 
+    def clone(self, relation: Relation) -> "HashIndex":
+        """An independent copy over ``relation``, which holds the same rows.
+
+        Buckets are copied, no key is re-derived; maintaining either index
+        afterwards leaves the other untouched.
+        """
+        clone = HashIndex.__new__(HashIndex)
+        clone.columns = self.columns
+        clone._positions = self._positions
+        clone._relation = relation
+        clone._buckets = {key: list(positions) for key, positions in self._buckets.items()}
+        return clone
+
     # ------------------------------------------------------ delta maintenance
 
     def retarget(self, relation: Relation) -> None:
@@ -169,6 +182,16 @@ class SortedIndex:
             hi = bisect.bisect_right(self._keys, high) if include_high else bisect.bisect_left(self._keys, high)
         rows = self._relation.rows
         return [rows[self._rowpos[i]] for i in range(lo, hi)]
+
+    def clone(self, relation: Relation) -> "SortedIndex":
+        """An independent copy over ``relation``, which holds the same rows."""
+        clone = SortedIndex.__new__(SortedIndex)
+        clone.columns = self.columns
+        clone._positions = self._positions
+        clone._relation = relation
+        clone._keys = list(self._keys)
+        clone._rowpos = list(self._rowpos)
+        return clone
 
     # ------------------------------------------------------ delta maintenance
 

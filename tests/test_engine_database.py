@@ -368,6 +368,25 @@ def test_indexes_answer_like_rebuilt_after_delete(size):
     _assert_every_index_matches_rebuild(db, probes=[0, 3, 6, 7, 99999])
 
 
+def test_copy_clones_indexes_that_stay_equal_to_a_rebuild():
+    """``copy()`` is the transactional snapshot: what a rollback makes live."""
+    rows = [(i % 7, i) for i in range(40)]
+    db, schema = _indexed_database(rows)
+    snapshot = db.copy()
+    for columns, _ in _INDEXES:
+        assert snapshot.index_for("t", columns) is not db.index_for("t", columns)
+    # The failed batch maintains the original's indexes; the snapshot's must
+    # not move, and must keep working for the batches after the rollback.
+    db.apply_update("t", DeltaKind.INSERT, Relation(schema, [(3, -5), (8, 100)]))
+    db.apply_update("t", DeltaKind.DELETE, Relation(schema, [(3, 3), (0, 7)]))
+    assert snapshot.table("t").rows == rows
+    _assert_every_index_matches_rebuild(snapshot, probes=[0, 3, 7, 8, -5, 100])
+    snapshot.apply_update("t", DeltaKind.INSERT, Relation(schema, [(5, 500)]))
+    snapshot.apply_update("t", DeltaKind.DELETE, Relation(schema, [(1, 1)]))
+    _assert_every_index_matches_rebuild(snapshot, probes=[1, 5, 500])
+    _assert_every_index_matches_rebuild(db, probes=[0, 3, 7, 8, -5, 100])
+
+
 @pytest.mark.parametrize("size", [12, 5000], ids=["counter-loop", "vector-kernel"])
 def test_indexes_retargeted_when_delete_matches_nothing(size):
     rows = [(i % 7, i) for i in range(size)]

@@ -113,6 +113,30 @@ def test_sorted_index_apply_insert_keeps_scan_order(relation):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("kind", ["hash", "btree"])
+def test_clone_answers_like_rebuilt_and_is_independent(relation, kind):
+    index = build_index(relation, ["k"], kind)
+    copied = relation.copy()
+    clone = index.clone(copied)
+    probes = [(1,), (2,), (3,), (9,), (99,)]
+    assert type(clone) is type(index) and clone.columns == index.columns
+    assert_same_index(clone, build_index(copied, ["k"], kind), probes)
+    if kind == "btree":
+        assert clone.range(low=(2,)) == index.range(low=(2,))
+
+    # Maintaining the original afterwards does not reach the clone ...
+    appended = Relation(SCHEMA, ROWS + [(2, "c", 50), (9, "z", 60)])
+    index.apply_insert(appended, start=len(ROWS))
+    index.apply_delete(
+        Relation(SCHEMA, appended.rows[1:]), surviving_positions([False] + [True] * 5)
+    )
+    assert_same_index(clone, build_index(copied, ["k"], kind), probes)
+    # ... and the clone is maintainable on its own.
+    clone.apply_insert(Relation(SCHEMA, ROWS + [(9, "y", 70)]), start=len(ROWS))
+    assert clone.lookup((9,)) == [(9, "y", 70)]
+    assert sorted(index.lookup((9,))) == [(9, "z", 60)]
+
+
 def test_retarget_keeps_positions(relation):
     index = HashIndex(relation, ["k"])
     replacement = Relation(SCHEMA, list(ROWS))

@@ -151,6 +151,29 @@ def test_l009_threading_confined_to_serving_and_parallel(tmp_path):
     ) == []
 
 
+def test_l010_aggregate_state_mapping_written_only_by_database(tmp_path):
+    source = (
+        "def desynchronise(database, name, state):\n"
+        "    database._aggregate_states[name] = (database.view(name), state)\n"
+        "    database._aggregate_states.pop(name, None)\n"
+        "    del database._aggregate_states[name]\n"
+        "    database._aggregate_states = {}\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/maintenance/maintainer.py")
+    assert codes_of(findings) == ["REPRO-L010"] * 4
+    assert "update_view(state=" in findings[0].message
+    # The owning module is exempt; reading the mapping is not a write.
+    assert codes_of(lint_source(tmp_path, source, "repro/engine/database.py")) == []
+    assert codes_of(
+        lint_source(
+            tmp_path,
+            "def peek(database, name):\n"
+            "    return database._aggregate_states.get(name)\n",
+            "repro/engine/differential.py",
+        )
+    ) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(

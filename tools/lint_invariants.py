@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L009).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L010).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -33,6 +33,12 @@ tool makes them machine-checked so they cannot erode silently:
   borrows primitives from the ``repro.serving.sync`` re-export (the same
   pattern as the numpy re-export), so concurrency stays auditable in two
   packages and the engine layers cannot quietly grow threads.
+* **REPRO-L010** — ``Database``'s δ-aggregate state mapping
+  (``._aggregate_states``) is written only inside
+  ``src/repro/engine/database.py``, which pairs every state with the
+  ``Relation`` it describes and drops it on every other write to the view;
+  a write from elsewhere could leave a state describing rows the view no
+  longer holds (the L003 pattern: one file can desynchronise it).
 
 Usage::
 
@@ -59,6 +65,8 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 COLUMNS_MODULE = "repro/storage/columns.py"
 #: The one module allowed to mutate Relation row storage.
 RELATION_MODULE = "repro/storage/relation.py"
+#: The one module allowed to write Database's aggregate-state mapping.
+DATABASE_MODULE = "repro/engine/database.py"
 #: Modules allowed to read the wall clock: the bench package plus the
 #: writers that fill ``*_seconds`` / timing report fields.  This allowlist
 #: is configuration — a new timing writer is added here, not suppressed
@@ -84,6 +92,8 @@ THREADING_PACKAGES: Tuple[str, ...] = ("repro/serving/", "repro/parallel/")
 _LIST_MUTATORS = frozenset(
     {"append", "extend", "insert", "pop", "clear", "remove", "sort", "reverse"}
 )
+#: Methods that mutate a dict in place (for the L010 check).
+_DICT_MUTATORS = frozenset({"pop", "popitem", "clear", "update", "setdefault"})
 #: Relation-internal attributes nothing outside relation.py may assign.
 _RELATION_INTERNALS = frozenset({"_rows", "_column_cache"})
 #: Builtins whose shadowing is flagged (L007).  Deliberately curated — the
@@ -301,6 +311,49 @@ def _check_relation_mutation(tree: ast.Module, path: Path) -> List[Finding]:
     return findings
 
 
+def _check_aggregate_state_writes(tree: ast.Module, path: Path) -> List[Finding]:
+    if _matches(path, DATABASE_MODULE):
+        return []
+    findings = []
+
+    def is_mapping(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_aggregate_states"
+
+    def flag(node: ast.AST, what: str) -> None:
+        findings.append(
+            Finding(
+                path,
+                node.lineno,
+                "REPRO-L010",
+                f"{what} writes Database's aggregate-state mapping outside "
+                f"engine/database.py — hand the successor state to "
+                f"update_view(state=...) instead",
+            )
+        )
+
+    for node in ast.walk(tree):
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        for target in targets:
+            if is_mapping(target):
+                flag(target, "assignment to ._aggregate_states")
+            elif isinstance(target, ast.Subscript) and is_mapping(target.value):
+                flag(target, "item assignment into ._aggregate_states")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _DICT_MUTATORS
+            and is_mapping(node.func.value)
+        ):
+            flag(node, f"._aggregate_states.{node.func.attr}()")
+    return findings
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -446,6 +499,7 @@ _CHECKS = (
     _check_process_parallelism,
     _check_threading_imports,
     _check_relation_mutation,
+    _check_aggregate_state_writes,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
