@@ -16,8 +16,6 @@ A from-scratch Python reproduction of Mistry, Roy, Ramamritham and Sudarshan,
   cost-based deferred refresh scheduling
 * ``repro.serving``   — the concurrent serving tier: versioned snapshot
   reads, a background refresh daemon, per-view freshness SLOs
-* ``repro.parallel``  — sharded parallel execution: key partitioning,
-  per-shard worker processes with exact merges, and a capacity model
 * ``repro.workloads`` — TPC-D-style schema, data, update and view generators
 * ``repro.bench``     — experiment drivers reproducing the paper's figures
 * ``repro.api``       — the public façade: one :class:`Warehouse` session
@@ -99,5 +97,4 @@ __all__ = [
     "bench",
     "stream",
     "serving",
-    "parallel",
 ]

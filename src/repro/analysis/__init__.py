@@ -28,7 +28,6 @@ from repro.analysis.planlint import (
     render_verification,
     verify_delta_round,
     verify_plan,
-    verify_shard_plan,
     verify_temporaries,
 )
 from repro.analysis.typecheck import (
@@ -58,7 +57,6 @@ __all__ = [
     "structural_diagnostics",
     "verify_plan",
     "verify_delta_round",
-    "verify_shard_plan",
     "verify_temporaries",
     "render_verification",
 ]

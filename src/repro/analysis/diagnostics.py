@@ -59,9 +59,6 @@ CODES: Dict[str, str] = {
     "REPRO-P007": "shared temporaries are not topologically ordered",
     "REPRO-P008": "set-operation inputs have different arities",
     "REPRO-P009": "plan scans a relation unknown to the database",
-    "REPRO-P010": "shard plan's merge strategy disagrees with its expression",
-    "REPRO-P011": "sharded relations are not co-partitioned through their join",
-    "REPRO-P012": "shard partition key missing from its relation's schema",
     # ------------------------------------------------ invariant linter (L)
     "REPRO-L001": "numpy imported outside storage/columns.py",
     "REPRO-L002": "wall-clock call outside a sanctioned timing writer",
@@ -70,8 +67,8 @@ CODES: Dict[str, str] = {
     "REPRO-L005": "package __init__ missing __all__",
     "REPRO-L006": "unused module-level import",
     "REPRO-L007": "builtin name shadowed",
-    "REPRO-L008": "multiprocessing imported outside src/repro/parallel/",
-    "REPRO-L009": "threading imported outside src/repro/serving/ and src/repro/parallel/",
+    "REPRO-L008": "multiprocessing or concurrent.futures imported under src/repro",
+    "REPRO-L009": "threading imported outside src/repro/serving/",
 }
 
 #: Diagnostic severities, in increasing order of trouble.

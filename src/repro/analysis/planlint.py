@@ -49,7 +49,6 @@ from repro.storage.delta import DeltaStore
 __all__ = [
     "verify_plan",
     "verify_delta_round",
-    "verify_shard_plan",
     "verify_temporaries",
     "render_verification",
 ]
@@ -505,136 +504,6 @@ def verify_temporaries(
                         f"{name} -> {ordered[j][0]}",
                         "materialize nested shared results before the "
                         "results that contain them",
-                    )
-                )
-    return out
-
-
-# ----------------------------------------------------------- shard plans
-
-def verify_shard_plan(
-    plan: Any,
-    spec: Any,
-    database: Optional[Any] = None,
-) -> List[Diagnostic]:
-    """Verify a :class:`~repro.parallel.ShardPlan` against its shard spec.
-
-    * the merge strategy must agree with the expression's shape
-      (``REPRO-P010``): ``concat`` plans must not sit under an aggregate,
-      ``reaggregate`` is only exact for COUNT/MIN/MAX partials,
-      ``aggregate-input`` plans must ship the aggregate's child, and a
-      ``serial`` plan must not carry a shard expression;
-    * when two or more sharded relations appear, they must be connected
-      through equi-joins on their partition keys (``REPRO-P011``) —
-      otherwise the "shard-local" join would silently drop cross-shard
-      matches;
-    * with a ``database``, every sharded relation must exist and carry its
-      partition-key column (``REPRO-P012``).
-    """
-    from repro.algebra.expressions import Aggregate, AggregateFunc
-    from repro.parallel.shard import (
-        MERGE_AGGREGATE_INPUT,
-        MERGE_CONCAT,
-        MERGE_REAGGREGATE,
-        MERGE_SERIAL,
-        _co_partitioned,
-    )
-
-    out: List[Diagnostic] = []
-    expression = plan.expression
-    aggregate = expression if isinstance(expression, Aggregate) else None
-    path = f"shard-plan[{plan.merge}]"
-
-    def p010(message: str, hint: str) -> None:
-        out.append(Diagnostic("REPRO-P010", "error", message, path, hint))
-
-    if plan.merge == MERGE_SERIAL:
-        if plan.shard_expression is not None:
-            p010(
-                "serial shard plan carries a shard expression",
-                "serial plans must leave execution to the serial engine",
-            )
-    elif plan.merge == MERGE_CONCAT:
-        if aggregate is not None:
-            p010(
-                "concat merge under a top-level aggregate would emit one "
-                "partial result row per shard",
-                "aggregate results need reaggregate or aggregate-input merge",
-            )
-        if plan.shard_expression is not expression:
-            p010(
-                "concat plans must execute the full expression per shard",
-                "set shard_expression to the expression itself",
-            )
-    elif plan.merge == MERGE_REAGGREGATE:
-        if aggregate is None:
-            p010(
-                "reaggregate merge without a top-level aggregate",
-                "use concat for pure select/project/join results",
-            )
-        else:
-            inexact = sorted(
-                agg.func.name
-                for agg in aggregate.aggregates
-                if agg.func not in (AggregateFunc.COUNT, AggregateFunc.MIN, AggregateFunc.MAX)
-            )
-            if inexact:
-                p010(
-                    f"reaggregating {', '.join(inexact)} partials is not exact "
-                    f"(float sums do not reassociate)",
-                    "merge SUM/AVG at the aggregation input instead",
-                )
-    elif plan.merge == MERGE_AGGREGATE_INPUT:
-        if aggregate is None:
-            p010(
-                "aggregate-input merge without a top-level aggregate",
-                "use concat for pure select/project/join results",
-            )
-        elif plan.shard_expression is not aggregate.child:
-            p010(
-                "aggregate-input plans must ship the aggregate's child rows",
-                "set shard_expression to the aggregate's child",
-            )
-
-    key_map = dict(spec.keys)
-    if plan.parallel and len(plan.sharded) > 1:
-        body = aggregate.child if aggregate is not None else expression
-        if not _co_partitioned(body, plan.sharded, key_map):
-            out.append(
-                Diagnostic(
-                    "REPRO-P011",
-                    "error",
-                    f"sharded relations {list(plan.sharded)} are not connected "
-                    f"through equi-joins on their partition keys",
-                    path,
-                    "shard-local joins need co-partitioned inputs — fall back "
-                    "to serial execution for this expression",
-                )
-            )
-    if database is not None:
-        for name in plan.sharded:
-            if not database.has_relation(name):
-                out.append(
-                    Diagnostic(
-                        "REPRO-P012",
-                        "error",
-                        f"sharded relation {name!r} is not a loaded relation",
-                        path,
-                        "the shard spec must only partition loaded tables",
-                    )
-                )
-                continue
-            schema = database.table(name).schema
-            key = key_map.get(name, "")
-            if _position_of(schema, key) is None:
-                out.append(
-                    Diagnostic(
-                        "REPRO-P012",
-                        "error",
-                        f"partition key {key!r} does not resolve in "
-                        f"{name!r}'s schema",
-                        path,
-                        "pick a partition key from the relation's columns",
                     )
                 )
     return out

@@ -24,24 +24,10 @@ interpreter and the interpreted ``differentiate`` are the references the
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
 from repro.api.errors import WarehouseError, unknown_name
-
-
-def _env_workers() -> int:
-    """Default worker count: the ``REPRO_WORKERS`` env pin, else 1 (serial)."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise WarehouseError(
-            f"REPRO_WORKERS must be an integer, got {raw!r}"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -100,13 +86,11 @@ class WarehouseConfig:
     #: Cap on the number of greedy selections (``None`` = run to convergence).
     max_selections: Optional[int] = None
 
-    #: Shard workers for parallel execution and refresh.  ``1`` (the
-    #: default) keeps everything on the serial path — the oracle; ``> 1``
-    #: partitions the sharded base relations across this many worker
-    #: processes (see :mod:`repro.parallel`) and dispatches per-shard plans
-    #: where the expression distributes, falling back to serial per
-    #: expression otherwise.  Defaults to the ``REPRO_WORKERS`` env pin.
-    workers: int = field(default_factory=_env_workers)
+    #: Execution is serial; ``1`` is the only accepted value.  The field is
+    #: kept so callers that pin ``workers=1`` keep working — the shard-
+    #: parallel layer was measured slower than serial and removed
+    #: (ARCHITECTURE.md, *Parallel execution: measured and removed*).
+    workers: int = 1
 
     #: Default refresh timing for ``Warehouse.stream()`` sessions:
     #: ``"coalesce"`` defers and coalesces update rounds until the cost model
@@ -120,9 +104,6 @@ class WarehouseConfig:
     #: (``None`` = unbounded; the default keeps sessions from deferring
     #: forever even when deferral keeps paying).
     stream_max_batches: Optional[int] = 32
-    #: Consult the delta-size-aware cost model on every stream tick (with
-    #: ``False`` only the staleness bounds trigger flushes).
-    stream_cost_based: bool = True
 
     #: Admission policy for ``Warehouse.serve()`` reads whose view violates
     #: its freshness SLO: ``"serve-stale"`` serves the pinned snapshot and
@@ -163,8 +144,12 @@ class WarehouseConfig:
             raise WarehouseError(
                 f"insert_to_delete_ratio must be positive, got {self.insert_to_delete_ratio}"
             )
-        if self.workers < 1:
-            raise WarehouseError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise WarehouseError(
+                f"workers must be 1, got {self.workers}: the shard-parallel "
+                f"layer was removed (see ARCHITECTURE.md, 'Parallel execution: "
+                f"measured and removed')"
+            )
         if self.max_selections is not None and self.max_selections < 0:
             raise WarehouseError(
                 f"max_selections must be non-negative or None, got {self.max_selections}"
@@ -184,17 +169,6 @@ class WarehouseConfig:
         if self.stream_max_batches is not None and self.stream_max_batches < 1:
             raise WarehouseError(
                 f"stream_max_batches must be positive or None, got {self.stream_max_batches}"
-            )
-        if (
-            self.stream_policy == "coalesce"
-            and not self.stream_cost_based
-            and self.stream_max_rows is None
-            and self.stream_max_batches is None
-        ):
-            raise WarehouseError(
-                "a coalescing stream policy with stream_cost_based=False "
-                "needs stream_max_rows or stream_max_batches — nothing "
-                "would ever trigger a refresh"
             )
         if self.serving_read_policy not in ("serve-stale", "block", "reject"):
             raise unknown_name(
@@ -251,7 +225,6 @@ class WarehouseConfig:
         return StreamPolicy.coalescing(
             max_rows=self.stream_max_rows,
             max_batches=self.stream_max_batches,
-            cost_based=self.stream_cost_based,
         )
 
     def make_freshness_slo(self) -> "FreshnessSLO":
@@ -305,8 +278,6 @@ class WarehouseConfig:
             parts.append("no-analysis")
         if self.verify_plans != "cache-insert":
             parts.append(f"verify-plans={self.verify_plans}")
-        if self.workers > 1:
-            parts.append(f"workers={self.workers}")
         return ", ".join(parts)
 
 

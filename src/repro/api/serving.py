@@ -14,7 +14,7 @@ Division of labor with :mod:`repro.serving`:
 
 * the **daemon** (one background thread) owns every engine mutation —
   batch resolution, scheduler ticks, refresh flushes, snapshot publishes —
-  so the database, refresher and shard pool stay single-threaded;
+  so the database and refresher stay single-threaded;
 * **client threads** only enqueue ingests and read published snapshots;
   :meth:`query` pins a snapshot version for the duration of the read, so
   it can never observe torn or mid-refresh state;
@@ -118,9 +118,8 @@ class ServingSession:
             name: frozenset(base_relations(expr))
             for name, expr in warehouse._views.items()
         }
-        # Materialize any missing views and build the shard pool *before*
-        # the daemon thread starts: worker processes must not be forked from
-        # a multi-threaded parent, and the first snapshot needs contents.
+        # Materialize any missing views before the daemon thread starts:
+        # the first snapshot needs contents.
         self._materialize_missing(database)
 
         self._mutex = Mutex()
@@ -137,7 +136,6 @@ class ServingSession:
         scheduler = StreamScheduler(
             stream_policy if stream_policy is not None else config.make_stream_policy(),
             round_cost=warehouse._stream_round_cost(),
-            workers=config.workers,
         )
         self.daemon = RefreshDaemon(
             scheduler=scheduler,
@@ -158,7 +156,6 @@ class ServingSession:
 
     def _materialize_missing(self, database) -> None:
         warehouse = self._warehouse
-        pool = warehouse.shard_pool()
         if all(database.has_view(name) for name in warehouse._views):
             return
         from repro.maintenance.maintainer import ViewRefresher
@@ -167,7 +164,6 @@ class ServingSession:
             database,
             warehouse._views,
             physical_executor=warehouse._runtime,
-            parallel=pool,
         )
         refresher.ensure_views()
 

@@ -138,7 +138,6 @@ class StreamSession:
         self._scheduler = StreamScheduler(
             policy,
             round_cost=warehouse._stream_round_cost(),
-            workers=warehouse.config.workers,
         )
         self._closed = False
         #: Refresh reports of every flush, in order.

@@ -91,10 +91,6 @@ class Warehouse:
         self._views: Dict[str, Expression] = {}
         self._database: Optional[Database] = None
         self._runtime: Optional[PhysicalExecutor] = None
-        #: Lazy shard pool (config.workers > 1): built on first refresh,
-        #: kept in sync with the database round by round, torn down whenever
-        #: the database object changes (load_data, rollback).
-        self._shard_pool = None
         self._result: Optional[OptimizationResult] = None
         #: High-water mark of TPC-D keys ever issued per relation, shared by
         #: ``apply()`` and every stream session: deletes shrink the tables,
@@ -170,7 +166,6 @@ class Warehouse:
         return self
 
     def _attach_runtime(self) -> None:
-        self._close_shard_pool()
         runtime_estimator = CardinalityEstimator(
             self._database.catalog,
             use_histograms=self.config.histograms,
@@ -187,40 +182,6 @@ class Warehouse:
         return CostModel(
             CostParameters(), BufferPool(self.config.buffer_pages, self.config.block_size)
         )
-
-    # ---------------------------------------------------------------- parallel
-
-    def shard_pool(self):
-        """The session's :class:`~repro.parallel.ShardPool`, or ``None``.
-
-        Built lazily on first use when ``config.workers > 1`` and a database
-        is loaded; the pool's worker shards are kept in sync with every
-        applied batch and the pool lives until the database object changes
-        (``load_data``, transactional rollback) or :meth:`close`.
-        """
-        if self.config.workers <= 1 or self._database is None:
-            return None
-        if self._shard_pool is None:
-            from repro.parallel import ShardPool, ShardSpec
-
-            spec = ShardSpec.for_database(self._database, self.config.workers)
-            self._shard_pool = ShardPool(self._database, spec)
-        return self._shard_pool
-
-    def _close_shard_pool(self) -> None:
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
-
-    def close(self) -> None:
-        """Release session resources (shard worker processes, if any)."""
-        self._close_shard_pool()
-
-    def __enter__(self) -> "Warehouse":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------- views
 
@@ -457,7 +418,6 @@ class Warehouse:
             recompute_views=recompute,
             verify_differentials=self.config.verify_differentials,
             physical_executor=self._runtime,
-            parallel=self.shard_pool(),
         )
         try:
             refresher.ensure_views()

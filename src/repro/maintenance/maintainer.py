@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression, base_relations
 from repro.engine.database import Database
@@ -43,9 +43,6 @@ from repro.engine.executor import MaterializedRegistry, evaluate
 from repro.engine.physical import PhysicalExecutor
 from repro.storage.delta import DeltaKind, DeltaStore
 from repro.storage.relation import Relation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.pool import ShardPool
 
 
 @dataclass
@@ -61,7 +58,7 @@ class ViewRefreshStep:
     #: ``delta-aggregate`` or ``recompute-affected-groups:<reason>`` with
     #: reason ``min-max`` | ``not-stored`` | ``untyped`` | ``state-built``
     #: (see :mod:`repro.engine.differential`).  Empty for views without an
-    #: aggregate and for differentials computed by the shard pool.
+    #: aggregate.
     aggregate_rules: Tuple[str, ...] = ()
 
 
@@ -96,15 +93,8 @@ class ViewRefresher:
         recompute_views: Optional[Iterable[str]] = None,
         verify_differentials: bool = False,
         physical_executor: Optional[PhysicalExecutor] = None,
-        parallel: Optional["ShardPool"] = None,
     ) -> None:
         self.database = database
-        #: Optional :class:`~repro.parallel.ShardPool`.  When present, full
-        #: view (re)computations and the differentials of shard-eligible
-        #: views dispatch per-shard plans and merge; everything else stays
-        #: on the serial path, which remains the oracle.  The pool's worker
-        #: databases are kept in sync by mirroring every base update.
-        self.parallel = parallel
         self.views: Dict[str, Expression] = dict(views)
         #: Shared sub-expressions to materialize temporarily during refresh.
         self.temporaries: Dict[str, Expression] = dict(temporary_subexpressions or {})
@@ -138,27 +128,10 @@ class ViewRefresher:
         """Full computation of an expression through its physical plan."""
         return self._physical.evaluate(expression, materialized)
 
-    def _compute_parallel(
-        self, views: Mapping[str, Expression]
-    ) -> Dict[str, Optional[Relation]]:
-        """Shard-parallel results for the eligible subset of ``views``.
-
-        Maps every requested view to its merged per-shard result, or to
-        ``None`` where the expression does not distribute (the caller falls
-        back to :meth:`_compute`).
-        """
-        if self.parallel is None or not views:
-            return {}
-        return self.parallel.evaluate_many(list(views.items()))
-
     def initialize_views(self) -> None:
         """Materialize every view from the current database contents."""
-        computed = self._compute_parallel(self.views)
         for name, expression in self.views.items():
-            result = computed.get(name)
-            if result is None:
-                result = self._compute(expression)
-            self.database.materialize_view(name, result)
+            self.database.materialize_view(name, self._compute(expression))
 
     def ensure_views(self) -> None:
         """Materialize only the views that are not stored yet.
@@ -167,17 +140,9 @@ class ViewRefresher:
         refresh round: already-materialized views (kept current by earlier
         rounds) are left untouched.
         """
-        missing = {
-            name: expression
-            for name, expression in self.views.items()
-            if not self.database.has_view(name)
-        }
-        computed = self._compute_parallel(missing)
-        for name, expression in missing.items():
-            result = computed.get(name)
-            if result is None:
-                result = self._compute(expression)
-            self.database.materialize_view(name, result)
+        for name, expression in self.views.items():
+            if not self.database.has_view(name):
+                self.database.materialize_view(name, self._compute(expression))
 
     # ------------------------------------------------------------------ refresh
 
@@ -217,21 +182,12 @@ class ViewRefresher:
             self._refresh_round(deltas, incremental_views, report, round_cache)
 
         # Views maintained by recomputation are rebuilt once, at the end,
-        # against the fully updated database (worker shards were kept in
-        # sync round by round, so their post-update recomputation is valid).
-        recompute = {
-            name: self.views[name] for name in self.recompute_views if name in self.views
-        }
-        computed = self._compute_parallel(recompute)
-        for name, expression in recompute.items():
-            result = computed.get(name)
-            if result is None:
-                result = self._compute(expression)
-            self.database.materialize_view(name, result)
-            report.recomputed_views.append(name)
+        # against the fully updated database.
+        for name in self.recompute_views:
+            if name in self.views:
+                self.database.materialize_view(name, self._compute(self.views[name]))
+                report.recomputed_views.append(name)
         self._drop_all_temporaries()
-        if self.parallel is not None and self.temporaries:
-            self.parallel.drop_temporaries()
         return report
 
     def _refresh_round(
@@ -250,36 +206,15 @@ class ViewRefresher:
                 for name, expression in incremental_views.items()
                 if update.relation in base_relations(expression)
             }
-            # Shard-eligible differentials run once per shard against the
-            # workers' (pre-update) partitions and concat; the rest — and
-            # everything when no pool is attached — stay serial.
-            parallel_changes: Dict[str, Optional[object]] = {}
-            if self.parallel is not None and touched:
-                self.parallel.materialize_temporaries(list(self.temporaries.items()))
-                parallel_changes = self.parallel.differentials(
-                    list(touched.items()), update.relation, update.kind, delta_rows
-                )
             # Compute every view's differential against the same pre-update
             # state first, then apply them all, so that no view observes
             # another view's partially propagated contents.
-            changes = {}
-            for name, expression in touched.items():
-                change = parallel_changes.get(name)
-                if change is None:
-                    change = self._differentiate(
-                        expression, update.relation, update.kind, delta_rows, round_cache, name
-                    )
-                elif self.verify_differentials:
-                    oracle = differentiate(
-                        expression,
-                        self.database,
-                        update.relation,
-                        update.kind,
-                        delta_rows,
-                        materialized=self.registry,
-                    )
-                    verify_differential(change, oracle, context=name)
-                changes[name] = change
+            changes = {
+                name: self._differentiate(
+                    expression, update.relation, update.kind, delta_rows, round_cache, name
+                )
+                for name, expression in touched.items()
+            }
             for name, change in changes.items():
                 # A δ-aggregate hands over the merged view's state with its
                 # bags; any other merge drops the view's previous state.
@@ -297,18 +232,6 @@ class ViewRefresher:
                     )
                 )
             self.database.apply_update(update.relation, update.kind, delta_rows)
-            if self.parallel is not None:
-                # Mirror the update into every worker's shard database (the
-                # delta is partitioned with the base table's key function),
-                # dropping the per-shard temporaries this update staled.
-                stale = [
-                    name
-                    for name, expression in self.temporaries.items()
-                    if update.relation in base_relations(expression)
-                ]
-                self.parallel.apply_update(
-                    update.relation, update.kind, delta_rows, stale_temporaries=stale
-                )
             self._flag_stale_temporaries(update.relation)
             round_cache.advance_round(update.relation)
 

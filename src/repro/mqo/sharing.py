@@ -12,7 +12,7 @@ materializing *permanently* to speed up maintenance.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.algebra.expressions import Expression
 from repro.algebra.schema_derivation import derive_schema
@@ -97,7 +97,6 @@ def execute_with_temporaries(
     queries: Mapping[str, Expression],
     plans: Mapping[str, PlanNode],
     drop_temporaries: bool = True,
-    parallel=None,
 ) -> Dict[str, Relation]:
     """Execute a multi-query batch the way its optimized plans prescribe.
 
@@ -108,12 +107,6 @@ def execute_with_temporaries(
     views, and then every query plan executes against them.  Results are
     conformed to each query's logical schema; the temporaries are dropped
     afterwards unless ``drop_temporaries`` is cleared.
-
-    With ``parallel`` (a :class:`~repro.parallel.ShardPool`), the shared
-    temporaries are additionally materialized once per shard and every
-    shard-parallelizable query of the batch executes across the pool,
-    merged back through its shard plan; the rest run their serial physical
-    plans unchanged.
     """
     registry = MaterializedRegistry()
     temporaries: Dict[str, Expression] = {}
@@ -152,16 +145,8 @@ def execute_with_temporaries(
             registry.register(expression, stored_as)
             created.append((stored_as, expression))
 
-        sharded: Dict[str, Optional[Relation]] = {}
-        if parallel is not None:
-            batch = [(name, queries[name]) for name in plans if name in queries]
-            sharded = parallel.evaluate_many(batch, temporaries=created)
         results: Dict[str, Relation] = {}
         for name, plan in plans.items():
-            merged = sharded.get(name)
-            if merged is not None:
-                results[name] = merged
-                continue
             expected = None
             if name in queries:
                 expected = derive_schema(queries[name], database.catalog)
@@ -174,8 +159,6 @@ def execute_with_temporaries(
             for name, expression in created:
                 database.drop_view(name)
                 registry.unregister(expression)
-            if parallel is not None and created:
-                parallel.drop_temporaries([name for name, _ in created])
 
 
 def sharing_report(dag: Dag) -> Dict[str, List[str]]:

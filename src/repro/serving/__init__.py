@@ -17,8 +17,8 @@ tier, in three pieces:
   / ``reject``) applied when the daemon falls behind anyway.
 
 The public entry point is :meth:`repro.api.Warehouse.serve`; this package
-never imports the façade.  It is also — together with ``repro.parallel`` —
-the only place allowed to touch :mod:`threading` (the REPRO-L009 lint);
+never imports the façade.  It is also the only place allowed to touch
+:mod:`threading` (the REPRO-L009 lint);
 everything else borrows primitives from :mod:`repro.serving.sync`.
 """
 

@@ -10,7 +10,7 @@ flushes the pending rounds through the warehouse refresher and publishes a
 new :class:`~repro.serving.snapshot.SnapshotManager` version.
 
 Because *all* resolution, refresh and publication happens on this one
-thread, the engine underneath (database, refresher, shard pool, key
+thread, the engine underneath (database, refresher, key
 high-water marks) stays effectively single-threaded: readers only ever
 touch published snapshots, never the live views.  The daemon holds one
 mutex for its queue/staleness bookkeeping and never calls into the engine

@@ -1,7 +1,7 @@
 """Thread-synchronization primitives for the serving layer (and the façade).
 
 This module is the *only* place in the repository that imports
-:mod:`threading` outside :mod:`repro.parallel` — the REPRO-L009 invariant
+:mod:`threading` — the REPRO-L009 invariant
 (see ``tools/lint_invariants.py``).  Everything that needs a lock, an event
 or a worker thread takes it from here, the same way every consumer of numpy
 goes through the :mod:`repro.storage.columns` re-export: concurrency stays

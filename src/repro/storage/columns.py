@@ -162,42 +162,6 @@ class NumpyColumnStore:
         """Horizontal concatenation (join output assembly)."""
         return NumpyColumnStore(self._arrays + other._arrays, self._length)
 
-    def partition(self, shard_ids: Any, shards: int) -> List["NumpyColumnStore"]:
-        """Split rows into ``shards`` stores by per-row shard id (vectorized).
-
-        One boolean mask per shard over the typed arrays; rows never leave
-        columnar form, so shard-local execution keeps the numpy fast paths.
-        """
-        ids = _numpy.asarray(shard_ids, dtype=_numpy.int64)
-        return [self.mask(ids == shard) for shard in range(shards)]
-
-    @classmethod
-    def concat_many(cls, stores: Sequence["NumpyColumnStore"]) -> "NumpyColumnStore":
-        """Vertical concatenation of several stores (bag union of shards).
-
-        Columns whose dtypes agree across every shard concatenate directly;
-        mixed dtypes (one shard inferred ``int64`` where another saw floats)
-        are rebuilt from native values and re-inferred, exactly as a
-        single-store build over the merged rows would have typed them.
-        """
-        if not stores:
-            raise ValueError("concat_many needs at least one store")
-        if len(stores) == 1:
-            return stores[0]
-        length = sum(len(store) for store in stores)
-        arrays = []
-        for p in range(stores[0].arity):
-            columns = [store._arrays[p] for store in stores]
-            dtypes = {column.dtype for column in columns}
-            if len(dtypes) == 1 and columns[0].dtype != object:
-                arrays.append(_numpy.concatenate(columns))
-            else:
-                merged: List[Any] = []
-                for column in columns:
-                    merged.extend(column.tolist())
-                arrays.append(_typed_array(merged))
-        return cls(tuple(arrays), length)
-
     # --------------------------------------------- predicate vector protocol
 
     def full_mask(self, value: bool) -> Any:

@@ -130,16 +130,11 @@ class StreamScheduler:
         self,
         policy: StreamPolicy,
         round_cost: Optional[RoundCost] = None,
-        workers: int = 1,
     ) -> None:
         self.policy = policy
         #: Cost model consulted by cost-based policies; ``None`` disables the
         #: cost comparison (staleness bounds still apply).
         self.round_cost = round_cost
-        #: Shard workers the flushes will refresh with (informational: the
-        #: trace records it so schedules from parallel sessions are
-        #: distinguishable from serial ones when comparing decision logs).
-        self.workers = workers
         if (
             not policy.eager
             and policy.max_rows is None
@@ -273,7 +268,6 @@ class StreamScheduler:
             f"stream policy: {self.policy.name}"
             + (f", max_rows={self.policy.max_rows}" if self.policy.max_rows else "")
             + (f", max_batches={self.policy.max_batches}" if self.policy.max_batches else "")
-            + (f", workers={self.workers}" if self.workers > 1 else "")
         )
         if not self.decisions:
             return header + "\n(no updates ingested yet)"

@@ -183,10 +183,6 @@ def test_config_policy_knobs_validate():
         WarehouseConfig(stream_max_rows=0)
     with pytest.raises(WarehouseError, match="stream_max_batches"):
         WarehouseConfig(stream_max_batches=-1)
-    with pytest.raises(WarehouseError, match="trigger a refresh"):
-        WarehouseConfig(
-            stream_cost_based=False, stream_max_rows=None, stream_max_batches=None
-        )
     eager = WarehouseConfig(stream_policy="eager").make_stream_policy()
     assert eager.eager and not eager.coalesce
     coalescing = WarehouseConfig(stream_max_rows=10).make_stream_policy()

@@ -158,6 +158,19 @@ def test_config_validation():
         WarehouseConfig(update_percentage=-0.1)
 
 
+def test_config_workers_accepts_only_serial(monkeypatch):
+    """Execution is serial: ``workers`` survives only as the value 1."""
+    with pytest.raises(WarehouseError, match="parallel layer was removed"):
+        WarehouseConfig(workers=2)
+    with pytest.raises(WarehouseError, match="parallel layer was removed"):
+        WarehouseConfig.profile("fast", workers=2)
+    # The frozen benchmark pins workers=1 on every workload.
+    assert WarehouseConfig.profile("fast", workers=1).workers == 1
+    # The environment no longer selects a worker count.
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    assert WarehouseConfig().workers == 1
+
+
 # ----------------------------------------------------------- façade ≡ direct
 
 @pytest.fixture(scope="module")

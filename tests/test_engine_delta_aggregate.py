@@ -475,15 +475,3 @@ def test_failed_apply_rolls_the_state_back(tiny_tpcd_database, monkeypatch):
     assert report.verified
     assert report.aggregate_rule_counts().keys() == {DELTA_AGGREGATE}
 
-
-def test_two_workers_verify(tiny_tpcd_database):
-    """What ``REPRO_WORKERS=2`` runs: the shard pool computes the join view's
-    differentials (no state travels with them), the aggregate stays serial."""
-    wh = aggregate_warehouse(
-        tiny_tpcd_database, workers=2, verify_refresh=True, verify_differentials=True
-    )
-    try:
-        for seed in (1, 2):
-            assert wh.apply(0.05, seed=seed).verified
-    finally:
-        wh.close()

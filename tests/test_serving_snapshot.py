@@ -4,8 +4,7 @@ The unit half exercises :class:`~repro.serving.SnapshotManager` mechanics
 directly (publish / pin / retire accounting).  The property half is the
 serving layer's core guarantee, end to end: a reader pinned at version *v*
 keeps observing bag-identical view contents no matter how many refresh
-commits land concurrently — serially and under the ``REPRO_WORKERS=2``
-sharded executor.
+commits land concurrently.
 """
 
 import pytest
@@ -122,8 +121,8 @@ def test_publish_event_wakes_blocked_waiters():
 
 # ------------------------------------------------- pinned-reader bag identity
 
-def serving_warehouse(workers):
-    wh = Warehouse(WarehouseConfig.profile("fast", workers=workers))
+def serving_warehouse():
+    wh = Warehouse(WarehouseConfig.profile("fast"))
     wh.load(scale=0.05)
     wh.load_data(scale=0.002)
     wh.define_view(
@@ -137,12 +136,11 @@ def serving_warehouse(workers):
     return wh
 
 
-# The empty outer parametrization keeps the recorded ``[N-numpy]`` ids (the
-# test floor and CI history name them); there is one store, nothing varies.
-@pytest.mark.parametrize((), [pytest.param(id="numpy")])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pinned_reader_is_bag_identical_across_refresh_commits(workers):
-    """The serving layer's core property, per worker count.
+# The empty parametrization keeps the recorded ``[1-numpy]`` id (the test
+# floor and CI history name it); execution is serial, nothing varies.
+@pytest.mark.parametrize((), [pytest.param(id="1-numpy")])
+def test_pinned_reader_is_bag_identical_across_refresh_commits():
+    """The serving layer's core property.
 
     A reader pins version *v*, remembers the exact bag it saw, and keeps
     re-reading through the handle while refresh commits publish newer
@@ -150,7 +148,7 @@ def test_pinned_reader_is_bag_identical_across_refresh_commits(workers):
     remembered contents, and the final unpinned read must differ (the
     stream really did change the view).
     """
-    wh = serving_warehouse(workers)
+    wh = serving_warehouse()
     with wh.serve(read_policy="serve-stale") as session:
         pinned = session.pin()
         baseline = Relation(pinned.view("v_rev").schema, pinned.view("v_rev").rows)

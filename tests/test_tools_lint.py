@@ -104,7 +104,7 @@ def test_l007_builtin_shadowing(tmp_path):
     assert codes_of(findings) == ["REPRO-L007", "REPRO-L007"]
 
 
-def test_l008_multiprocessing_confined_to_parallel(tmp_path):
+def test_l008_multiprocessing_not_imported(tmp_path):
     source = "import multiprocessing\n\nprint(multiprocessing.cpu_count())\n"
     findings = lint_source(tmp_path, source, "repro/engine/operators.py")
     assert codes_of(findings) == ["REPRO-L008"]
@@ -113,8 +113,10 @@ def test_l008_multiprocessing_confined_to_parallel(tmp_path):
     assert "REPRO-L008" in codes_of(
         lint_source(tmp_path, futures, "repro/mqo/sharing.py")
     )
-    # The parallel package is the sanctioned home.
-    assert codes_of(lint_source(tmp_path, source, "repro/parallel/pool.py")) == []
+    # No package is exempt: the former parallel package is flagged too.
+    assert codes_of(lint_source(tmp_path, source, "repro/parallel/pool.py")) == [
+        "REPRO-L008"
+    ]
     # The usual escape hatch applies.
     assert codes_of(
         lint_source(
@@ -125,7 +127,7 @@ def test_l008_multiprocessing_confined_to_parallel(tmp_path):
     ) == []
 
 
-def test_l009_threading_confined_to_serving_and_parallel(tmp_path):
+def test_l009_threading_confined_to_serving(tmp_path):
     source = "import threading\n\nprint(threading.active_count())\n"
     findings = lint_source(tmp_path, source, "repro/engine/operators.py")
     assert codes_of(findings) == ["REPRO-L009"]
@@ -138,9 +140,11 @@ def test_l009_threading_confined_to_serving_and_parallel(tmp_path):
             "repro/api/stream.py",
         )
     )
-    # The two sanctioned homes are exempt.
+    # The serving tier is the one sanctioned home.
     assert codes_of(lint_source(tmp_path, source, "repro/serving/sync.py")) == []
-    assert codes_of(lint_source(tmp_path, source, "repro/parallel/pool.py")) == []
+    assert codes_of(lint_source(tmp_path, source, "repro/parallel/pool.py")) == [
+        "REPRO-L009"
+    ]
     # The usual escape hatch applies.
     assert codes_of(
         lint_source(

@@ -25,14 +25,15 @@ tool makes them machine-checked so they cannot erode silently:
 * **REPRO-L007** — builtin names are not shadowed by assignments,
   parameters, or loop targets.
 * **REPRO-L008** — process-level parallelism (``multiprocessing`` /
-  ``concurrent.futures``) is confined to ``src/repro/parallel/``; every
-  other layer stays deterministic and single-process, taking parallelism
-  only through the :class:`~repro.parallel.ShardPool` interface.
+  ``concurrent.futures``) is not imported anywhere: execution is serial
+  and single-process.  A shard-parallel layer was measured slower than
+  serial and removed (ARCHITECTURE.md, *Parallel execution: measured and
+  removed*); a revival has to clear the gate recorded there first.
 * **REPRO-L009** — ``threading`` is imported only inside
-  ``src/repro/serving/`` and ``src/repro/parallel/``; everything else
-  borrows primitives from the ``repro.serving.sync`` re-export (the same
-  pattern as the numpy re-export), so concurrency stays auditable in two
-  packages and the engine layers cannot quietly grow threads.
+  ``src/repro/serving/``; everything else borrows primitives from the
+  ``repro.serving.sync`` re-export (the same pattern as the numpy
+  re-export), so concurrency stays auditable in one package and the engine
+  layers cannot quietly grow threads.
 * **REPRO-L010** — ``Database``'s δ-aggregate state mapping
   (``._aggregate_states``) is written only inside
   ``src/repro/engine/database.py``, which pairs every state with the
@@ -77,17 +78,13 @@ TIMING_ALLOWLIST: Tuple[str, ...] = (
     "repro/mqo/greedy.py",
     "repro/maintenance/greedy.py",
     "repro/maintenance/optimizer.py",
-    "repro/parallel/capacity.py",
     "repro/serving/",
 )
-#: The one package allowed to spawn processes (posix-style path prefix).
-PARALLEL_PACKAGE = "repro/parallel/"
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
-#: The packages allowed to import threading (posix-style path prefixes):
-#: the serving tier (whose ``sync`` module re-exports the primitives) and
-#: the parallel substrate.
-THREADING_PACKAGES: Tuple[str, ...] = ("repro/serving/", "repro/parallel/")
+#: The one package allowed to import threading (posix-style path prefix):
+#: the serving tier, whose ``sync`` module re-exports the primitives.
+THREADING_PACKAGE = "repro/serving/"
 #: Methods that mutate a list in place (for the L003 ``.rows`` check).
 _LIST_MUTATORS = frozenset(
     {"append", "extend", "insert", "pop", "clear", "remove", "sort", "reverse"}
@@ -216,8 +213,6 @@ def _check_wall_clock(tree: ast.Module, path: Path) -> List[Finding]:
 
 
 def _check_process_parallelism(tree: ast.Module, path: Path) -> List[Finding]:
-    if _matches(path, PARALLEL_PACKAGE):
-        return []
     findings = []
     for node in ast.walk(tree):
         names: List[str] = []
@@ -235,16 +230,16 @@ def _check_process_parallelism(tree: ast.Module, path: Path) -> List[Finding]:
                     path,
                     node.lineno,
                     "REPRO-L008",
-                    "process-level parallelism imported outside "
-                    "src/repro/parallel/ — go through repro.parallel.ShardPool "
-                    "so sharding, merging and verification stay in one place",
+                    "process-level parallelism imported — execution is serial "
+                    "(see ARCHITECTURE.md, 'Parallel execution: measured and "
+                    "removed', for the gate a parallel layer must clear)",
                 )
             )
     return findings
 
 
 def _check_threading_imports(tree: ast.Module, path: Path) -> List[Finding]:
-    if any(_matches(path, prefix) for prefix in THREADING_PACKAGES):
+    if _matches(path, THREADING_PACKAGE):
         return []
     findings = []
     for node in ast.walk(tree):
@@ -261,10 +256,9 @@ def _check_threading_imports(tree: ast.Module, path: Path) -> List[Finding]:
                     path,
                     node.lineno,
                     "REPRO-L009",
-                    "threading imported outside src/repro/serving/ and "
-                    "src/repro/parallel/ — take primitives from the "
-                    "repro.serving.sync re-export so concurrency stays "
-                    "confined to the serving and parallel tiers",
+                    "threading imported outside src/repro/serving/ — take "
+                    "primitives from the repro.serving.sync re-export so "
+                    "concurrency stays confined to the serving tier",
                 )
             )
     return findings
