@@ -12,11 +12,25 @@ AND-OR DAG, for a given set of materialized results ``M``:
   per-result ``cost(x, M)`` used by the greedy algorithm (§6.1).
 
 The engine keeps memoized cost tables and supports the **incremental cost
-update** optimization of §6.2: when a result is (un)materialized only the
-affected entries — the ancestors of the changed node, and only the matching
-update number for differential results — are invalidated.  A
-:meth:`speculative` context manager snapshots the state so the greedy
-algorithm can price "what if I also materialized x?" cheaply and roll back.
+update** optimization of §6.2: adding or removing a result or an index on
+node ``n`` drops only the entries it can change, all at ``a ∈ {n} ∪
+ancestors(n)``.  ``δ(n, i)`` is read only by ``δ(·, i)`` plans, so it drops
+``diff(a, i)``.  A full result or an index changes only what ``n`` costs as
+a *full* input (compcost, reuse, stored / indexed descriptor), so it drops
+``compcost(a)``, and ``diff(a, i)`` only where a ``δ(·, i)`` plan below
+``a`` can read ``n`` in full: (a) ``i.relation ∉ n.base_relations`` (``n``
+is the unchanged side of a differential join), or (b) ``a`` is, or is above,
+a node of ``{n} ∪ ancestors(n)`` with an operation that reads a *dependent*
+input in full — ``AGGREGATE`` (recompute-affected-groups, and the
+delta-aggregate probe into its own stored result), ``DIFFERENCE``,
+``DISTINCT``, or a ``JOIN`` whose inputs share a base relation.  Any other
+``δ(·, i)`` plan recurses only into inputs that depend on ``i`` and reads
+them as differentials, so every entry kept equals a from-scratch
+recomputation (a property test pins this).  ``mergeCost``, ``matcost`` and
+index upkeep do not depend on ``M`` and are memoized for the engine's
+lifetime.  A :meth:`speculative` context manager snapshots the state so
+the greedy algorithm can price "what if I also materialized x?" cheaply and
+roll back.
 """
 
 from __future__ import annotations
@@ -72,6 +86,10 @@ class MaintenanceCostEngine:
         self._full_choice: Dict[int, Tuple[Optional[int], str]] = {}
         self._diff_cost: Dict[Tuple[int, int], float] = {}
         self._diff_choice: Dict[Tuple[int, int], Tuple[Optional[int], str]] = {}
+        # Independent of M: per node, what a full result or index there
+        # invalidates; mergeCost / matcost / index upkeep by (term, node, ...).
+        self._invalidation: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
+        self._static: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------ set-up
 
@@ -97,7 +115,7 @@ class MaintenanceCostEngine:
     def add_index(self, node_id: int, columns: Sequence[str]) -> None:
         """Make an index on ``columns`` of node ``node_id`` available to plans."""
         self.indexes.setdefault(node_id, set()).add(tuple(columns))
-        self._invalidate_node_and_ancestors(node_id, updates=None)
+        self._invalidate_for(ResultKey(node_id, 0))
 
     def remove_index(self, node_id: int, columns: Sequence[str]) -> None:
         """Remove a previously added index."""
@@ -106,7 +124,7 @@ class MaintenanceCostEngine:
             cols.discard(tuple(columns))
             if not cols:
                 del self.indexes[node_id]
-            self._invalidate_node_and_ancestors(node_id, updates=None)
+            self._invalidate_for(ResultKey(node_id, 0))
 
     def reset_cache(self) -> None:
         """Drop every memoized cost (used after wholesale state changes)."""
@@ -114,35 +132,50 @@ class MaintenanceCostEngine:
         self._full_choice.clear()
         self._diff_cost.clear()
         self._diff_choice.clear()
+        self._static.clear()
 
     # ----------------------------------------------------- incremental updates
 
     def _invalidate_for(self, key: ResultKey) -> None:
+        """Incremental cost update (§6.2); a full key also stands for an index."""
+        nodes, diff_keys = self._invalidation_keys(key.node_id)
         if key.is_full:
-            self._invalidate_node_and_ancestors(key.node_id, updates=None)
-        else:
-            self._invalidate_node_and_ancestors(key.node_id, updates=[key.update])
-
-    def _invalidate_node_and_ancestors(self, node_id: int, updates: Optional[List[int]]) -> None:
-        """Incremental cost update (§6.2): drop cached entries that may change.
-
-        ``updates=None`` invalidates full-result entries and every
-        differential entry; a list restricts invalidation to those update
-        numbers (materializing δ(v, i) can only change δ(·, i) plans of v's
-        ancestors).
-        """
-        affected = {node_id} | self.dag.ancestors_of(self.dag.node(node_id))
-        for nid in affected:
-            if updates is None:
+            for nid in nodes:
                 self._full_cost.pop(nid, None)
                 self._full_choice.pop(nid, None)
-                for update in self.annotations.updates():
-                    self._diff_cost.pop((nid, update.number), None)
-                    self._diff_choice.pop((nid, update.number), None)
-            else:
-                for number in updates:
-                    self._diff_cost.pop((nid, number), None)
-                    self._diff_choice.pop((nid, number), None)
+        else:
+            diff_keys = [(nid, key.update) for nid in nodes]
+        for diff_key in diff_keys:
+            self._diff_cost.pop(diff_key, None)
+            self._diff_choice.pop(diff_key, None)
+
+    def _invalidation_keys(self, node_id: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+        if node_id not in self._invalidation:
+            node = self.dag.node(node_id)
+            affected = {node_id} | self.dag.ancestors_of(node)
+            closure: Set[int] = set()
+            for nid in affected:
+                children = self.dag.node(nid).children
+                if nid not in closure and any(map(self._reads_full_dependent, children)):
+                    closure |= {nid} | self.dag.ancestors_of(self.dag.node(nid))
+            diff_keys = [
+                (nid, update.number)
+                for nid in affected
+                for update in self.annotations.update_ids
+                if update.relation in self.dag.node(nid).base_relations
+                and (update.relation not in node.base_relations or nid in closure)
+            ]
+            self._invalidation[node_id] = (list(affected), diff_keys)
+        return self._invalidation[node_id]
+
+    @staticmethod
+    def _reads_full_dependent(operation: OperationNode) -> bool:
+        """Whether a δ-plan of ``operation`` reads a changing input in full (rule (b))."""
+        kind = operation.operator.kind
+        if kind is OperatorKind.JOIN:
+            left, right = operation.inputs
+            return bool(left.base_relations & right.base_relations)
+        return kind in (OperatorKind.AGGREGATE, OperatorKind.DIFFERENCE, OperatorKind.DISTINCT)
 
     @contextmanager
     def speculative(self):
@@ -329,8 +362,6 @@ class MaintenanceCostEngine:
 
     def diff_input_cost(self, node_id: int, update_number: int) -> float:
         """Public ``C(e, M, i)``."""
-        node = self.dag.node(node_id)
-        update = self.annotations.update_by_number(update_number)
         cost = self.diffcost(node_id, update_number)
         if ResultKey(node_id, update_number) in self.materialized:
             reuse = self.cost_model.reuse_cost(self.annotations.delta_stats(node_id, update_number))
@@ -470,11 +501,15 @@ class MaintenanceCostEngine:
 
     def merge_cost(self, node_id: int) -> float:
         """``mergeCost(e)`` — cost of applying the differentials to the stored result."""
-        node = self.dag.node(node_id)
         has_index = bool(self.indexes.get(node_id))
-        return self.cost_model.merge_cost(
-            node.stats, self.annotations.delta_stats_list(node_id), has_index=has_index
-        )
+        key = ("merge", node_id, has_index)
+        if key not in self._static:
+            self._static[key] = self.cost_model.merge_cost(
+                self.dag.node(node_id).stats,
+                self.annotations.delta_stats_list(node_id),
+                has_index=has_index,
+            )
+        return self._static[key]
 
     def maintcost(self, node_id: int) -> float:
         """``maintcost(e, M)`` — incremental maintenance cost of a stored result."""
@@ -482,11 +517,14 @@ class MaintenanceCostEngine:
 
     def matcost(self, node_id: int, update_number: int = 0) -> float:
         """``matcost`` — cost of writing out a (full or differential) result."""
-        if update_number == 0:
-            return self.cost_model.materialize_cost(self.dag.node(node_id).stats)
-        return self.cost_model.materialize_cost(
-            self.annotations.delta_stats(node_id, update_number)
-        )
+        key = ("mat", node_id, update_number)
+        if key not in self._static:
+            if update_number == 0:
+                stats = self.dag.node(node_id).stats
+            else:
+                stats = self.annotations.delta_stats(node_id, update_number)
+            self._static[key] = self.cost_model.materialize_cost(stats)
+        return self._static[key]
 
     def recompute_cost(self, node_id: int) -> float:
         """Recomputation + storing cost of a materialized full result."""
@@ -507,7 +545,13 @@ class MaintenanceCostEngine:
         return self.recompute_cost(node_id) <= self.maintcost(node_id)
 
     def index_cost(self, node_id: int, columns: Sequence[str]) -> float:
-        """Maintenance cost of keeping an index on node ``node_id`` up to date."""
+        """Maintenance cost of keeping an index on node ``node_id`` up to date.
+
+        It depends on the node's deltas only, not on ``columns``.
+        """
+        key = ("index", node_id)
+        if key in self._static:
+            return self._static[key]
         node = self.dag.node(node_id)
         if node.is_base_relation:
             relation = node.expression.canonical()
@@ -518,7 +562,8 @@ class MaintenanceCostEngine:
             ]
         else:
             deltas = self.annotations.delta_stats_list(node_id)
-        return self.cost_model.index_maintenance_cost(deltas)
+        self._static[key] = self.cost_model.index_maintenance_cost(deltas)
+        return self._static[key]
 
     def total_cost(self, index_costs: bool = True) -> float:
         """``cost(M, M)`` — total refresh cost of everything materialized."""

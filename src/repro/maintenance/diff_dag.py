@@ -120,7 +120,9 @@ class DifferentialAnnotations:
         self.update_ids: List[UpdateId] = spec.restricted_to(self.relations).update_ids(
             self.relations, only_nonempty=True
         )
+        self._by_number: Dict[int, UpdateId] = {u.number: u for u in self.update_ids}
         self._delta_stats: Dict[Tuple[int, int], TableStats] = {}
+        self._delta_stats_lists: Dict[int, Tuple[TableStats, ...]] = {}
         self._delta_catalogs: Dict[int, DeltaCatalog] = {}
         self._compute()
 
@@ -150,10 +152,10 @@ class DifferentialAnnotations:
 
     def update_by_number(self, number: int) -> UpdateId:
         """Resolve an update number back to its :class:`UpdateId`."""
-        for update in self.update_ids:
-            if update.number == number:
-                return update
-        raise KeyError(f"unknown update number {number}")
+        try:
+            return self._by_number[number]
+        except KeyError:
+            raise KeyError(f"unknown update number {number}") from None
 
     def depends(self, node: EquivalenceNode, update: UpdateId) -> bool:
         """Whether the node's differential w.r.t. ``update`` is non-empty."""
@@ -177,11 +179,14 @@ class DifferentialAnnotations:
             self.delta_stats(node_id, update.number).cardinality for update in self.update_ids
         )
 
-    def delta_stats_list(self, node_id: int) -> List[TableStats]:
+    def delta_stats_list(self, node_id: int) -> Tuple[TableStats, ...]:
         """Differential statistics for every update affecting the node."""
-        node = self.dag.node(node_id)
-        return [
-            self.delta_stats(node_id, update.number)
-            for update in self.update_ids
-            if update.relation in node.base_relations
-        ]
+        cached = self._delta_stats_lists.get(node_id)
+        if cached is None:
+            node = self.dag.node(node_id)
+            cached = self._delta_stats_lists[node_id] = tuple(
+                self.delta_stats(node_id, update.number)
+                for update in self.update_ids
+                if update.relation in node.base_relations
+            )
+        return cached

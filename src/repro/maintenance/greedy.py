@@ -4,9 +4,9 @@ Implements the paper's Procedure ``Greedy`` (Figure 2) together with the two
 practicality optimizations of §6.2:
 
 * **incremental cost update** — the cost engine keeps its memoized plan costs
-  across benefit computations and only invalidates the entries that can
-  change (ancestors of the candidate; only the matching update number for a
-  differential candidate);
+  across benefit computations and only invalidates the entries the candidate
+  can change (see :mod:`repro.maintenance.cost_engine`); the cost of the
+  current set, ``before`` in every benefit, is priced once per round;
 * **monotonicity** — candidate benefits are kept in a max-heap and only
   recomputed lazily: if a candidate's stale benefit is already below the best
   fresh benefit seen this round, it cannot win the round (assuming benefits
@@ -129,8 +129,9 @@ class GreedyViewSelector:
                 return
             best_candidate: Optional[Candidate] = None
             best_benefit = -float("inf")
+            before = self.engine.total_cost()
             for candidate in remaining:
-                benefit = self._benefit(candidate)
+                benefit = self._benefit(candidate, before)
                 selection.benefit_evaluations += 1
                 if benefit > best_benefit:
                     best_benefit = benefit
@@ -146,8 +147,9 @@ class GreedyViewSelector:
         counter = itertools.count()
         heap: List[Tuple[float, int, int, Candidate]] = []
         round_number = 0
+        before = self.engine.total_cost()
         for candidate in remaining:
-            benefit = self._benefit(candidate)
+            benefit = self._benefit(candidate, before)
             selection.benefit_evaluations += 1
             heapq.heappush(heap, (-benefit, next(counter), round_number, candidate))
 
@@ -160,7 +162,7 @@ class GreedyViewSelector:
                 # Stale benefit: under monotonicity it can only have gone
                 # down, so re-price and re-insert; only if it comes out on
                 # top again will it be accepted.
-                benefit = self._benefit(candidate)
+                benefit = self._benefit(candidate, before)
                 selection.benefit_evaluations += 1
                 heapq.heappush(heap, (-benefit, next(counter), round_number, candidate))
                 continue
@@ -168,13 +170,16 @@ class GreedyViewSelector:
             if benefit <= self.benefit_epsilon:
                 return
             self._accept(candidate, benefit, selection)
+            before = self.engine.total_cost()
             round_number += 1
 
     # ---------------------------------------------------------------- benefits
 
-    def _benefit(self, candidate: Candidate) -> float:
-        """``benefit(x, X)`` priced speculatively via incremental cost update."""
-        before = self.engine.total_cost()
+    def _benefit(self, candidate: Candidate, before: float) -> float:
+        """``benefit(x, X)`` priced speculatively via incremental cost update.
+
+        ``before`` is ``cost(X, X)``, priced once per round by the caller.
+        """
         with self.engine.speculative():
             self._apply(candidate)
             after = self.engine.total_cost()

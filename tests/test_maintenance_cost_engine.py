@@ -1,7 +1,23 @@
 """Tests for the maintenance cost engine (compcost / diffCost / maintcost)."""
 
-import pytest
+from functools import partial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra.expressions import (
+    Aggregate,
+    AggregateFunc,
+    AggregateSpec,
+    Difference,
+    Distinct,
+    Join,
+    Project,
+    Select,
+)
+from repro.algebra.predicates import lt
+from repro.maintenance.candidates import Candidate, enumerate_candidates
 from repro.maintenance.cost_engine import MaintenanceCostEngine
 from repro.maintenance.diff_dag import DifferentialAnnotations, ResultKey
 from repro.maintenance.update_spec import UpdateSpec
@@ -164,7 +180,7 @@ def test_incremental_invalidation_matches_full_recompute(catalog):
     # ...must equal costs computed from scratch with the same materialized set.
     fresh = MaintenanceCostEngine(dag, catalog, engine.spec, annotations=engine.annotations)
     fresh.set_materialized(set(engine.materialized))
-    assert incremental_total == pytest.approx(fresh.total_cost())
+    assert incremental_total == fresh.total_cost()
 
 
 def test_result_cost_for_differentials(join_view_engine):
@@ -206,3 +222,106 @@ def test_total_cost_includes_index_maintenance(join_view_engine):
         orders_node = next(n for n in dag.equivalence_nodes if n.key == "orders")
         engine.add_index(orders_node.id, ("o_custkey",))
         assert engine.total_cost() >= engine.total_cost(index_costs=False)
+
+
+# --------------------------------------------- incremental cost update (§6.2)
+
+def operator_mix_views():
+    """Every operation that reads a changing input in full: a difference, a
+    distinct, and joins whose inputs share relations, over aggregates and
+    over projections."""
+    lo = queries.chain_join(["lineitem", "orders"])
+    loc = queries.chain_join(["lineitem", "orders", "customer"])
+    revenue = AggregateSpec(AggregateFunc.SUM, "l_extendedprice", "revenue")
+    lines = AggregateSpec(AggregateFunc.COUNT, None, "lines")
+    return {
+        "v_dropped_orders": Difference(
+            Project(Select(lo, lt("o_totalprice", 100000.0)), ["o_orderkey"]),
+            Project(Select(lo, lt("o_totalprice", 10000.0)), ["o_orderkey"]),
+        ),
+        "v_nations": Distinct(Project(loc, ["c_nationkey"])),
+        "v_revenue_vs_lines": Join(
+            Aggregate(lo, ["o_custkey"], [revenue]),
+            Aggregate(loc, ["c_custkey"], [lines]),
+            [("o_custkey", "c_custkey")],
+        ),
+        "v_customer_lines": Join(
+            Project(lo, ["o_custkey", "l_extendedprice"]),
+            Project(loc, ["c_custkey", "c_nationkey"]),
+            [("o_custkey", "c_custkey")],
+        ),
+    }
+
+
+INVALIDATION_VIEW_SETS = {
+    "plain": queries.view_set_plain,
+    "aggregate": queries.view_set_aggregate,
+    "large_aggregate": partial(queries.large_view_set, with_aggregates=True),
+    "example_3_1": queries.example_3_1_queries,
+    "selection_variants": queries.selection_variant_views,
+    "operator_mix": operator_mix_views,
+}
+
+
+@pytest.fixture(scope="module")
+def invalidation_setups(catalog):
+    """Per view set: the DAG, its annotations, the views and every candidate
+    (the views themselves included, so that removing one is a step too)."""
+    setups = {}
+    for name, views in INVALIDATION_VIEW_SETS.items():
+        dag, engine = make_engine(catalog, views())
+        candidates = enumerate_candidates(
+            dag, catalog, engine.annotations, engine.materialized, include_differentials=True
+        )
+        candidates += [Candidate("result", key.node_id, key) for key in engine.materialized]
+        setups[name] = (dag, engine.annotations, set(engine.materialized), candidates)
+    return setups
+
+
+def _apply(engine, candidate, remove=False):
+    if candidate.kind == "index":
+        if remove:
+            engine.remove_index(candidate.node_id, candidate.columns)
+        else:
+            engine.add_index(candidate.node_id, candidate.columns)
+    elif remove:
+        engine.remove_materialized(candidate.key)
+    else:
+        engine.add_materialized(candidate.key)
+
+
+def _assert_cache_matches_fresh_engine(engine, dag, catalog):
+    fresh = MaintenanceCostEngine(dag, catalog, engine.spec, annotations=engine.annotations)
+    fresh.set_materialized(engine.materialized)
+    for node_id, column_sets in engine.indexes.items():
+        for columns in column_sets:
+            fresh.add_index(node_id, columns)
+    for node_id, cost in engine._full_cost.items():
+        assert fresh.compcost(node_id) == cost, f"compcost e{node_id}"
+        assert fresh._full_choice[node_id] == engine._full_choice[node_id]
+    for (node_id, update), cost in engine._diff_cost.items():
+        assert fresh.diffcost(node_id, update) == cost, f"diffcost e{node_id}, update {update}"
+        assert fresh._diff_choice[(node_id, update)] == engine._diff_choice[(node_id, update)]
+
+
+@pytest.mark.parametrize("view_set", sorted(INVALIDATION_VIEW_SETS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_cached_cost_equals_a_fresh_engines(catalog, invalidation_setups, view_set, data):
+    """Exact invalidation: after any sequence of adds, removes and speculative
+    blocks, every memoized compcost / diffCost equals a from-scratch value."""
+    dag, annotations, initial, candidates = invalidation_setups[view_set]
+    engine = MaintenanceCostEngine(dag, catalog, annotations.spec, annotations=annotations)
+    engine.set_materialized(initial)
+    steps = st.tuples(st.sampled_from(["add", "remove", "speculative"]), st.sampled_from(candidates))
+    for action, candidate in data.draw(st.lists(steps, min_size=1, max_size=6)):
+        engine.total_cost()
+        if action == "speculative":
+            with engine.speculative():
+                _apply(engine, candidate)
+                engine.total_cost()
+                _assert_cache_matches_fresh_engine(engine, dag, catalog)
+        else:
+            _apply(engine, candidate, remove=action == "remove")
+        engine.total_cost()
+        _assert_cache_matches_fresh_engine(engine, dag, catalog)

@@ -93,3 +93,26 @@ def test_candidate_describe(catalog):
         assert text
         if candidate.kind == "index":
             assert text.startswith("index(")
+
+
+class _FromScratchSelector(GreedyViewSelector):
+    """Reference: every benefit priced on an emptied cache, ``before`` included."""
+
+    def _benefit(self, candidate, before):
+        self.engine.reset_cache()
+        return super()._benefit(candidate, self.engine.total_cost())
+
+
+@pytest.mark.parametrize("percentage", [0.01, 0.10, 0.40])
+@pytest.mark.parametrize(
+    "views", [queries.view_set_plain, queries.view_set_aggregate], ids=["plain", "aggregate"]
+)
+def test_incremental_greedy_matches_from_scratch_pricing(catalog, views, percentage):
+    runs = []
+    for selector in (GreedyViewSelector, _FromScratchSelector):
+        dag, engine, candidates = prepared_engine(catalog, views(), percentage)
+        selection = selector(engine).run(candidates)
+        chosen = [(s.candidate.describe(dag), s.disposition) for s in selection.selections]
+        runs.append((selection.final_cost, chosen))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
