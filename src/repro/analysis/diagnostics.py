@@ -69,6 +69,8 @@ CODES: Dict[str, str] = {
     "REPRO-L007": "builtin name shadowed",
     "REPRO-L008": "multiprocessing or concurrent.futures imported under src/repro",
     "REPRO-L009": "threading imported outside src/repro/serving/",
+    "REPRO-L010": "aggregate-state mapping written outside engine/database.py",
+    "REPRO-L011": "storage/index.py materializes a relation's rows or store",
 }
 
 #: Diagnostic severities, in increasing order of trouble.

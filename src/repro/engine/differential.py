@@ -731,7 +731,13 @@ class DifferentialEngine:
                 rules=child_delta.rules + (f"{RECOMPUTE_AFFECTED_GROUPS}:{reason}",),
             )
 
-        return recurse(expression)
+        try:
+            return recurse(expression)
+        finally:
+            # recurse and compute close over each other; breaking that cycle
+            # lets reference counting free the round's cache and bags when the
+            # round ends, instead of whenever the cyclic collector next runs.
+            del recurse, compute
 
 
 class DifferentialMismatch(AssertionError):

@@ -7,18 +7,19 @@ layer — gets that from here, as a *keep-mask* over the receiver (so stores,
 row lists and index positions are all derived from one answer) or, for plain
 row lists, as the surviving rows.
 
-Three routes produce the mask, chosen from the columns at hand and all
-equal to the Counter loop of :func:`first_matches`, which is the reference:
-numeric columns narrow the candidates by ``isin`` and the loop runs over the
-few rows left; otherwise every column is factorized into codes and the
-subtraction is array arithmetic; columns numpy cannot factorize faithfully
-(``None`` beside strings, NaN deletes) run the loop over every row.
+The routes, chosen from the columns at hand, all equal the Counter loop of
+:func:`first_matches`, which is the reference and the route of small row
+lists.  A column store narrows the positions that could match by ``isin``
+over its numeric columns; the rows left are hashed against the delete bag's
+Counter, or, when the set stays wide, every column is factorized into codes.
+Either way equal rows are ranked in store order and the first ``quota`` of
+each go, with no Python loop over rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.columns import numpy as _np
@@ -72,12 +73,18 @@ def store_keep_mask(store, deletes):
     """Keep-mask for a column store minus the bag ``deletes``.
 
     ``deletes`` is a relation; ``None`` means no row matched.  Numeric
-    columns narrow the rows that could match a delete (``isin`` per column);
-    when few candidates survive only those are gathered as tuples for the
-    Counter loop.  With no numeric column (string-keyed views) or a wide
-    candidate set the subtraction runs over factorized codes
-    (:func:`_codes_mask`), and when the columns cannot be factorized, over
-    the remaining candidates or every row.
+    columns narrow the positions that could match a delete, ``int64``
+    columns before ``float64`` ones, each ``isin`` running over the
+    surviving candidates only, until no more than ``|δ⁻|`` are left: one
+    ``isin`` pass costs a small fraction of what hashing a row costs, so a
+    column that removes nothing (one determined by earlier ones) does not
+    end the narrowing.  At most ``4·|δ⁻|`` candidates are hashed against
+    the deletes (:func:`_hashed_mask`); a wider set (or a store with no
+    numeric column) is subtracted over factorized codes
+    (:func:`_codes_mask`), and hashed when its columns cannot be factorized.
+    A row outside the candidates equals no deleted row, so every route
+    removes exactly the positions :func:`first_matches` removes over the
+    whole store.
     """
     target = len(deletes)
     if not len(store):
@@ -85,31 +92,71 @@ def store_keep_mask(store, deletes):
     # The deletes' own typed columns: the store's dtype policy never coerces
     # a value (a bare ``asarray`` would turn ``1`` beside ``"a"`` into ``"1"``).
     probes = deletes.vector_store()
+    numeric = [
+        position
+        for position in range(store.arity)
+        if store.column(position).dtype.kind in "if"
+        and probes.column(position).dtype.kind in "if"
+    ]
+    numeric.sort(key=lambda position: store.column(position).dtype.kind != "i")
     candidates = None
-    narrowed = False
-    for position in range(store.arity):
+    for position in numeric:
         column = store.column(position)
         probe = probes.column(position)
-        if column.dtype.kind not in "if" or probe.dtype.kind not in "if":
-            continue
-        hit = _np.isin(column, probe)
-        candidates = hit if candidates is None else candidates & hit
-        if int(candidates.sum()) <= 4 * target:
-            narrowed = True
+        if candidates is None:
+            candidates = _np.flatnonzero(_np.isin(column, probe))
+        else:
+            candidates = candidates[_np.isin(column[candidates], probe)]
+        if not len(candidates):
+            return None
+        if len(candidates) <= target:
             break
-    if candidates is not None and not candidates.any():
-        return None
+    narrowed = candidates is not None and len(candidates) <= 4 * target
+    subset = store if candidates is None else store.gather(candidates)
+    keep = None
     if not narrowed:
-        applies, keep = _codes_mask(store, probes)
-        if applies:
-            return keep
-    if candidates is None:
-        return _mask_without(
-            len(store), first_matches(store.iter_rows(), deletes.iter_rows())
-        )
-    positions = _np.flatnonzero(candidates)
-    matched = first_matches(store.gather(positions).iter_rows(), deletes.iter_rows())
-    return _mask_without(len(store), positions[matched])
+        applies, keep = _codes_mask(subset, probes)
+        if applies and keep is None:
+            return None
+    if keep is None:
+        keep = _hashed_mask(subset.iter_rows(), deletes.iter_rows())
+    removed = _np.flatnonzero(~keep)
+    if candidates is not None:
+        removed = candidates[removed]
+    return _mask_without(len(store), removed)
+
+
+def _hashed_mask(rows: Iterable[Row], excluded: Iterable[Row]):
+    """First-match subtraction by hashing whole rows: a keep-mask over ``rows``.
+
+    Each row looks up its group among the distinct excluded rows (``-1``:
+    none) in one C-level pass, with the equality :func:`first_matches` uses;
+    the ranking then removes each group's first ``quota`` rows.
+    """
+    counts = Counter(excluded)
+    ids = dict(zip(counts, range(len(counts))))
+    groups = _np.fromiter(map(ids.get, rows, repeat(-1)), dtype=_np.int64)
+    # Group -1 reads the trailing 0: rows matching no excluded row stay.
+    quota = _np.fromiter(chain(counts.values(), (0,)), dtype=_np.int64)
+    return _rank_keep(groups, quota)
+
+
+def _rank_keep(groups, quota):
+    """Keep-mask dropping, per group, its first ``quota[group]`` rows.
+
+    Rank of each row among its group in row order: a stable argsort brings
+    equal groups together preserving arrival order, so rank = position in
+    the run of the sorted sequence, scattered back.
+    """
+    n = len(groups)
+    order = _np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    run_flags = _np.concatenate(([False], sorted_groups[1:] != sorted_groups[:-1]))
+    run_ids = _np.cumsum(run_flags)
+    starts = _np.concatenate(([0], _np.flatnonzero(run_flags)))
+    ranks = _np.empty(n, dtype=_np.int64)
+    ranks[order] = _np.arange(n, dtype=_np.int64) - starts[run_ids]
+    return ~(ranks < quota[groups])
 
 
 def _codes_mask(store, probes) -> Tuple[bool, Optional[Any]]:
@@ -118,9 +165,10 @@ def _codes_mask(store, probes) -> Tuple[bool, Optional[Any]]:
     Each column of ``store ⧺ probes`` (the delete bag's own store) is
     factorized into dense integer codes (``np.unique`` with
     ``return_inverse``), the per-column codes are folded into one row-group
-    id, and the delete quota per group is the delete bag's group histogram.  A store row is removed iff its rank among
-    equal rows *in store order* is below the quota — the first-match order
-    of :func:`first_matches`, with no Python loop over rows.
+    id, and the delete quota per group is the delete bag's group histogram.
+    A store row is removed iff its rank among equal rows *in store order* is
+    below the quota (:func:`_rank_keep`) — the first-match order of
+    :func:`first_matches`, with no Python loop over rows.
 
     Does not apply when the columns cannot be factorized faithfully:
     un-orderable mixed values (``None`` beside strings) make ``np.unique``
@@ -156,17 +204,7 @@ def _codes_mask(store, probes) -> Tuple[bool, Optional[Any]]:
     quota = _np.bincount(group[n:], minlength=int(group.max()) + 1)
     if not bool((quota[store_groups] > 0).any()):
         return True, None
-    # Rank of each store row among equal rows, in store order: stable
-    # argsort groups equal rows together preserving arrival order, so
-    # rank = position-in-run of the sorted sequence scattered back.
-    order = _np.argsort(store_groups, kind="stable")
-    sorted_groups = store_groups[order]
-    run_flags = _np.concatenate(([False], sorted_groups[1:] != sorted_groups[:-1]))
-    run_ids = _np.cumsum(run_flags)
-    starts = _np.concatenate(([0], _np.flatnonzero(run_flags)))
-    ranks = _np.empty(n, dtype=_np.int64)
-    ranks[order] = _np.arange(n, dtype=_np.int64) - starts[run_ids]
-    return True, ~(ranks < quota[store_groups])
+    return True, _rank_keep(store_groups, quota)
 
 
 def surviving_positions(keep) -> List[int]:

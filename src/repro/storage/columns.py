@@ -67,6 +67,21 @@ def _typed_array(values: Sequence[Any]) -> Any:
     return array
 
 
+def common_dtype(a: Any, b: Any) -> Tuple[Any, Any]:
+    """``a`` and ``b`` in one dtype, without coercing a value.
+
+    Equal dtypes stay; an empty side takes the other's dtype; any other pair
+    becomes ``object`` (``astype(object)`` yields native ``int``/``float``).
+    """
+    if a.dtype == b.dtype:
+        return a, b
+    if not len(a):
+        return a.astype(b.dtype), b
+    if not len(b):
+        return a, b.astype(a.dtype)
+    return a.astype(object), b.astype(object)
+
+
 class NumpyColumnStore:
     """Column store backed by typed numpy arrays."""
 
@@ -145,18 +160,23 @@ class NumpyColumnStore:
     def concat(self, other: "NumpyColumnStore") -> "NumpyColumnStore":
         """Vertical concatenation preserving per-column value semantics.
 
-        Same-dtype typed columns concatenate directly; anything else is
-        rebuilt from native values and re-inferred, so an ``int64`` column
-        meeting a ``float64`` one degrades to ``object`` instead of silently
-        coercing the ints.
+        An empty side returns the other store unchanged.  Otherwise each
+        column pair joins in the dtype :func:`common_dtype` gives it, with no
+        value re-inferred: an ``int64`` column meeting a ``float64`` one
+        becomes ``object`` holding native ints and floats instead of silently
+        coercing the ints.  The one difference from inferring the joined
+        values afresh: an ``object`` column that happens to hold only ints
+        (or only floats) stays ``object``, as :meth:`mask` already leaves it.
         """
-        arrays = []
-        for a, b in zip(self._arrays, other._arrays):
-            if a.dtype == b.dtype and a.dtype != object:
-                arrays.append(_numpy.concatenate((a, b)))
-            else:
-                arrays.append(_typed_array(a.tolist() + b.tolist()))
-        return NumpyColumnStore(tuple(arrays), self._length + other._length)
+        if not other._length:
+            return self
+        if not self._length:
+            return other
+        arrays = tuple(
+            _numpy.concatenate(common_dtype(a, b))
+            for a, b in zip(self._arrays, other._arrays)
+        )
+        return NumpyColumnStore(arrays, self._length + other._length)
 
     def hstack(self, other: "NumpyColumnStore") -> "NumpyColumnStore":
         """Horizontal concatenation (join output assembly)."""

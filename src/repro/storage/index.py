@@ -5,6 +5,11 @@ lookups) and a sorted index (equality + range lookups, and a sort order the
 optimizer can exploit as a physical property).  Indexes are built over a
 :class:`~repro.storage.relation.Relation` and return row positions, so the
 same index structure serves both base tables and materialized views.
+
+Both read their keys only through :meth:`Relation.key_columns` and answer
+probes through :meth:`Relation.rows_at`, so building, maintaining or probing
+an index never materializes the other representation of the relation it
+covers (lint ``REPRO-L011``).
 """
 
 from __future__ import annotations
@@ -12,19 +17,16 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.storage.columns import common_dtype
+from repro.storage.columns import numpy as _np
 from repro.storage.relation import Relation, Row
 
 Key = Tuple[Any, ...]
 
 
-def _column_keys(relation: Relation, positions: Sequence[int]) -> Iterator[Key]:
-    """Key tuples over ``positions``, built column-at-a-time.
-
-    One pass over the pre-extracted key columns instead of indexing into
-    every row tuple — and for store-backed relations it never materializes
-    the row list at all.
-    """
-    return zip(*(relation.column_at(i) for i in positions))
+def _key_tuples(relation: Relation, positions: Sequence[int], start: int = 0) -> Iterator[Key]:
+    """Native key tuples of the rows ``start:``, built column-at-a-time."""
+    return zip(*(column.tolist() for column in relation.key_columns(positions, start)))
 
 
 class HashIndex:
@@ -37,17 +39,12 @@ class HashIndex:
         self._positions = relation.schema.positions(columns)
         self._relation = relation
         self._buckets: Dict[Key, List[int]] = {}
-        for pos, key in enumerate(_column_keys(relation, self._positions)):
+        for pos, key in enumerate(_key_tuples(relation, self._positions)):
             self._buckets.setdefault(key, []).append(pos)
-
-    def _key(self, row: Row) -> Key:
-        return tuple(row[i] for i in self._positions)
 
     def lookup(self, key: Sequence[Any]) -> List[Row]:
         """All rows whose indexed columns equal ``key``."""
-        positions = self._buckets.get(tuple(key), [])
-        rows = self._relation.rows
-        return [rows[p] for p in positions]
+        return self._relation.rows_at(self._buckets.get(tuple(key), []))
 
     def lookup_positions(self, key: Sequence[Any]) -> List[int]:
         """Row positions matching ``key`` (used by delete maintenance)."""
@@ -78,17 +75,17 @@ class HashIndex:
         self._relation = relation
 
     def apply_insert(self, relation: Relation, start: int) -> None:
-        """Index the rows appended at ``relation.rows[start:]``.
+        """Index the rows appended at positions ``start:`` of ``relation``.
 
         ``relation`` must hold the previous contents unchanged in positions
         ``0..start-1`` (how :meth:`Database.apply_update` builds insert
-        results), so existing entries stay valid and only the appended rows
-        are hashed.
+        results), so existing entries stay valid and only the appended rows'
+        key columns are read and hashed.
         """
         self._relation = relation
-        rows = relation.rows
-        for pos in range(start, len(rows)):
-            self._buckets.setdefault(self._key(rows[pos]), []).append(pos)
+        setdefault = self._buckets.setdefault
+        for pos, key in enumerate(_key_tuples(relation, self._positions, start), start):
+            setdefault(key, []).append(pos)
 
     def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
         """Remap the index after rows were deleted.
@@ -119,8 +116,49 @@ class HashIndex:
         return len(self._buckets)
 
 
+def _sort_order(keys: Sequence[Any]) -> Any:
+    """Positions of the parallel key columns in key order, ties by position."""
+    return _np.lexsort(tuple(reversed(keys)))
+
+
+def _insertion_points(keys: Sequence[Any], probes: Sequence[Any]) -> Any:
+    """``bisect_right`` of every probe key into the sorted key columns.
+
+    One ``searchsorted`` for a single column; a composite key runs the same
+    binary search over all probes at once, comparing key tuples
+    lexicographically column by column.
+    """
+    if len(keys) == 1:
+        return _np.searchsorted(keys[0], probes[0], side="right")
+    lo = _np.zeros(len(probes[0]), dtype=_np.int64)
+    hi = _np.full(len(probes[0]), len(keys[0]), dtype=_np.int64)
+    while True:
+        open_ = _np.flatnonzero(lo < hi)
+        if not len(open_):
+            return lo
+        mid = (lo[open_] + hi[open_]) // 2
+        # key[mid] <= probe: no column decides it greater before one decides it less.
+        below = _np.ones(len(open_), dtype=bool)
+        tied = _np.ones(len(open_), dtype=bool)
+        for column, probe in zip(keys, probes):
+            left, right = column[mid], probe[open_]
+            greater = left > right
+            below &= ~(tied & greater)
+            tied &= ~(greater | (left < right))
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+
+
 class SortedIndex:
-    """Sorted (B-tree-like) index supporting equality and range lookups."""
+    """Sorted (B-tree-like) index supporting equality and range lookups.
+
+    The index is its key columns in key order plus the ``int64`` permutation
+    ``perm`` (``perm[i]`` = row position of the ``i``-th entry), ties in
+    position order.  Maintenance is whole-array work: an insert merges the
+    sorted tail in by ``searchsorted``, a delete is one gather through the
+    old→new remap.  Probes bisect a tuple list built from the key columns on
+    first use after a change, so equality and ordering are Python's.
+    """
 
     kind = "btree"
 
@@ -128,23 +166,28 @@ class SortedIndex:
         self.columns = tuple(columns)
         self._positions = relation.schema.positions(columns)
         self._relation = relation
-        entries = sorted(
-            ((key, pos) for pos, key in enumerate(_column_keys(relation, self._positions))),
-            key=lambda kp: kp[0],
-        )
-        self._keys: List[Key] = [k for k, _ in entries]
-        self._rowpos: List[int] = [p for _, p in entries]
+        keys = relation.key_columns(self._positions)
+        order = _sort_order(keys)
+        self._sorted: Tuple[Any, ...] = tuple(column[order] for column in keys)
+        self._perm = order
+        self._tuples: Optional[List[Key]] = None
 
-    def _key(self, row: Row) -> Key:
-        return tuple(row[i] for i in self._positions)
+    @property
+    def _keys(self) -> List[Key]:
+        """The sorted key tuples probes bisect (built lazily, then cached)."""
+        if self._tuples is None:
+            self._tuples = list(zip(*(column.tolist() for column in self._sorted)))
+        return self._tuples
+
+    def _entries(self, lo: int, hi: int) -> List[Row]:
+        """The rows of sorted entries ``lo..hi-1``, in key order."""
+        return self._relation.rows_at(self._perm[lo:hi].tolist())
 
     def lookup(self, key: Sequence[Any]) -> List[Row]:
         """All rows whose indexed columns equal ``key``."""
         key = tuple(key)
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
-        rows = self._relation.rows
-        return [rows[self._rowpos[i]] for i in range(lo, hi)]
+        keys = self._keys
+        return self._entries(bisect.bisect_left(keys, key), bisect.bisect_right(keys, key))
 
     def prefix_lookup(self, key: Sequence[Any]) -> List[Row]:
         """All rows whose leading indexed columns equal ``key``.
@@ -156,13 +199,10 @@ class SortedIndex:
         width = len(key)
         if width == len(self.columns):
             return self.lookup(key)
-        rows = self._relation.rows
-        out: List[Row] = []
-        for i in range(bisect.bisect_left(self._keys, key), len(self._keys)):
-            if self._keys[i][:width] != key:
-                break
-            out.append(rows[self._rowpos[i]])
-        return out
+        keys = self._keys
+        lo = bisect.bisect_left(keys, key)
+        hi = bisect.bisect_right(keys, key, lo, key=lambda k: k[:width])
+        return self._entries(lo, hi)
 
     def range(
         self,
@@ -172,25 +212,29 @@ class SortedIndex:
         include_high: bool = True,
     ) -> List[Row]:
         """Rows whose key lies in the (possibly half-open) range [low, high]."""
+        keys = self._keys
         lo = 0
-        hi = len(self._keys)
+        hi = len(keys)
         if low is not None:
             low = tuple(low)
-            lo = bisect.bisect_left(self._keys, low) if include_low else bisect.bisect_right(self._keys, low)
+            lo = bisect.bisect_left(keys, low) if include_low else bisect.bisect_right(keys, low)
         if high is not None:
             high = tuple(high)
-            hi = bisect.bisect_right(self._keys, high) if include_high else bisect.bisect_left(self._keys, high)
-        rows = self._relation.rows
-        return [rows[self._rowpos[i]] for i in range(lo, hi)]
+            hi = bisect.bisect_right(keys, high) if include_high else bisect.bisect_left(keys, high)
+        return self._entries(lo, hi)
 
     def clone(self, relation: Relation) -> "SortedIndex":
-        """An independent copy over ``relation``, which holds the same rows."""
+        """An independent copy over ``relation``, which holds the same rows.
+
+        The arrays are shared: maintenance replaces them, never writes them.
+        """
         clone = SortedIndex.__new__(SortedIndex)
         clone.columns = self.columns
         clone._positions = self._positions
         clone._relation = relation
-        clone._keys = list(self._keys)
-        clone._rowpos = list(self._rowpos)
+        clone._sorted = self._sorted
+        clone._perm = self._perm
+        clone._tuples = self._tuples
         return clone
 
     # ------------------------------------------------------ delta maintenance
@@ -200,20 +244,22 @@ class SortedIndex:
         self._relation = relation
 
     def apply_insert(self, relation: Relation, start: int) -> None:
-        """Index the rows appended at ``relation.rows[start:]``.
+        """Index the rows appended at positions ``start:`` of ``relation``.
 
-        Each new ``(key, position)`` entry is spliced into the sorted arrays
-        at its insertion point — O(δ·n) list splicing, which beats the
-        O(n log n) re-sort while the delta stays a small fraction of the
-        relation (the database layer falls back to a rebuild beyond that).
+        The tail's key columns are sorted and merged in at their
+        ``bisect_right`` points, so each new entry lands after every equal
+        key already indexed and equal new keys keep their position order.
         """
         self._relation = relation
-        rows = relation.rows
-        for pos in range(start, len(rows)):
-            key = self._key(rows[pos])
-            at = bisect.bisect_right(self._keys, key)
-            self._keys.insert(at, key)
-            self._rowpos.insert(at, pos)
+        tail = relation.key_columns(self._positions, start)
+        if not len(tail[0]):
+            return
+        order = _sort_order(tail)
+        pairs = [common_dtype(column, new[order]) for column, new in zip(self._sorted, tail)]
+        at = _insertion_points([a for a, _ in pairs], [b for _, b in pairs])
+        self._sorted = tuple(_np.insert(a, at, b) for a, b in pairs)
+        self._perm = _np.insert(self._perm, at, order + start)
+        self._tuples = None
 
     def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
         """Remap the index after rows were deleted.
@@ -223,35 +269,28 @@ class SortedIndex:
         re-sort happens.
         """
         self._relation = relation
-        keys: List[Key] = []
-        rowpos: List[int] = []
-        for key, pos in zip(self._keys, self._rowpos):
-            new_pos = old_to_new[pos]
-            if new_pos >= 0:
-                keys.append(key)
-                rowpos.append(new_pos)
-        self._keys = keys
-        self._rowpos = rowpos
+        remapped = _np.asarray(old_to_new, dtype=_np.int64)[self._perm]
+        kept = remapped >= 0
+        self._sorted = tuple(column[kept] for column in self._sorted)
+        self._perm = remapped[kept]
+        self._tuples = None
 
     def scan_sorted(self) -> Iterator[Row]:
         """Yield all rows in key order (gives the optimizer a sort order)."""
-        rows = self._relation.rows
-        for pos in self._rowpos:
-            yield rows[pos]
+        return iter(self._entries(0, len(self._perm)))
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._perm)
 
     @property
     def distinct_keys(self) -> int:
         """Number of distinct key values."""
-        distinct = 0
-        previous: Optional[Key] = None
-        for key in self._keys:
-            if key != previous:
-                distinct += 1
-                previous = key
-        return distinct
+        if not len(self._perm):
+            return 0
+        changes = _np.zeros(len(self._perm) - 1, dtype=bool)
+        for column in self._sorted:
+            changes |= column[1:] != column[:-1]
+        return int(changes.sum()) + 1
 
 
 def build_index(relation: Relation, columns: Sequence[str], kind: str = "hash"):

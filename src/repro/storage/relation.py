@@ -262,6 +262,32 @@ class Relation:
             self._column_cache[position] = cached
         return cached
 
+    def key_columns(self, positions: Sequence[int], start: int = 0) -> Tuple[Any, ...]:
+        """Typed arrays of the columns at ``positions``, over rows ``start:``.
+
+        What indexes read their keys from: a store-backed relation hands out
+        (views of) its own columns, a row-backed one converts just those
+        columns of just those rows — neither builds its other representation.
+        """
+        if self._store is not None:
+            return tuple(self._store.column(p)[start:] for p in positions)
+        tail = self._rows[start:] if start else self._rows
+        keys = NumpyColumnStore.from_columns(
+            [[row[p] for row in tail] for p in positions], len(positions)
+        )
+        return tuple(keys.column(i) for i in range(len(positions)))
+
+    def rows_at(self, positions: Sequence[int]) -> List[Row]:
+        """The rows at ``positions``, read from the representation held.
+
+        A store-backed relation gathers just those rows; its row list is
+        never materialized.
+        """
+        if self._rows is not None:
+            rows = self._rows
+            return [rows[p] for p in positions]
+        return self._store.gather(positions).to_rows()
+
     def column_values(self, name: str) -> Tuple[Any, ...]:
         """One column as a flat array (resolved like any schema lookup)."""
         return self.column_at(self.schema.index_of(name))

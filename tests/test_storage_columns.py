@@ -134,3 +134,46 @@ def test_vector_store_gates():
     assert relation.cached_store() is store
     # Cached stores are returned regardless of any later threshold.
     assert relation.vector_store(min_rows=10**6) is store
+
+
+# ------------------------------------------------------ concat dtype rule
+
+
+def _column(kind, values):
+    """A one-column store whose column has the dtype ``kind`` names."""
+    if kind == "object-int":
+        # Holds only ints but stays object, as a masked None-bearing column does.
+        return NumpyColumnStore.from_rows([(v,) for v in values + [None]], 1).mask(
+            [True] * len(values) + [False]
+        )
+    return NumpyColumnStore.from_rows([(v,) for v in values], 1)
+
+
+_KINDS = {
+    "int64": [3, -1, 2**40],
+    "float64": [0.5, -2.25, 3.0],
+    "object-str": ["a", "bb", ""],
+    "object-none": [1, None, 2.5],
+    "object-bigint": [2**70, 1],
+    "object-int": [7, 8],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("left", sorted(_KINDS))
+@pytest.mark.parametrize("right", sorted(_KINDS))
+def test_concat_matches_reinferring_the_joined_values(left, right):
+    from repro.storage.columns import _typed_array
+
+    a, b = _column(left, _KINDS[left]), _column(right, _KINDS[right])
+    joined = a.concat(b).column(0)
+    expected = _typed_array(a.column(0).tolist() + b.column(0).tolist())
+    values, reference = joined.tolist(), expected.tolist()
+    assert values == reference
+    assert [type(v) for v in values] == [type(v) for v in reference]
+    # The one documented difference: an object column holding only ints
+    # stays object instead of being re-inferred as int64.
+    if "object-int" in (left, right):
+        assert joined.dtype == object
+    else:
+        assert joined.dtype == expected.dtype

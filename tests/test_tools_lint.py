@@ -178,6 +178,29 @@ def test_l010_aggregate_state_mapping_written_only_by_database(tmp_path):
     ) == []
 
 
+def test_l011_index_reads_key_columns_only(tmp_path):
+    source = (
+        "def probe(relation, positions):\n"
+        "    rows = relation.rows\n"
+        "    cached = relation._rows\n"
+        "    store = relation.vector_store()\n"
+        "    return rows, cached, store\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/storage/index.py")
+    assert codes_of(findings) == ["REPRO-L011"] * 3
+    assert "key_columns" in findings[0].message
+    # Only the index module is held to it; the sanctioned accessors pass.
+    assert codes_of(lint_source(tmp_path, source, "repro/storage/relation.py")) == []
+    assert codes_of(
+        lint_source(
+            tmp_path,
+            "def probe(relation, positions):\n"
+            "    return relation.key_columns(positions), relation.rows_at([0])\n",
+            "repro/storage/index.py",
+        )
+    ) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(
@@ -207,7 +230,7 @@ def test_repository_lints_clean():
 
 def test_linter_codes_are_documented():
     """Every code the linter can emit appears in the shared CODES table."""
-    emitted = {f"REPRO-L00{i}" for i in range(1, 10)}
+    emitted = {f"REPRO-L{i:03d}" for i in range(1, 12)}
     assert emitted <= set(CODES)
     for code in emitted:
         assert CODES[code], code

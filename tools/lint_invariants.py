@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L010).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L011).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -40,6 +40,15 @@ tool makes them machine-checked so they cannot erode silently:
   ``Relation`` it describes and drops it on every other write to the view;
   a write from elsewhere could leave a state describing rows the view no
   longer holds (the L003 pattern: one file can desynchronise it).
+* **REPRO-L011** — ``src/repro/storage/index.py`` never touches a
+  relation's row list (``.rows`` / ``._rows``) or builds its column store
+  (``vector_store(``): indexes read keys through
+  ``Relation.key_columns`` and answer probes through ``Relation.rows_at``.
+  Either shortcut materializes a second representation of the whole
+  indexed relation: ``.rows`` on a store-only relation builds a tuple per
+  row to hash an appended tail or answer one probe, and ``vector_store(``
+  converts every column of a row-backed one where only the key columns
+  are read.
 
 Usage::
 
@@ -68,6 +77,10 @@ COLUMNS_MODULE = "repro/storage/columns.py"
 RELATION_MODULE = "repro/storage/relation.py"
 #: The one module allowed to write Database's aggregate-state mapping.
 DATABASE_MODULE = "repro/engine/database.py"
+#: The index module, which reads relations only through key columns (L011).
+INDEX_MODULE = "repro/storage/index.py"
+#: Relation accessors that materialize a second representation (L011).
+_MATERIALIZING_ACCESSORS = frozenset({"rows", "_rows", "vector_store"})
 #: Modules allowed to read the wall clock: the bench package plus the
 #: writers that fill ``*_seconds`` / timing report fields.  This allowlist
 #: is configuration — a new timing writer is added here, not suppressed
@@ -348,6 +361,23 @@ def _check_aggregate_state_writes(tree: ast.Module, path: Path) -> List[Finding]
     return findings
 
 
+def _check_index_materialization(tree: ast.Module, path: Path) -> List[Finding]:
+    if not _matches(path, INDEX_MODULE):
+        return []
+    return [
+        Finding(
+            path,
+            node.lineno,
+            "REPRO-L011",
+            f".{node.attr} in storage/index.py materializes another "
+            f"representation of the indexed relation — read keys with "
+            f"Relation.key_columns and probe results with Relation.rows_at",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _MATERIALIZING_ACCESSORS
+    ]
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -494,6 +524,7 @@ _CHECKS = (
     _check_threading_imports,
     _check_relation_mutation,
     _check_aggregate_state_writes,
+    _check_index_materialization,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
