@@ -22,8 +22,11 @@ from repro.storage.relation import Relation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.operators import AggregateState
 
-#: Delta fraction beyond which a full index rebuild beats incremental
-#: maintenance (sorted-index splicing degrades towards re-sort cost).
+#: Insert fraction beyond which ``apply_update`` rebuilds a relation's
+#: indexes instead of maintaining them.  Incremental maintenance is O(δ) for
+#: hash indexes and one merge for sorted ones, cheaper than the rebuild at
+#: any size; the threshold stays because the stream scheduler's round-cost
+#: model prices the rebuild penalty from it (``refresh_round_cost``).
 INCREMENTAL_INDEX_FRACTION = 0.25
 
 
@@ -176,9 +179,10 @@ class Database:
 
         Indexes on the relation are maintained from the delta bag instead of
         being rebuilt from scratch: insert positions are appended, delete
-        positions remapped.  A full rebuild only happens as fallback when the
-        delta is large relative to the relation (splice cost approaches
-        rebuild cost) or an index cannot be maintained incrementally.
+        positions remapped.  A full rebuild happens when an insert exceeds
+        ``INCREMENTAL_INDEX_FRACTION`` of the relation (the penalty the
+        stream cost model prices, not a cost cut-over) or an index cannot be
+        maintained incrementally.
         """
         current = self.table(relation)
         if kind is DeltaKind.INSERT:
@@ -251,7 +255,7 @@ class Database:
                     for _, built in entries:
                         built.apply_insert(updated, len(current))
                 except Exception:
-                    # e.g. un-orderable keys a sorted index cannot splice.
+                    # e.g. un-orderable keys a sorted index cannot merge.
                     self.rebuild_indexes(name)
         return updated
 

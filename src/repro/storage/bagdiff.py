@@ -7,20 +7,18 @@ layer — gets that from here, as a *keep-mask* over the receiver (so stores,
 row lists and index positions are all derived from one answer) or, for plain
 row lists, as the surviving rows.
 
-The routes, chosen from the columns at hand, all equal the Counter loop of
-:func:`first_matches`, which is the reference and the route of small row
-lists.  A column store narrows the positions that could match by ``isin``
-over its numeric columns; the rows left are hashed against the delete bag's
-Counter, or, when the set stays wide, every column is factorized into codes.
-Either way equal rows are ranked in store order and the first ``quota`` of
-each go, with no Python loop over rows.
+Both routes equal the Counter loop of :func:`first_matches`, which is the
+reference and the route of row lists.  A column store narrows the positions
+that could match by ``isin`` over its numeric columns; the rows left are
+hashed against the delete bag's Counter, equal rows are ranked in store
+order and the first ``quota`` of each go, with no Python loop over rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, repeat
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.storage.columns import numpy as _np
 
@@ -78,13 +76,10 @@ def store_keep_mask(store, deletes):
     surviving candidates only, until no more than ``|δ⁻|`` are left: one
     ``isin`` pass costs a small fraction of what hashing a row costs, so a
     column that removes nothing (one determined by earlier ones) does not
-    end the narrowing.  At most ``4·|δ⁻|`` candidates are hashed against
-    the deletes (:func:`_hashed_mask`); a wider set (or a store with no
-    numeric column) is subtracted over factorized codes
-    (:func:`_codes_mask`), and hashed when its columns cannot be factorized.
-    A row outside the candidates equals no deleted row, so every route
-    removes exactly the positions :func:`first_matches` removes over the
-    whole store.
+    end the narrowing.  The candidates left (the whole store when it has no
+    numeric column) are hashed against the deletes (:func:`_hashed_mask`).
+    A row outside the candidates equals no deleted row, so the mask removes
+    exactly the positions :func:`first_matches` removes over the whole store.
     """
     target = len(deletes)
     if not len(store):
@@ -111,16 +106,8 @@ def store_keep_mask(store, deletes):
             return None
         if len(candidates) <= target:
             break
-    narrowed = candidates is not None and len(candidates) <= 4 * target
     subset = store if candidates is None else store.gather(candidates)
-    keep = None
-    if not narrowed:
-        applies, keep = _codes_mask(subset, probes)
-        if applies and keep is None:
-            return None
-    if keep is None:
-        keep = _hashed_mask(subset.iter_rows(), deletes.iter_rows())
-    removed = _np.flatnonzero(~keep)
+    removed = _np.flatnonzero(~_hashed_mask(subset.iter_rows(), deletes.iter_rows()))
     if candidates is not None:
         removed = candidates[removed]
     return _mask_without(len(store), removed)
@@ -157,54 +144,6 @@ def _rank_keep(groups, quota):
     ranks = _np.empty(n, dtype=_np.int64)
     ranks[order] = _np.arange(n, dtype=_np.int64) - starts[run_ids]
     return ~(ranks < quota[groups])
-
-
-def _codes_mask(store, probes) -> Tuple[bool, Optional[Any]]:
-    """First-match subtraction as array arithmetic: ``(applies, keep-mask)``.
-
-    Each column of ``store ⧺ probes`` (the delete bag's own store) is
-    factorized into dense integer codes (``np.unique`` with
-    ``return_inverse``), the per-column codes are folded into one row-group
-    id, and the delete quota per group is the delete bag's group histogram.
-    A store row is removed iff its rank among equal rows *in store order* is
-    below the quota (:func:`_rank_keep`) — the first-match order of
-    :func:`first_matches`, with no Python loop over rows.
-
-    Does not apply when the columns cannot be factorized faithfully:
-    un-orderable mixed values (``None`` beside strings) make ``np.unique``
-    raise, and NaN deletes would collapse under ``np.unique`` even though
-    ``Counter`` equality never matches them.
-    """
-    n = len(store)
-    group = None
-    for position in range(store.arity):
-        column = store.column(position)
-        probe = probes.column(position)
-        if probe.dtype.kind == "f" and bool(_np.isnan(probe).any()):
-            return False, None
-        if probe.dtype.kind == "O" and any(
-            isinstance(value, float) and value != value for value in probe.tolist()
-        ):
-            return False, None
-        try:
-            merged = _np.concatenate([column, probe])
-            _, codes = _np.unique(merged, return_inverse=True)
-        except (TypeError, ValueError):
-            return False, None
-        codes = codes.astype(_np.int64, copy=False)
-        if group is None:
-            group = codes
-        else:
-            paired = group * _np.int64(int(codes.max()) + 1) + codes
-            _, group = _np.unique(paired, return_inverse=True)
-            group = group.astype(_np.int64, copy=False)
-    if group is None:
-        return False, None
-    store_groups = group[:n]
-    quota = _np.bincount(group[n:], minlength=int(group.max()) + 1)
-    if not bool((quota[store_groups] > 0).any()):
-        return True, None
-    return True, _rank_keep(store_groups, quota)
 
 
 def surviving_positions(keep) -> List[int]:

@@ -229,7 +229,10 @@ def test_base_table_cardinality_tracks_updates_cheaply(star_database):
 # ---------------------------------------------------- vectorized delete path
 #
 # The keep-mask kernel lives in ``repro.storage.bagdiff``; ``Database`` only
-# stores what ``Relation.difference_mask`` / ``masked`` hand back.
+# stores what ``Relation.difference_mask`` / ``masked`` hand back.  The
+# ``test_codes_*`` ids name the factorized-codes route that once took
+# these inputs; ``store_keep_mask`` now hashes them, and the ids are kept
+# stable.
 
 from repro.storage import bagdiff  # noqa: E402
 from repro.storage.bagdiff import multiset_subtract  # noqa: E402
@@ -241,11 +244,6 @@ def _store_and_deletes(names, rows, deletes):
     return NumpyColumnStore.from_rows(rows, len(names)), Relation(schema, deletes)
 
 
-def _codes_route_applies(names, rows, deletes):
-    store, bag = _store_and_deletes(names, rows, deletes)
-    return bagdiff._codes_mask(store, bag.vector_store())[0]
-
-
 def _subtract_via_mask(names, rows, deletes):
     """Survivors under the columnar keep-mask (``None`` mask: nothing matched)."""
     keep = bagdiff.store_keep_mask(*_store_and_deletes(names, rows, deletes))
@@ -255,11 +253,9 @@ def _subtract_via_mask(names, rows, deletes):
 
 
 def test_codes_mask_handles_string_only_keys():
-    # No numeric column to narrow on: the factorized-codes route must run
-    # (before this path, string-keyed views always fell back to Python rows).
+    # No numeric column to narrow on: the whole store is hashed.
     rows = [("fr", "a"), ("de", "b"), ("fr", "a"), ("us", "c")]
     deletes = [("fr", "a"), ("us", "c")]
-    assert _codes_route_applies(["k", "v"], rows, deletes)
     assert _subtract_via_mask(["k", "v"], rows, deletes) == multiset_subtract(
         rows, deletes
     )
@@ -280,8 +276,8 @@ def test_codes_mask_over_delete_removes_every_copy():
 
 
 def test_codes_mask_matches_ints_against_floats():
-    # multiset_subtract hashes 1 == 1.0 equal; dtype promotion inside the
-    # codes route must agree.
+    # multiset_subtract hashes 1 == 1.0 equal; isin over an int column with
+    # float probes must agree.
     rows = [(1, "a"), (2, "b"), (3, "c")]
     deletes = [(1.0, "a")]
     assert _subtract_via_mask(["n", "v"], rows, deletes) == multiset_subtract(
@@ -290,27 +286,24 @@ def test_codes_mask_matches_ints_against_floats():
 
 
 def test_codes_mask_falls_back_on_none_values():
-    # None beside strings makes an object column np.unique cannot order:
-    # the codes route must bow out, not crash or guess — and the kernel
-    # still answers, through the Counter loop.
+    # None beside strings is an object column numpy cannot order; hashing
+    # needs no order, and None equals None as in the Counter loop.
     rows = [("a", None), ("b", "x")]
     deletes = [("a", None)]
-    assert not _codes_route_applies(["k", "v"], rows, deletes)
     assert _subtract_via_mask(["k", "v"], rows, deletes) == [("b", "x")]
 
 
 def test_codes_mask_falls_back_on_nan_probes():
-    # NaN breaks equality-by-value; first-match semantics are undefined for
-    # it in array form, so the row loop (which never matches it) must decide.
+    # NaN breaks equality-by-value: the Counter loop never matches it, and
+    # neither may isin or the hash over a store's fresh float objects.
     rows = [(1.5, "a"), (2.5, "b")]
     deletes = [(float("nan"), "a")]
-    assert not _codes_route_applies(["n", "v"], rows, deletes)
     assert _subtract_via_mask(["n", "v"], rows, deletes) == rows
 
 
 def test_codes_route_taken_when_narrowing_stays_wide():
     # Every row shares the numeric value, so isin-narrowing cannot shrink
-    # the candidate set; the codes route must still subtract exactly.
+    # the candidate set; hashing all 64 must still subtract exactly.
     rows = [(7, f"s{i % 3}") for i in range(64)]
     deletes = [(7, "s0"), (7, "s1")]
     assert _subtract_via_mask(["n", "v"], rows, deletes) == multiset_subtract(

@@ -1,10 +1,9 @@
 """``store_keep_mask`` against the reference loop ``first_matches``.
 
-Every route the column-store subtraction can take — int-first ``isin``
-narrowing, narrowing continued past ``4·|δ⁻|``, factorized codes, and
-hashing when ``None`` beside strings or NaN deletes defeat the codes — must
-remove exactly the positions the Counter loop removes over the whole store.
-"""
+Every path the column-store subtraction can take — int-first ``isin``
+narrowing, narrowing continued past ``4·|δ⁻|``, no numeric column to narrow
+on, and ``None`` beside strings or NaN deletes — must remove exactly the
+positions the Counter loop removes over the whole store."""
 
 import pytest
 from hypothesis import given, settings
@@ -84,16 +83,11 @@ class _IsinSpy:
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Record the isin passes, codes attempts and hashed row counts of one call."""
-    seen = {"codes": [], "hashed": []}
+    """Record the isin passes and hashed row counts of one call."""
+    seen = {"hashed": []}
     spy = _IsinSpy()
     seen["isin"] = spy.calls
-    codes, hashed = bagdiff._codes_mask, bagdiff._hashed_mask
-
-    def codes_spy(store, probes):
-        result = codes(store, probes)
-        seen["codes"].append(result[0])
-        return result
+    hashed = bagdiff._hashed_mask
 
     def hashed_spy(rows, excluded):
         rows = list(rows)
@@ -101,7 +95,6 @@ def routes(monkeypatch):
         return hashed(rows, excluded)
 
     monkeypatch.setattr(bagdiff, "_np", spy)
-    monkeypatch.setattr(bagdiff, "_codes_mask", codes_spy)
     monkeypatch.setattr(bagdiff, "_hashed_mask", hashed_spy)
     return seen
 
@@ -118,7 +111,7 @@ def test_route_int_columns_narrow_before_float_ones(routes):
     # The int column runs first over the whole store, the float one over the
     # eight rows it left; only the six the float column keeps are hashed.
     assert routes["isin"] == [("i", 200), ("f", 8)]
-    assert routes["codes"] == [] and routes["hashed"] == [6]
+    assert routes["hashed"] == [6]
 
 
 def test_route_narrowing_continues_past_four_times_the_deletes(routes):
@@ -133,29 +126,29 @@ def test_route_narrowing_continues_past_four_times_the_deletes(routes):
     assert routes["hashed"] == [10]
 
 
-def test_route_codes_for_string_columns(routes):
+def test_route_string_columns_hash_the_whole_store(routes):
     rows = [(s, t) for s in "abcd" for t in "xyz"] * 5
     deletes = [("a", "x"), ("a", "x"), ("d", "z"), ("q", "q")]
     _check(rows, deletes)
-    assert routes["isin"] == [] and routes["codes"] == [True]
-    assert routes["hashed"] == []
+    assert routes["isin"] == [] and routes["hashed"] == [60]
 
 
 @pytest.mark.parametrize(
     "rows, deletes, walked",
     [
-        # None beside strings cannot be factorized: all 30 candidates the
-        # int column left are hashed instead.
+        # None beside strings: the 30 candidates the int column left are
+        # hashed, None equal to None as in the Counter loop.
         ([(s, i % 2) for i, s in enumerate(["a", None, "b"] * 10)],
          [("a", 0), (None, 1), (None, 1)], 30),
-        # A NaN delete would collapse under np.unique; hashing, which never
-        # matches it, runs over the ten 1.0 rows isin left.
+        # A NaN delete matches nothing, in isin as in the Counter loop; the
+        # ten 1.0 rows isin left are hashed.
         ([(float(i % 3), "x") for i in range(30)] + [(float("nan"), "x")],
          [(1.0, "x"), (float("nan"), "x")], 10),
     ],
     ids=["none-beside-strings", "nan-delete"],
 )
-def test_route_hashed_when_codes_do_not_apply(routes, rows, deletes, walked):
+def test_route_none_and_nan_are_hashed_like_the_counter_loop(
+    routes, rows, deletes, walked
+):
     _check(rows, deletes)
-    assert routes["codes"] == [False]
     assert routes["hashed"] == [walked]
