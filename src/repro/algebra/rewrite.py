@@ -10,12 +10,16 @@ Two normalizations keep the expanded DAG small and maximize unification:
   which the builder then re-expands into every association order.  This is
   how the expanded DAG ends up with "exactly one equivalence node for every
   subset of {A, B, C}" (paper Figure 1(c)).
+
+Two helpers serve the differential engine: :func:`delta_first_join` orders a
+join block outward from the leaf an update changes, and :func:`oriented_form`
+keys results by expression *and* column order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import (
     Aggregate,
@@ -165,3 +169,113 @@ def left_deep_join(
         unused = rest
         current = Join(current, leaf, applicable)
     return current
+
+
+def delta_first_join(
+    block: JoinBlock, start: int, catalog: Catalog
+) -> Optional[Tuple[Expression, Tuple[int, ...]]]:
+    """A left-deep join of ``block`` that starts at ``block.leaves[start]``.
+
+    Each step joins one more leaf connected to what is joined so far by an
+    equi-join condition — among several, the leaf with the smallest
+    canonical form, so every block over the same join graph yields the same
+    prefixes from the same start.  Each condition is attached to the step
+    that joins its second leaf.
+
+    Returns the tree and, for each column of the block in its written order
+    (its leaves' columns, leaf by leaf), the position of that column in the
+    tree's result — a permutation by position, which stays exact when a
+    relation's column names repeat.  ``None`` when the conditions do not
+    connect every leaf, or a condition column does not name a column of
+    exactly one leaf.  ``block.residuals`` are not part of the tree.
+    """
+    leaves = block.leaves
+    schemas = [derive_schema(leaf, catalog) for leaf in leaves]
+
+    def owner(column: str) -> Optional[int]:
+        owners = [i for i, schema in enumerate(schemas) if column in schema]
+        return owners[0] if len(owners) == 1 else None
+
+    edges: List[Tuple[int, str, int, str]] = []
+    for a, b in block.conditions:
+        left, right = owner(a), owner(b)
+        if left is None or right is None or left == right:
+            return None
+        edges.append((left, a, right, b))
+
+    order = [start]
+    tree = leaves[start]
+    while len(order) < len(leaves):
+        reachable = {
+            far
+            for near, _, far, _ in _both_ways(edges)
+            if near in order and far not in order
+        }
+        if not reachable:
+            return None
+        step = min(reachable, key=lambda i: (leaves[i].canonical(), i))
+        conditions = [
+            (near_column, far_column)
+            for near, near_column, far, far_column in _both_ways(edges)
+            if far == step and near in order
+        ]
+        tree = Join(tree, leaves[step], conditions)
+        order.append(step)
+
+    offsets = {}
+    offset = 0
+    for i in order:
+        offsets[i] = offset
+        offset += len(schemas[i])
+    positions = tuple(
+        offsets[i] + column for i in range(len(leaves)) for column in range(len(schemas[i]))
+    )
+    return tree, positions
+
+
+def _both_ways(
+    edges: Sequence[Tuple[int, str, int, str]]
+) -> List[Tuple[int, str, int, str]]:
+    """Every condition edge in both directions: ``(near, column, far, column)``."""
+    return [*edges, *((far, b, near, a) for near, a, far, b in edges)]
+
+
+def oriented_form(expression: Expression) -> str:
+    """``expression``'s canonical form with its column order kept.
+
+    A canonical form ignores the operand order of joins and unions and the
+    order of aggregate columns, so two expressions that share one produce
+    the same bag, possibly in different column orders.  Two expressions that
+    share an oriented form produce the same bag in the same column order: a
+    result memoized under it can be handed to either as it is.
+    """
+    if isinstance(expression, BaseRelation):
+        return expression.name
+    if isinstance(expression, Join):
+        conditions = sorted(
+            "=".join(sorted((_bare(a), _bare(b)))) for a, b in expression.conditions
+        )
+        return (
+            f"join[{','.join(conditions)};{expression.residual.canonical()}]"
+            f"({oriented_form(expression.left)},{oriented_form(expression.right)})"
+        )
+    if isinstance(expression, Aggregate):
+        groups = ",".join(_bare(c) for c in expression.group_by)
+        aggregates = ",".join(spec.canonical() for spec in expression.aggregates)
+        return f"aggregate[{groups};{aggregates}]({oriented_form(expression.child)})"
+    if isinstance(expression, UnionAll):
+        return f"union({','.join(oriented_form(i) for i in expression.inputs)})"
+    if isinstance(expression, Select):
+        return f"select[{expression.predicate.canonical()}]({oriented_form(expression.child)})"
+    if isinstance(expression, Project):
+        columns = ",".join(_bare(c) for c in expression.columns)
+        return f"project[{columns}]({oriented_form(expression.child)})"
+    if isinstance(expression, Difference):
+        return f"difference({oriented_form(expression.left)},{oriented_form(expression.right)})"
+    if isinstance(expression, Distinct):
+        return f"distinct({oriented_form(expression.child)})"
+    raise TypeError(f"unknown expression type {type(expression).__name__}")
+
+
+def _bare(column: str) -> str:
+    return column.rsplit(".", 1)[-1]

@@ -35,6 +35,7 @@ from repro.api.errors import WarehouseError, unknown_name
 from repro.catalog.catalog import Catalog
 from repro.catalog.estimator import CardinalityEstimator, qerror
 from repro.engine.database import Database
+from repro.engine.differential import delta_join_plans
 from repro.engine.physical import PhysicalExecutor
 from repro.maintenance.maintainer import RefreshReport, ViewRefresher
 from repro.maintenance.optimizer import OptimizationResult, ViewMaintenanceOptimizer
@@ -732,9 +733,10 @@ class Warehouse:
 
         Renders the chosen strategy (recompute vs incremental, with both
         costs), the extra materializations Greedy picked, the chosen plan
-        tree under that configuration, and — once ``apply()`` has executed
-        plans against real data — estimated-vs-actual cardinalities from the
-        runtime feedback loop.
+        tree under that configuration, the join order the differential
+        engine runs per updated base relation (``δ-plans``), and — once
+        ``apply()`` has executed plans against real data — estimated-vs-actual
+        cardinalities from the runtime feedback loop.
         """
         if view not in self._views:
             raise unknown_name("view", view, self._views)
@@ -759,11 +761,25 @@ class Warehouse:
         lines.append("plan:")
         plan = self._chosen_plan(view)
         lines.extend("  " + line for line in plan.pretty().splitlines())
+        lines.append("δ-plans:")
+        lines.extend("  " + line for line in self._delta_plan_lines(view))
         lines.append("cardinalities (estimated -> actual):")
         lines.extend("  " + line for line in self._cardinality_lines(plan))
         lines.append("verification:")
         lines.extend("  " + line for line in self._verification_lines(plan))
         return "\n".join(lines)
+
+    def _delta_plan_lines(self, view: str) -> List[str]:
+        """Per base relation, the join order the engine differentiates the
+        view's join blocks in when that relation changes."""
+        expression = self._views[view]
+        catalog = self._require_catalog()
+        lines = []
+        for relation in sorted(base_relations(expression)):
+            plans = delta_join_plans(expression, relation, catalog)
+            described = "; ".join(plan.describe() for plan in plans) or "no join"
+            lines.append(f"{relation}: {described}")
+        return lines
 
     def _verification_lines(self, plan) -> List[str]:
         """Static plan-verification status rendered for ``explain``."""

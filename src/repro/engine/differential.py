@@ -13,7 +13,11 @@ refresh and recomputation agree tuple-for-tuple.
 
 Join differentials follow the paper's expansion: when the updated relation
 reaches both join inputs, the update expression for the join becomes a union
-of two joins, ``(δE1 ⋈ E2_old) ∪ (E1_new ⋈ δE2)`` (§5.3).  A *stored*
+of two joins, ``(δE1 ⋈ E2_old) ∪ (E1_new ⋈ δE2)`` (§5.3), less the rows
+both bags would otherwise share when one input gains rows while the other
+loses some.  The vectorized engine runs a join block *delta-first*: the
+changed leaf's δ joined with the old value of one more leaf per step
+(:class:`DeltaJoinPlan`), the same bags without any join intermediate.  A *stored*
 SUM/COUNT/AVG aggregate is maintained from the child's delta alone
 (``delta-aggregate``, §3.1.2): the delta is folded by group into the exact
 per-group state kept beside the view, and the old and new row of each touched
@@ -27,7 +31,7 @@ difference fall back to old-vs-new comparison of their (usually small) inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.expressions import (
     Aggregate,
@@ -42,7 +46,9 @@ from repro.algebra.expressions import (
     UnionAll,
     base_relations,
 )
+from repro.algebra.rewrite import delta_first_join, flatten_join_block, oriented_form
 from repro.algebra.schema_derivation import derive_schema
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.engine import operators
 from repro.engine.database import Database
@@ -76,6 +82,18 @@ class ExpressionDelta:
     def is_empty(self) -> bool:
         """Whether the differential is entirely empty."""
         return not len(self.inserts) and not len(self.deletes)
+
+    def reordered(self, positions: Tuple[int, ...]) -> "ExpressionDelta":
+        """Both bags with their columns at ``positions``, in that order.
+
+        The rules are kept; a δ-aggregate state, which describes one stored
+        column order, is not.
+        """
+        return ExpressionDelta(
+            operators.reorder(self.inserts, positions),
+            operators.reorder(self.deletes, positions),
+            rules=self.rules,
+        )
 
     @staticmethod
     def empty(schema: Schema) -> "ExpressionDelta":
@@ -208,6 +226,11 @@ def differentiate(
 
         inserts = Relation(schema, [r for p in insert_parts for r in p.rows])
         deletes = Relation(schema, [r for p in delete_parts for r in p.rows])
+        if _opposite_signs(left_delta, right_delta):
+            overlap = operators.hash_join(
+                left_delta.inserts, right_delta.deletes, node.conditions, node.residual
+            )
+            inserts, deletes = inserts.difference(overlap), deletes.difference(overlap)
         return ExpressionDelta(inserts, deletes)
 
     def _aggregate_delta(node: Aggregate) -> ExpressionDelta:
@@ -238,8 +261,8 @@ def differentiate(
         # Old aggregate rows for the affected groups: taken from the stored
         # view when this exact node is materialized, otherwise recomputed from
         # the old child restricted to the affected groups.
-        view_name = materialized.lookup(node) if materialized is not None else None
-        if view_name is not None and database.has_view(view_name):
+        view_name = materialized.view_of(node, database) if materialized is not None else None
+        if view_name is not None:
             old_agg_all = database.view(view_name)
             agg_group_pos = old_agg_all.schema.positions(node.group_by) if node.group_by else []
             old_rows = [
@@ -270,6 +293,136 @@ def differentiate(
     return recurse(expression)
 
 
+# ------------------------------------------------------------ join δ-plans
+
+#: The route of a join block whose δ starts at the changed leaf.
+DELTA_FIRST = "delta-first"
+#: The route of a join block differentiated along its syntax tree; always
+#: followed by ``:<reason>`` — ``self-join``, ``residual`` or
+#: ``cross-product``.
+AS_WRITTEN = "as-written"
+
+
+@dataclass(frozen=True)
+class DeltaJoinPlan:
+    """How the engine differentiates one join block w.r.t. one relation.
+
+    ``delta-first``: the δ of the one leaf that reads ``relation`` is joined
+    with the old value of one more connected leaf per step (``tree``, built
+    by :func:`~repro.algebra.rewrite.delta_first_join`), and the block's
+    column order is restored by ``positions`` (``None`` when the orders
+    agree).  ``as-written:<reason>``: the block's syntax tree is walked with
+    the §5.3 rule at every join.
+    """
+
+    relation: str
+    route: str
+    #: The block's leaves in the order the δ meets them (``delta-first``),
+    #: else as written.
+    order: Tuple[Expression, ...]
+    tree: Optional[Expression] = None
+    positions: Optional[Tuple[int, ...]] = None
+
+    def describe(self) -> str:
+        """The join order, with ``δ`` on the leaves that read the relation."""
+        chain = " ⋈ ".join(
+            ("δ" if self.relation in base_relations(leaf) else "") + _leaf_label(leaf)
+            for leaf in self.order
+        )
+        return chain if self.route == DELTA_FIRST else f"{self.route} ({chain})"
+
+
+def _leaf_label(leaf: Expression) -> str:
+    if isinstance(leaf, BaseRelation):
+        return leaf.name
+    return f"{leaf.label}({','.join(sorted(base_relations(leaf)))})"
+
+
+def plan_delta_join(block_top: Join, relation: str, catalog: Catalog) -> DeltaJoinPlan:
+    """The δ-plan of the join block rooted at ``block_top`` for ``relation``.
+
+    ``delta-first`` unless the block keeps its syntax walk, for one of three
+    reasons: a base relation occurs in two leaves (``self-join``), a join
+    carries a non-equi predicate (``residual``), or the equi-join conditions
+    leave a leaf unconnected (``cross-product``).
+    """
+    block = flatten_join_block(block_top)
+    leaves = tuple(block.leaves)
+    reads = [base_relations(leaf) for leaf in leaves]
+
+    def as_written(reason: str) -> DeltaJoinPlan:
+        return DeltaJoinPlan(relation, f"{AS_WRITTEN}:{reason}", leaves)
+
+    if sum(len(names) for names in reads) != len(frozenset().union(*reads)):
+        return as_written("self-join")
+    if block.residuals:
+        return as_written("residual")
+    start = next(i for i, names in enumerate(reads) if relation in names)
+    built = delta_first_join(block, start, catalog)
+    if built is None:
+        return as_written("cross-product")
+    tree, positions = built
+    order: List[Expression] = []
+    node = tree
+    while isinstance(node, Join):
+        order.append(node.right)
+        node = node.left
+    order.append(node)
+    identity = positions == tuple(range(len(positions)))
+    return DeltaJoinPlan(
+        relation, DELTA_FIRST, tuple(reversed(order)), tree, None if identity else positions
+    )
+
+
+def join_blocks(expression: Expression, relation: str) -> List[Join]:
+    """The tops of ``expression``'s join blocks that ``relation`` reaches,
+    outermost first — the blocks the engine differentiates."""
+    blocks: List[Join] = []
+
+    def visit(node: Expression) -> None:
+        if relation not in base_relations(node):
+            return
+        if isinstance(node, Join):
+            blocks.append(node)
+            children: Sequence[Expression] = flatten_join_block(node).leaves
+        else:
+            children = node.children()
+        for child in children:
+            visit(child)
+
+    visit(expression)
+    return blocks
+
+
+def delta_join_plans(
+    expression: Expression, relation: str, catalog: Catalog
+) -> Tuple[DeltaJoinPlan, ...]:
+    """The δ-plan of every join block of ``expression`` ``relation`` reaches."""
+    return tuple(
+        plan_delta_join(block, relation, catalog) for block in join_blocks(expression, relation)
+    )
+
+
+def _opposite_signs(
+    left: Optional[ExpressionDelta], right: Optional[ExpressionDelta]
+) -> bool:
+    """Whether a join's left input gains rows while its right input loses some.
+
+    Only a relation on both sides with a non-monotone operator (aggregate,
+    difference, distinct) on one of them does this.  The §5.3 rule then puts
+    ``δ+E1 ⋈ δ−E2`` into both bags, and its delete copy matches no row of the
+    old result; both rules subtract it from both bags, which leaves
+    ``δ− = δ−E1 ⋈ E2 ∪ (E1 − δ−E1) ⋈ δ−E2`` and
+    ``δ+ = δ+E1 ⋈ (E2 − δ−E2) ∪ new(E1) ⋈ δ+E2``.
+    """
+    return (
+        left is not None
+        and right is not None
+        and len(left.inserts) > 0
+        and len(right.deletes) > 0
+    )
+
+
 # --------------------------------------------------------------- refresh engine
 
 @dataclass
@@ -280,17 +433,21 @@ class OldValueCache:
     a refresh (§3.1/§5.3); this cache is the execution-time counterpart for
     the differential engine.  Within one round — one base relation, one
     update kind, one fixed pre-update database state — the following are
-    functions of the expression alone, so they are memoized by canonical
-    form and shared across every view the round refreshes:
+    functions of the expression alone, so they are memoized by oriented form
+    (the canonical form with the column order kept,
+    :func:`~repro.algebra.rewrite.oriented_form`) and shared across every
+    view the round refreshes:
 
-    * ``old`` — old (pre-update) results of sub-expressions,
+    * ``old`` — old (pre-update) results of sub-expressions: the leaves of
+      δ-first join blocks (base relations, selections over them, stored
+      views) and whatever the as-written walks and the Difference/Distinct/
+      aggregate rules read,
     * ``new`` — old results with the sub-expression's own differential
       applied,
-    * ``deltas`` — the differentials of sub-expressions themselves (the
-      double ``old(node.left)`` of the Difference/Distinct rules and the
-      repeated sub-join deltas of shared view sets hit this),
+    * ``deltas`` — the differentials of sub-expressions themselves; the
+      δ-first prefixes of views over one join graph are shared here,
     * ``builds`` — hash-join bucket tables over old/new inputs, keyed by
-      (role, canonical form, join positions), so δ+ and δ− probes of every
+      (role, oriented form, join positions), so δ+ and δ− probes of every
       view share one build.
 
     A cache instance is only valid while the database holds the round's
@@ -304,11 +461,9 @@ class OldValueCache:
     old: Dict[str, Relation] = field(default_factory=dict)
     new: Dict[str, Relation] = field(default_factory=dict)
     deltas: Dict[str, ExpressionDelta] = field(default_factory=dict)
-    builds: Dict[Tuple[str, str, Tuple[int, ...]], Dict[Any, List[Row]]] = field(
-        default_factory=dict
-    )
-    #: Base relations each cached canonical form depends on — the
-    #: invalidation key for cross-round survival.
+    builds: Dict[Tuple[str, str, Tuple[int, ...]], Any] = field(default_factory=dict)
+    #: Base relations each cached expression depends on — the invalidation
+    #: key for cross-round survival.
     dependencies: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -326,13 +481,11 @@ class OldValueCache:
         self.deltas.clear()
         self.new.clear()
         stale = {
-            canonical
-            for canonical, relations in self.dependencies.items()
-            if updated_relation in relations
+            key for key, relations in self.dependencies.items() if updated_relation in relations
         }
-        for canonical in stale:
-            self.old.pop(canonical, None)
-            del self.dependencies[canonical]
+        for key in stale:
+            self.old.pop(key, None)
+            del self.dependencies[key]
         self.builds = {
             key: build
             for key, build in self.builds.items()
@@ -346,6 +499,11 @@ class DifferentialEngine:
     Produces the exact insert/delete bags of :func:`differentiate` (which
     remains the correctness oracle) but executes them at batch speed:
 
+    * a join block is differentiated delta-first (:class:`DeltaJoinPlan`):
+      the changed leaf's δ is joined outward with the old value of one leaf
+      per step, so no join intermediate of two or more relations is ever
+      evaluated; blocks that keep their syntax walk are named by their
+      ``as-written:<reason>`` route;
     * old/new sub-expression results are evaluated through
       :class:`~repro.engine.physical.PhysicalExecutor` — optimizer-chosen
       plans over the columnar batch kernels — instead of the row-at-a-time
@@ -371,22 +529,25 @@ class DifferentialEngine:
         self.physical = physical
         #: Engine-lifetime memos for immutable per-expression facts.  Keyed by
         #: object identity with the node kept alive alongside, so ids cannot
-        #: be recycled while a memo entry exists.
-        self._canonicals: Dict[int, Tuple[Expression, str]] = {}
+        #: be recycled while a memo entry exists; everything else by the
+        #: node's oriented form, which fixes its column order.
+        self._keys: Dict[int, Tuple[Expression, str]] = {}
         self._schemas: Dict[str, Schema] = {}
         self._relations: Dict[str, FrozenSet[str]] = {}
+        self._join_plans: Dict[Tuple[str, str], DeltaJoinPlan] = {}
+        self._view_plans: Dict[Tuple[str, str], Tuple[DeltaJoinPlan, ...]] = {}
 
     # ------------------------------------------------------------------ memos
 
-    def _canonical(self, node: Expression) -> str:
-        entry = self._canonicals.get(id(node))
+    def _key(self, node: Expression) -> str:
+        entry = self._keys.get(id(node))
         if entry is None or entry[0] is not node:
-            entry = (node, node.canonical())
-            self._canonicals[id(node)] = entry
+            entry = (node, oriented_form(node))
+            self._keys[id(node)] = entry
         return entry[1]
 
     def _schema(self, node: Expression) -> Schema:
-        key = self._canonical(node)
+        key = self._key(node)
         schema = self._schemas.get(key)
         if schema is None:
             schema = derive_schema(node, self.database.catalog)
@@ -394,12 +555,32 @@ class DifferentialEngine:
         return schema
 
     def _base_relations(self, node: Expression) -> FrozenSet[str]:
-        key = self._canonical(node)
+        key = self._key(node)
         relations = self._relations.get(key)
         if relations is None:
             relations = base_relations(node)
             self._relations[key] = relations
         return relations
+
+    def _join_plan(self, node: Join, relation: str) -> DeltaJoinPlan:
+        key = (self._key(node), relation)
+        plan = self._join_plans.get(key)
+        if plan is None:
+            plan = plan_delta_join(node, relation, self.database.catalog)
+            self._join_plans[key] = plan
+        return plan
+
+    def delta_plans(self, expression: Expression, relation: str) -> Tuple[DeltaJoinPlan, ...]:
+        """The δ-plans :meth:`differentiate` runs for ``expression``'s join
+        blocks on an update of ``relation`` (see :func:`delta_join_plans`)."""
+        key = (self._key(expression), relation)
+        plans = self._view_plans.get(key)
+        if plans is None:
+            plans = tuple(
+                self._join_plan(block, relation) for block in join_blocks(expression, relation)
+            )
+            self._view_plans[key] = plans
+        return plans
 
     # -------------------------------------------------------------- entry point
 
@@ -421,7 +602,7 @@ class DifferentialEngine:
         cache = cache if cache is not None else OldValueCache()
 
         def old(expr: Expression) -> Relation:
-            key = self._canonical(expr)
+            key = self._key(expr)
             result = cache.old.get(key)
             if result is None:
                 cache.misses += 1
@@ -435,7 +616,7 @@ class DifferentialEngine:
         def new(expr: Expression, delta: Optional[ExpressionDelta]) -> Relation:
             if delta is None or delta.is_empty:
                 return old(expr)
-            key = self._canonical(expr)
+            key = self._key(expr)
             result = cache.new.get(key)
             if result is None:
                 result = old(expr).apply_delta(inserts=delta.inserts, deletes=delta.deletes)
@@ -443,7 +624,7 @@ class DifferentialEngine:
             return result
 
         def build_for(role: str, expr: Expression, source: Relation, positions):
-            key = (role, self._canonical(expr), tuple(positions))
+            key = (role, self._key(expr), tuple(positions))
             build = cache.builds.get(key)
             if build is None:
                 # Store-backed sources get the sorted-key probe table (no
@@ -454,18 +635,21 @@ class DifferentialEngine:
                 cache.builds[key] = build
             return build
 
-        def recurse(node: Expression) -> ExpressionDelta:
-            schema = self._schema(node)
-            if relation not in self._base_relations(node):
-                return ExpressionDelta.empty(schema)
-            key = self._canonical(node)
+        def memo(node: Expression, compute_delta: Callable[[], ExpressionDelta]) -> ExpressionDelta:
+            key = self._key(node)
             cached = cache.deltas.get(key)
             if cached is not None:
                 cache.hits += 1
                 return cached
-            result = compute(node, schema)
+            result = compute_delta()
             cache.deltas[key] = result
             return result
+
+        def recurse(node: Expression) -> ExpressionDelta:
+            schema = self._schema(node)
+            if relation not in self._base_relations(node):
+                return ExpressionDelta.empty(schema)
+            return memo(node, lambda: compute(node, schema))
 
         def compute(node: Expression, schema: Schema) -> ExpressionDelta:
             if isinstance(node, BaseRelation):
@@ -541,38 +725,67 @@ class DifferentialEngine:
             return tuple(rule for d in deltas if d is not None for rule in d.rules)
 
         def join_delta(node: Join, schema: Schema) -> ExpressionDelta:
-            left_dep = relation in self._base_relations(node.left)
-            right_dep = relation in self._base_relations(node.right)
-            left_delta = recurse(node.left) if left_dep else None
-            right_delta = recurse(node.right) if right_dep else None
+            """A join block's differential, along its δ-plan."""
+            plan = self._join_plan(node, relation)
+            if plan.tree is None:
+                return written_join(node, schema)
+            delta = chain(plan.tree)
+            return delta if plan.positions is None else delta.reordered(plan.positions)
+
+        def chain(tree: Expression) -> ExpressionDelta:
+            """δ of a δ-first prefix: the changed leaf, then ``δ ⋈ old(leaf)``
+            per step, each prefix shared through the cache."""
+            if not isinstance(tree, Join):
+                return recurse(tree)
+
+            def step() -> ExpressionDelta:
+                left_delta = chain(tree.left)
+                if left_delta.is_empty:
+                    return ExpressionDelta.empty(self._schema(tree))
+                inserts, deletes = probe_old(left_delta, tree)
+                return ExpressionDelta(inserts, deletes, rules=left_delta.rules)
+
+            return memo(tree, step)
+
+        def probe_old(left_delta: ExpressionDelta, node: Join) -> Tuple[Relation, Relation]:
+            """δ_left ⋈ OLD right: one build over the old right input, probed
+            by both delta bags (and by every view sharing it)."""
+            old_right = old(node.right)
+            _, right_pos = operators._join_positions(
+                left_delta.inserts.schema, old_right.schema, node.conditions
+            )
+            build = build_for("old", node.right, old_right, right_pos) if node.conditions else None
+            return operators.delta_hash_join_batch(
+                left_delta.inserts,
+                left_delta.deletes,
+                old_right,
+                node.conditions,
+                node.residual,
+                delta_side="left",
+                build=build,
+            )
+
+        def side(child: Expression) -> Optional[ExpressionDelta]:
+            """An operand's δ inside an as-written block: joins of the block
+            keep the syntax walk, other operands are differentiated anew."""
+            if relation not in self._base_relations(child):
+                return None
+            if isinstance(child, Join):
+                return memo(child, lambda: written_join(child, self._schema(child)))
+            return recurse(child)
+
+        def written_join(node: Join, schema: Schema) -> ExpressionDelta:
+            """The §5.3 rule on the syntax tree:
+            (δE1 ⋈ E2) ∪ ((E1 ∪ δE1) ⋈ δE2)."""
+            left_delta = side(node.left)
+            right_delta = side(node.right)
 
             insert_parts: List[Relation] = []
             delete_parts: List[Relation] = []
-            # δ_left ⋈ OLD right: one build over the old right input, probed
-            # by both delta bags (and by every view sharing this sub-join).
             if left_delta is not None and not left_delta.is_empty:
-                old_right = old(node.right)
-                delta_schema = left_delta.inserts.schema
-                _, right_pos = operators._join_positions(
-                    delta_schema, old_right.schema, node.conditions
-                )
-                build = (
-                    build_for("old", node.right, old_right, right_pos)
-                    if node.conditions
-                    else None
-                )
-                ins, dels = operators.delta_hash_join_batch(
-                    left_delta.inserts,
-                    left_delta.deletes,
-                    old_right,
-                    node.conditions,
-                    node.residual,
-                    delta_side="left",
-                    build=build,
-                )
-                insert_parts.append(ins)
-                delete_parts.append(dels)
-            # NEW left ⋈ δ_right (paper §5.3: (δE1 ⋈ E2) ∪ ((E1 ∪ δE1) ⋈ δE2)).
+                inserts, deletes = probe_old(left_delta, node)
+                insert_parts.append(inserts)
+                delete_parts.append(deletes)
             if right_delta is not None and not right_delta.is_empty:
                 new_left = new(node.left, left_delta)
                 delta_schema = right_delta.inserts.schema
@@ -585,7 +798,7 @@ class DifferentialEngine:
                     if node.conditions
                     else None
                 )
-                ins, dels = operators.delta_hash_join_batch(
+                inserts, deletes = operators.delta_hash_join_batch(
                     right_delta.inserts,
                     right_delta.deletes,
                     new_left,
@@ -594,25 +807,30 @@ class DifferentialEngine:
                     delta_side="right",
                     build=build,
                 )
-                insert_parts.append(ins)
-                delete_parts.append(dels)
+                insert_parts.append(inserts)
+                delete_parts.append(deletes)
 
             # The kernel's output relations as they are (one side) or unioned
             # (both sides contribute): no store → rows → store round trip.
             if not insert_parts:
                 return ExpressionDelta.empty(schema)
-            return ExpressionDelta(
-                operators.union_all(*insert_parts),
-                operators.union_all(*delete_parts),
-                rules=rules_of(left_delta, right_delta),
-            )
+            inserts = operators.union_all(*insert_parts)
+            deletes = operators.union_all(*delete_parts)
+            if _opposite_signs(left_delta, right_delta):
+                overlap = operators.hash_join(
+                    left_delta.inserts, right_delta.deletes, node.conditions, node.residual
+                )
+                inserts, deletes = inserts.difference(overlap), deletes.difference(overlap)
+            return ExpressionDelta(inserts, deletes, rules=rules_of(left_delta, right_delta))
 
         def aggregate_delta(node: Aggregate, schema: Schema) -> ExpressionDelta:
             """One rule per case, chosen from what the node and its inputs show."""
             child_delta = recurse(node.child)
-            view_name = materialized.lookup(node) if materialized is not None else None
-            if view_name is not None and not self.database.has_view(view_name):
-                view_name = None
+            # The stored view counts only when it was registered under this
+            # column order: its rows and state are read positionally.
+            view_name = (
+                materialized.view_of(node, self.database) if materialized is not None else None
+            )
             if child_delta.is_empty:
                 # Nothing reached the node: a stored view's state stays valid.
                 kept = self.database.aggregate_state(view_name) if view_name else None
@@ -734,10 +952,11 @@ class DifferentialEngine:
         try:
             return recurse(expression)
         finally:
-            # recurse and compute close over each other; breaking that cycle
-            # lets reference counting free the round's cache and bags when the
-            # round ends, instead of whenever the cyclic collector next runs.
-            del recurse, compute
+            # The inner functions close over each other; breaking those
+            # cycles lets reference counting free the round's cache and bags
+            # when the round ends, instead of whenever the cyclic collector
+            # next runs.
+            del recurse, compute, chain, side, written_join
 
 
 class DifferentialMismatch(AssertionError):

@@ -24,24 +24,41 @@ from repro.algebra.expressions import (
     Select,
     UnionAll,
 )
+from repro.algebra.rewrite import oriented_form
 from repro.engine import operators
 from repro.engine.database import Database
 from repro.storage.relation import Relation
 
 
 class MaterializedRegistry:
-    """Maps canonical expression forms to materialized view names."""
+    """Maps canonical expression forms to materialized view names.
+
+    A canonical form ignores join operand order, so a binding answers every
+    orientation of its expression: :meth:`lookup` serves the planner, which
+    conforms what it scans to the asking schema.  A stored view is read as
+    it is only by an expression of the column order it was registered under
+    (:meth:`view_of`).
+    """
 
     def __init__(self) -> None:
-        self._by_canonical: Dict[str, str] = {}
+        self._by_canonical: Dict[str, Tuple[str, str]] = {}
 
     def register(self, expression: Expression, view_name: str) -> None:
         """Record that ``expression``'s result is stored under ``view_name``."""
-        self._by_canonical[expression.canonical()] = view_name
+        self._by_canonical[expression.canonical()] = (view_name, oriented_form(expression))
 
     def lookup(self, expression: Expression) -> Optional[str]:
         """The view name storing ``expression``'s result, if any."""
-        return self._by_canonical.get(expression.canonical())
+        entry = self._by_canonical.get(expression.canonical())
+        return entry[0] if entry is not None else None
+
+    def view_of(self, expression: Expression, database: Database) -> Optional[str]:
+        """The stored view holding ``expression``'s result in ``expression``'s
+        own column order, if any."""
+        entry = self._by_canonical.get(expression.canonical())
+        if entry is None or entry[1] != oriented_form(expression):
+            return None
+        return entry[0] if database.has_view(entry[0]) else None
 
     def unregister(self, expression: Expression) -> None:
         """Forget a registration (when a temporary result is discarded)."""
@@ -53,7 +70,7 @@ class MaterializedRegistry:
         Used by plan caches to detect that the set of reusable results
         changed even when the set of stored view names did not.
         """
-        return tuple(sorted(self._by_canonical.items()))
+        return tuple(sorted((key, view) for key, (view, _) in self._by_canonical.items()))
 
     def __len__(self) -> int:
         return len(self._by_canonical)
@@ -70,8 +87,8 @@ def evaluate(
 
     def recurse(node: Expression) -> Relation:
         if materialized is not None:
-            view_name = materialized.lookup(node)
-            if view_name is not None and database.has_view(view_name):
+            view_name = materialized.view_of(node, database)
+            if view_name is not None:
                 return database.view(view_name)
         if isinstance(node, BaseRelation):
             return database.table(node.name)

@@ -83,6 +83,28 @@ def project(relation: Relation, columns: Sequence[str]) -> Relation:
     return relation.project(columns)
 
 
+def reorder(relation: Relation, positions: Sequence[int]) -> Relation:
+    """``relation``'s columns at ``positions``, in that order.
+
+    A projection by position, for restoring a join block's column order
+    after its leaves were joined in another order: names cannot express it
+    when a relation joins itself.  A column store is re-projected by
+    reference.
+    """
+    schema = Schema(tuple(relation.schema.columns[p] for p in positions))
+    store = relation.cached_store()
+    if store is not None:
+        return Relation.from_store(schema, store.take(positions), relation.name)
+    getter = itemgetter(*positions)
+    if len(positions) == 1:
+        return Relation.from_trusted_rows(
+            schema, [(getter(row),) for row in relation.rows], relation.name
+        )
+    return Relation.from_trusted_rows(
+        schema, [getter(row) for row in relation.rows], relation.name
+    )
+
+
 # ---------------------------------------------------------------------- joins
 
 def _join_positions(

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import BaseRelation, Expression, base_relations
 from repro.algebra.predicates import Predicate
+from repro.algebra.rewrite import oriented_form
 from repro.algebra.schema_derivation import derive_schema
 from repro.analysis.diagnostics import Diagnostic, has_errors, render_diagnostics
 from repro.catalog.catalog import CatalogError
@@ -772,6 +773,8 @@ class PhysicalExecutor:
         #: Cached plans: key -> (plan, output schema, estimate snapshot).
         #: The snapshot records the cardinality each plan step was costed
         #: with, so runtime observations can invalidate mis-costed plans.
+        #: The key keeps the expression's column order (its oriented form):
+        #: the output schema is that order.
         self._plans: Dict[str, Tuple[PlanNode, Schema, Dict[str, float]]] = {}
 
     # ------------------------------------------------------------------ caching
@@ -788,7 +791,7 @@ class PhysicalExecutor:
                 for canonical, view in materialized.snapshot()
                 if self.database.has_view(view)
             )
-        return f"{expression.canonical()}|{reusable}"
+        return f"{oriented_form(expression)}|{reusable}"
 
     # ---------------------------------------------------------------- planning
 
@@ -877,15 +880,17 @@ class PhysicalExecutor:
         """Evaluate ``expression`` through the physical layer.
 
         Mirrors :func:`repro.engine.executor.evaluate`: a registry hit on the
-        whole expression short-circuits to the stored view.  An expression
+        whole expression short-circuits to the stored view when it holds the
+        expression's own column order (else planning scans and conforms
+        it).  An expression
         over a relation the catalog or database does not hold, or whose
         columns cannot be resolved, raises :class:`PhysicalPlanError` with
         the matching ``REPRO-P`` diagnostic; a bare ``KeyError``/``TypeError``
         is an operator defect and surfaces unchanged.
         """
         if materialized is not None:
-            view_name = materialized.lookup(expression)
-            if view_name is not None and self.database.has_view(view_name):
+            view_name = materialized.view_of(expression, self.database)
+            if view_name is not None:
                 return self.database.view(view_name)
         try:
             plan, schema = self.plan(expression, materialized)

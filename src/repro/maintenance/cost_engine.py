@@ -573,15 +573,3 @@ class MaintenanceCostEngine:
                 for columns in column_sets:
                     total += self.index_cost(node_id, columns)
         return total
-
-    # ------------------------------------------------------------- explanation
-
-    def chosen_full_operation(self, node_id: int) -> Tuple[Optional[int], str]:
-        """The operation id and algorithm chosen for the node's full result."""
-        self.compcost(node_id)
-        return self._full_choice.get(node_id, (None, ""))
-
-    def chosen_diff_operation(self, node_id: int, update_number: int) -> Tuple[Optional[int], str]:
-        """The operation id and algorithm chosen for one differential."""
-        self.diffcost(node_id, update_number)
-        return self._diff_choice.get((node_id, update_number), (None, ""))

@@ -60,6 +60,12 @@ class ViewRefreshStep:
     #: (see :mod:`repro.engine.differential`).  Empty for views without an
     #: aggregate.
     aggregate_rules: Tuple[str, ...] = ()
+    #: The route of each join block of the view the update reached:
+    #: ``delta-first`` or ``as-written:<reason>`` with reason ``self-join`` |
+    #: ``residual`` | ``cross-product`` (see
+    #: :class:`repro.engine.differential.DeltaJoinPlan`).  Empty for views
+    #: without a join.
+    delta_plans: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -72,6 +78,10 @@ class RefreshReport:
     def aggregate_rule_counts(self) -> Dict[str, int]:
         """How many aggregate steps ran each rule (with its reason)."""
         return dict(Counter(rule for step in self.steps for rule in step.aggregate_rules))
+
+    def delta_plan_counts(self) -> Dict[str, int]:
+        """How many join-block differentials ran each δ-plan route."""
+        return dict(Counter(route for step in self.steps for route in step.delta_plans))
 
     def total_changes(self, view: Optional[str] = None) -> int:
         """Total tuples inserted+deleted across steps (optionally one view)."""
@@ -229,6 +239,12 @@ class ViewRefresher:
                         inserted=len(change.inserts),
                         deleted=len(change.deletes),
                         aggregate_rules=change.rules,
+                        delta_plans=tuple(
+                            plan.route
+                            for plan in self._diff_engine.delta_plans(
+                                incremental_views[name], update.relation
+                            )
+                        ),
                     )
                 )
             self.database.apply_update(update.relation, update.kind, delta_rows)
