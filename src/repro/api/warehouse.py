@@ -450,6 +450,7 @@ class Warehouse:
         return WarehouseRefreshReport(
             steps=report.steps,
             recomputed_views=report.recomputed_views,
+            merges=report.merges,
             updated_relations=relations,
             verification=verification,
             elapsed_seconds=time.perf_counter() - started,

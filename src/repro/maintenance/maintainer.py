@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import Expression, base_relations
-from repro.engine.database import Database
+from repro.engine.database import Database, ViewMerge
 from repro.engine.differential import (
     DifferentialEngine,
     OldValueCache,
@@ -74,6 +74,9 @@ class RefreshReport:
 
     steps: List[ViewRefreshStep] = field(default_factory=list)
     recomputed_views: List[str] = field(default_factory=list)
+    #: Every merge of an incrementally maintained view's logged steps, in
+    #: the order they ran (see :meth:`Database.step_log`).
+    merges: List[ViewMerge] = field(default_factory=list)
 
     def aggregate_rule_counts(self) -> Dict[str, int]:
         """How many aggregate steps ran each rule (with its reason)."""
@@ -82,6 +85,15 @@ class RefreshReport:
     def delta_plan_counts(self) -> Dict[str, int]:
         """How many join-block differentials ran each δ-plan route."""
         return dict(Counter(route for step in self.steps for route in step.delta_plans))
+
+    def merge_route_counts(self) -> Dict[str, int]:
+        """How many view merges ran each route; ``read-through`` counts those
+        of them a read in the middle of the refresh forced."""
+        counts = Counter(merge.route for merge in self.merges)
+        forced = sum(merge.read_through for merge in self.merges)
+        if forced:
+            counts["read-through"] = forced
+        return dict(counts)
 
     def total_changes(self, view: Optional[str] = None) -> int:
         """Total tuples inserted+deleted across steps (optionally one view)."""
@@ -176,8 +188,9 @@ class ViewRefresher:
         flushed rounds (old values, sub-expression deltas and hash builds
         survive between rounds until a base update actually invalidates
         them), keeps temporaries materialized across rounds under the same
-        staleness discipline, and rebuilds recomputation-maintained views
-        only once, against the fully updated database.
+        staleness discipline, merges each incrementally maintained view once
+        (:meth:`Database.step_log`), and rebuilds recomputation-maintained
+        views only once, against the fully updated database.
         """
         report = RefreshReport()
         # One old-value cache spans the whole flush: within a round, shared
@@ -188,8 +201,12 @@ class ViewRefresher:
         incremental_views = {
             name: expr for name, expr in self.views.items() if name not in self.recompute_views
         }
-        for deltas in rounds:
-            self._refresh_round(deltas, incremental_views, report, round_cache)
+        # Each view's differentials are logged and merged once, when the
+        # log closes — even by an exception — or when a read needs the view.
+        with self.database.step_log() as merges:
+            for deltas in rounds:
+                self._refresh_round(deltas, incremental_views, report, round_cache)
+        report.merges = merges
 
         # Views maintained by recomputation are rebuilt once, at the end,
         # against the fully updated database.
@@ -228,7 +245,7 @@ class ViewRefresher:
             for name, change in changes.items():
                 # A δ-aggregate hands over the merged view's state with its
                 # bags; any other merge drops the view's previous state.
-                self.database.update_view(
+                self.database.log_view_step(
                     name, inserts=change.inserts, deletes=change.deletes, state=change.state
                 )
                 report.steps.append(

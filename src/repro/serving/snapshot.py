@@ -10,8 +10,8 @@ reader can never observe torn or mid-refresh state.
 The snapshots are copy-on-write for free, by construction: the refresh
 machinery in :class:`~repro.engine.database.Database` always *replaces* a
 view's :class:`~repro.storage.relation.Relation` object when merging a
-differential or rematerializing (``_apply_insert`` / ``_apply_delete`` /
-``materialize_view`` all build new relations), and relation row storage is
+differential or rematerializing (``Relation.merge_steps`` and
+``materialize_view`` both build new relations), and relation row storage is
 never mutated outside ``storage/relation.py`` (the REPRO-L003 lint).  A
 snapshot therefore just captures object references — publishing costs O(
 views), not O(rows) — and the old version's relations stay exactly as they

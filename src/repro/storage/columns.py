@@ -82,6 +82,25 @@ def common_dtype(a: Any, b: Any) -> Tuple[Any, Any]:
     return a.astype(object), b.astype(object)
 
 
+def merged_dtypes(base: "NumpyColumnStore", steps: Sequence[Tuple[int, Any]]) -> List[Any]:
+    """The column dtypes that concatenating step by step leaves.
+
+    ``steps`` holds, per merge step, the rows left after its deletes and its
+    insert store (or ``None``); each step joins like :meth:`concat` — an
+    empty side takes the other's dtype, unequal dtypes become ``object`` —
+    so a merge of many steps stores each column exactly as the step-by-step
+    merges would.
+    """
+    dtypes = [base.column(position).dtype for position in range(base.arity)]
+    for left, tail in steps:
+        if tail is None or not len(tail):
+            continue
+        for position, dtype in enumerate(dtypes):
+            added = tail.column(position).dtype
+            dtypes[position] = added if not left or added == dtype else _numpy.dtype(object)
+    return dtypes
+
+
 class NumpyColumnStore:
     """Column store backed by typed numpy arrays."""
 
@@ -177,6 +196,36 @@ class NumpyColumnStore:
             for a, b in zip(self._arrays, other._arrays)
         )
         return NumpyColumnStore(arrays, self._length + other._length)
+
+    @classmethod
+    def kept(
+        cls, parts: Sequence["NumpyColumnStore"], keeps: Sequence[Any], dtypes: Sequence[Any]
+    ) -> "NumpyColumnStore":
+        """The rows each keep-mask leaves of its part, parts in order.
+
+        One gather per part and column, joined in the column's ``dtypes``
+        entry (a keep-mask of ``None`` keeps the whole part): a merge builds
+        its new store from the stored view and the logged inserts without
+        first concatenating them at full width.
+        """
+        gathers = [
+            None if keep is None else _numpy.flatnonzero(keep) for keep in keeps
+        ]
+        arrays = []
+        for position, dtype in enumerate(dtypes):
+            pieces = []
+            for part, rows in zip(parts, gathers):
+                column = part.column(position)
+                piece = column if rows is None else column.take(rows)
+                if len(piece):
+                    pieces.append(piece if piece.dtype == dtype else piece.astype(dtype))
+            if not pieces:
+                pieces = [_numpy.empty(0, dtype=dtype)]
+            arrays.append(pieces[0] if len(pieces) == 1 else _numpy.concatenate(pieces))
+        length = sum(
+            len(part) if rows is None else len(rows) for part, rows in zip(parts, gathers)
+        )
+        return cls(arrays, length)
 
     def hstack(self, other: "NumpyColumnStore") -> "NumpyColumnStore":
         """Horizontal concatenation (join output assembly)."""

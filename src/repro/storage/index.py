@@ -87,16 +87,17 @@ class HashIndex:
         for pos, key in enumerate(_key_tuples(relation, self._positions, start), start):
             setdefault(key, []).append(pos)
 
-    def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
+    def apply_delete(self, relation: Relation, old_to_new: Any) -> None:
         """Remap the index after rows were deleted.
 
         ``old_to_new[p]`` is the new position of the row formerly at ``p``,
-        or ``-1`` if it was removed (the delete's keep-mask as positions —
-        :func:`repro.storage.bagdiff.surviving_positions`).  No key is
-        re-hashed — buckets are remapped in place, which is the whole point
-        of maintaining instead of rebuilding.
+        or ``-1`` if it was removed (the delete's keep-mask as an ``int64``
+        array — :func:`repro.storage.bagdiff.surviving_positions`).  No key
+        is re-hashed — buckets are remapped in place, which is the whole
+        point of maintaining instead of rebuilding.
         """
         self._relation = relation
+        old_to_new = _np.asarray(old_to_new).tolist()
         for key in list(self._buckets):
             kept = [new for p in self._buckets[key] if (new := old_to_new[p]) >= 0]
             if kept:
@@ -261,12 +262,12 @@ class SortedIndex:
         self._perm = _np.insert(self._perm, at, order + start)
         self._tuples = None
 
-    def apply_delete(self, relation: Relation, old_to_new: Sequence[int]) -> None:
+    def apply_delete(self, relation: Relation, old_to_new: Any) -> None:
         """Remap the index after rows were deleted.
 
-        Entries of removed rows (``-1`` in ``old_to_new``) are dropped and
-        surviving positions translated; the key order is untouched, so no
-        re-sort happens.
+        Entries of removed rows (``-1`` in ``old_to_new``, an ``int64``
+        array) are dropped and surviving positions translated by one gather;
+        the key order is untouched, so no re-sort happens.
         """
         self._relation = relation
         remapped = _np.asarray(old_to_new, dtype=_np.int64)[self._perm]

@@ -21,11 +21,29 @@ import random
 from collections import Counter
 from itertools import compress
 from operator import itemgetter as _itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.catalog.schema import Schema
-from repro.storage.bagdiff import Row, rows_keep_mask, store_keep_mask
-from repro.storage.columns import NumpyColumnStore
+from repro.storage.bagdiff import (
+    FINGERPRINT,
+    Row,
+    rows_keep_mask,
+    rows_log_keep,
+    store_keep_mask,
+    store_log_keep,
+)
+from repro.storage.columns import NumpyColumnStore, merged_dtypes
 
 #: Bag size from which a kernel builds a column store for a row-backed input
 #: it will *scan*: the store is cached on the relation and reused by every
@@ -40,6 +58,9 @@ VECTOR_MIN_ROWS = 64
 #: this large — after which the state stays columnar across every later
 #: merge.
 VECTOR_BUILD_MIN_ROWS = 4096
+
+#: The merge route of a small row-backed receiver (:meth:`Relation.merge_steps`).
+ROWS = "rows"
 
 
 def reservoir_sample(rows: Iterable[Row], k: int, rng: random.Random) -> List[Row]:
@@ -61,6 +82,21 @@ def reservoir_sample(rows: Iterable[Row], k: int, rng: random.Random) -> List[Ro
             if j < k:
                 reservoir[j] = row
     return reservoir
+
+
+class Merged(NamedTuple):
+    """What :meth:`Relation.merge_steps` made, and how."""
+
+    #: The merged bag (the receiver itself when no step carried a row).
+    relation: "Relation"
+    #: Keep-mask over the receiver's positions; ``None`` keeps every row.
+    keep: Any
+    #: Logged insert rows that survived, at the tail of ``relation``.
+    appended: int
+    #: The bag's length after each step.
+    lengths: Tuple[int, ...]
+    #: ``rows``, ``fingerprint`` or ``fallback:collision``.
+    route: str
 
 
 class Relation:
@@ -384,6 +420,75 @@ class Relation:
         rows = None if self._rows is None else list(compress(self._rows, keep.tolist()))
         store = None if self._store is None else self._store.mask(keep)
         return Relation._wrap(self.schema, rows, store, self.name)
+
+    def merge_steps(
+        self, steps: Sequence[Tuple[Optional["Relation"], Optional["Relation"]]]
+    ) -> "Merged":
+        """This bag after merging each ``(inserts, deletes)`` step in turn.
+
+        Step by step, ``V ← (V − δ⁻) ∪ δ⁺``; done at once.  Step ``k``'s
+        deletes first-match among this bag plus the inserts of steps before
+        ``k``, minus what earlier steps removed (:mod:`repro.storage.bagdiff`),
+        so rows, their order and the stored dtypes equal the step-by-step
+        result, phantom deletes included.  The new bag is built in one pass
+        per column from this bag and the logged inserts.  A merge of fewer
+        than ``VECTOR_BUILD_MIN_ROWS`` rows whose larger side — this bag or
+        the logged inserts — carries no store merges row lists (route
+        ``rows``); any other merges columns (route ``fingerprint`` or
+        ``fallback:collision``).
+        """
+        steps = [
+            (inserts if inserts is not None and len(inserts) else None, deletes)
+            for inserts, deletes in steps
+        ]
+        tails = [inserts for inserts, _ in steps if inserts is not None]
+        delete_steps = []
+        total = len(self)
+        for inserts, deletes in steps:
+            delete_steps.append((deletes, total))
+            total += len(inserts) if inserts is not None else 0
+        # As in union_all, the larger side decides: the receiver unless the
+        # logged inserts outweigh it.
+        columnar = total >= VECTOR_BUILD_MIN_ROWS or (
+            self._store is not None and 2 * len(self) >= total
+        )
+        if not tails and not any(d is not None and len(d) for d, _ in delete_steps):
+            return Merged(self, None, 0, (len(self),) * len(steps), FINGERPRINT if columnar else ROWS)
+        rows = None
+        if self._rows is not None or not columnar:
+            rows = self.rows + [row for inserts in tails for row in inserts.iter_rows()]
+        if columnar:
+            base = self.vector_store()
+            tail = None
+            for inserts in tails:
+                tail = inserts.vector_store() if tail is None else tail.concat(inserts.vector_store())
+            parts = (base,) if tail is None else (base, tail)
+            keep, counts, route = store_log_keep(parts, delete_steps)
+        else:
+            keep, counts = rows_log_keep(rows, delete_steps)
+            route = ROWS
+        lengths, concats = [], []
+        length = len(self)
+        for (inserts, _), removed in zip(steps, counts):
+            length -= removed
+            concats.append((length, inserts.vector_store() if columnar and inserts else None))
+            length += len(inserts) if inserts is not None else 0
+            lengths.append(length)
+        store = None
+        if columnar:
+            keeps = [
+                None if keep is None else keep[start : start + len(part)]
+                for part, start in zip(parts, (0, len(self)))
+            ]
+            store = NumpyColumnStore.kept(parts, keeps, merged_dtypes(base, concats))
+        if rows is not None and keep is not None:
+            rows = list(compress(rows, keep.tolist()))
+        base_keep = None if keep is None else keep[: len(self)]
+        if base_keep is not None and base_keep.all():
+            base_keep = None
+        kept = len(self) if base_keep is None else int(base_keep.sum())
+        merged = Relation._wrap(self.schema, rows, store, self.name)
+        return Merged(merged, base_keep, len(merged) - kept, tuple(lengths), route)
 
     def difference(self, other: "Relation") -> "Relation":
         """Multiset difference: remove one copy per matching tuple in ``other``."""

@@ -2,8 +2,9 @@
 
 Every path the column-store subtraction can take — int-first ``isin``
 narrowing, narrowing continued past ``4·|δ⁻|``, no numeric column to narrow
-on, and ``None`` beside strings or NaN deletes — must remove exactly the
-positions the Counter loop removes over the whole store."""
+on, ``None`` beside strings or NaN deletes, cells equal across types, and a
+fingerprint collision that falls back — must remove exactly the positions
+the Counter loop removes over the whole store."""
 
 import pytest
 from hypothesis import given, settings
@@ -83,19 +84,18 @@ class _IsinSpy:
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Record the isin passes and hashed row counts of one call."""
+    """Record the isin passes and fingerprinted row counts of one call."""
     seen = {"hashed": []}
     spy = _IsinSpy()
     seen["isin"] = spy.calls
-    hashed = bagdiff._hashed_mask
+    fingerprinted = bagdiff._fingerprint_removed
 
-    def hashed_spy(rows, excluded):
-        rows = list(rows)
-        seen["hashed"].append(len(rows))
-        return hashed(rows, excluded)
+    def fingerprint_spy(candidates, probes):
+        seen["hashed"].append(len(candidates))
+        return fingerprinted(candidates, probes)
 
     monkeypatch.setattr(bagdiff, "_np", spy)
-    monkeypatch.setattr(bagdiff, "_hashed_mask", hashed_spy)
+    monkeypatch.setattr(bagdiff, "_fingerprint_removed", fingerprint_spy)
     return seen
 
 
@@ -152,3 +152,106 @@ def test_route_none_and_nan_are_hashed_like_the_counter_loop(
 ):
     _check(rows, deletes)
     assert routes["hashed"] == [walked]
+
+
+# ------------------------------------------------------------- fingerprints
+
+#: Column kinds whose cells compare equal across types: ``1 == 1.0 == True``
+#: and ``-0.0 == 0.0`` in the Counter loop, big ints and ``None`` only in an
+#: ``object`` column, NaN equal to nothing.
+MIXED_POOLS = {
+    "int": st.integers(-2, 2),
+    "float": st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, float("nan")]),
+    "object": st.sampled_from([0, 1, 1.0, -0.0, True, None, "1", 2**70, -(2**64)]),
+    "big-int": st.sampled_from([1, 2**63, 2**64 + 1, -(2**70)]),
+}
+
+
+def _equal_other_type(value, flip):
+    """A value the Counter loop finds equal to ``value``, of another type."""
+    if not flip or isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int) and abs(value) < 2**53:
+        return float(value)
+    if isinstance(value, float) and value == value and value.is_integer():
+        return -0.0 if value == 0 else int(value)
+    return value
+
+
+@st.composite
+def mixed_store_and_deletes(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(MIXED_POOLS)), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(*(MIXED_POOLS[k] for k in kinds)), min_size=1, max_size=40))
+    hits = draw(st.lists(st.sampled_from(rows), max_size=len(rows) + 3))
+    flips = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    # Deletes of one column kind typed apart from the store's (1.0 for 1,
+    # -0.0 for 0) make the fingerprint hash that column by value, not bits.
+    deletes = [
+        tuple(_equal_other_type(v, flip) for v, flip in zip(row, flips)) for row in hits
+    ]
+    deletes += draw(st.lists(st.tuples(*(MIXED_POOLS[k] for k in kinds)), max_size=3))
+    return _own_nans(rows), _own_nans(draw(st.permutations(deletes)))
+
+
+@given(mixed_store_and_deletes())
+@settings(max_examples=100, deadline=None)
+def test_fingerprints_remove_what_the_counter_loop_removes(case):
+    rows, deletes = case
+    store = NumpyColumnStore.from_rows(rows, len(rows[0]))
+    assert _removed(store, deletes) == first_matches(store.to_rows(), deletes)
+
+
+def _collided(store, deletes):
+    """``store_log_keep`` with every row given the same fingerprint."""
+    schema = Schema.from_names([f"c{i}" for i in range(store.arity)])
+    original = bagdiff.fingerprints
+    bagdiff.fingerprints = lambda part, by_value: np.zeros(len(part), dtype=np.uint64)
+    try:
+        keep, counts, route = bagdiff.store_log_keep(
+            (store,), ((Relation(schema, deletes), len(store)),)
+        )
+    finally:
+        bagdiff.fingerprints = original
+    return ([] if keep is None else np.flatnonzero(~keep).tolist()), counts, route
+
+
+@given(mixed_store_and_deletes())
+@settings(max_examples=60, deadline=None)
+def test_a_fingerprint_collision_still_removes_the_first_matches(case):
+    # Every row collides: whatever the grouping removes, the column-wise
+    # check must catch a wrong pair and fall back to first_matches.
+    rows, deletes = case
+    store = NumpyColumnStore.from_rows(rows, len(rows[0]))
+    removed, counts, _route = _collided(store, deletes)
+    assert removed == first_matches(store.to_rows(), deletes)
+    assert counts == [len(removed)]
+
+
+def test_route_colliding_deletes_are_checked_against_each_other():
+    # Both rows equal the first delete, but the second delete differs: one
+    # group with quota 2 would remove both rows; the Counter loop removes one.
+    store = NumpyColumnStore.from_rows([(2, "a"), (2, "a")], 2)
+    removed, _counts, route = _collided(store, [(2, "a"), (2, "b")])
+    assert removed == [0] and route == bagdiff.FALLBACK_COLLISION
+
+
+def test_route_a_collision_is_reported():
+    # isin leaves both rows; the first one is grouped with the delete, the
+    # check sees "a" != "b", and the Counter loop removes the second.
+    store = NumpyColumnStore.from_rows([(2, "a"), (2, "b")], 2)
+    assert _collided(store, [(2, "b")]) == ([1], [1], bagdiff.FALLBACK_COLLISION)
+
+
+def test_route_nan_rows_fall_back_and_match_nothing():
+    # The int column leaves |δ⁻| candidates, so the float column never
+    # narrows: a NaN row and the NaN delete share their bits, but NaN equals
+    # nothing, so the check fails and the Counter loop removes no NaN row.
+    rows = [(1, float("nan")), (1, 2.0), (1, float("nan"))]
+    deletes = [(1, float("nan")), (1, 2.0), (9, 9.0)]
+    schema = Schema.from_names(["i", "f"])
+    store = NumpyColumnStore.from_rows(rows, 2)
+    keep, counts, route = bagdiff.store_log_keep(
+        (store,), ((Relation(schema, deletes), 3),)
+    )
+    assert np.flatnonzero(~keep).tolist() == [1] and counts == [1]
+    assert route == bagdiff.FALLBACK_COLLISION

@@ -102,7 +102,7 @@ def test_apply_delete_matches_rebuild(relation, kind):
     # shift down, so every retained entry's position must be remapped.
     keep = [True, False, False, True]
     shrunk = Relation(SCHEMA, [ROWS[0], ROWS[3]])
-    assert surviving_positions(keep) == [0, -1, -1, 1]
+    assert surviving_positions(keep).tolist() == [0, -1, -1, 1]
     index.apply_delete(shrunk, old_to_new=surviving_positions(keep))
     rebuilt = build_index(shrunk, ["k"], kind)
     assert_same_index(index, rebuilt, [(1,), (2,), (3,), (99,)])
