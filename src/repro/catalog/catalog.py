@@ -194,7 +194,13 @@ class Catalog:
         return result
 
     def copy(self) -> "Catalog":
-        """A shallow copy; useful when the greedy algorithm speculatively adds indexes."""
+        """A shallow copy: tables, statistics and index lists are new containers.
+
+        ``Database.copy`` is the only caller, so a copied database can add
+        indexes and refresh statistics without touching the original's
+        catalog.  Greedy never copies the catalog: it tries an index through
+        ``MaintenanceCostEngine.add_index``.
+        """
         clone = Catalog()
         clone._tables = dict(self._tables)
         clone._stats = dict(self._stats)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema
@@ -247,8 +247,29 @@ class ColumnStats:
 
     def scaled(self, factor: float) -> "ColumnStats":
         """Scale the distinct count (used when scaling table cardinalities)."""
-        histogram = self.histogram.scaled(factor) if self.histogram is not None else None
-        return replace(self, distinct=max(1.0, self.distinct * factor), histogram=histogram)
+        distinct = max(1.0, self.distinct * factor)
+        if self.histogram is None:
+            return self._with_distinct(distinct)
+        return ColumnStats(
+            distinct,
+            self.min_value,
+            self.max_value,
+            self.null_fraction,
+            self.histogram.scaled(factor),
+            self.sampled,
+        )
+
+    def _with_distinct(self, distinct: float) -> "ColumnStats":
+        """These statistics with another distinct count.
+
+        ``self`` when ``distinct`` is the very object already held, whose copy
+        would equal it field for field (the common clamp that changes nothing).
+        """
+        if distinct is self.distinct:
+            return self
+        return ColumnStats(
+            distinct, self.min_value, self.max_value, self.null_fraction, self.histogram, self.sampled
+        )
 
 
 @dataclass(frozen=True)
@@ -293,8 +314,9 @@ class TableStats:
 
     def with_cardinality(self, cardinality: float) -> "TableStats":
         """Return a copy with a new cardinality, clamping distinct counts."""
+        bound = max(cardinality, 1.0)
         new_cols = {
-            name: replace(cs, distinct=max(1.0, min(cs.distinct, max(cardinality, 1.0))))
+            name: cs._with_distinct(max(1.0, min(cs.distinct, bound)))
             for name, cs in self.column_stats.items()
         }
         return TableStats(max(0.0, cardinality), self.tuple_width, new_cols)
@@ -355,8 +377,8 @@ class TableStats:
             # affected group before reinserting it) must not collapse them;
             # the caller's final with_cardinality clamp applies the true
             # post-merge bound.
-            new_cols[name] = replace(
-                cs, min_value=min_v, max_value=max_v, histogram=histogram
+            new_cols[name] = ColumnStats(
+                cs.distinct, min_v, max_v, cs.null_fraction, histogram, cs.sampled
             )
         return TableStats(card, self.tuple_width, new_cols)
 

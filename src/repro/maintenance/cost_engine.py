@@ -26,24 +26,28 @@ delta-aggregate probe into its own stored result), ``DIFFERENCE``,
 ``DISTINCT``, or a ``JOIN`` whose inputs share a base relation.  Any other
 ``δ(·, i)`` plan recurses only into inputs that depend on ``i`` and reads
 them as differentials, so every entry kept equals a from-scratch
-recomputation (a property test pins this).  ``mergeCost``, ``matcost`` and
-index upkeep do not depend on ``M`` and are memoized for the engine's
-lifetime.  A :meth:`speculative` context manager snapshots the state so
-the greedy algorithm can price "what if I also materialized x?" cheaply and
-roll back.
+recomputation (a property test pins this).  ``cost(x, M)`` reads only
+``x`` and what lies below it, so its table drops ``x`` exactly when
+``x ∈ {n} ∪ ancestors(n)``; an input descriptor reads only its own key
+(stored? indexed?), so it drops when that key or an index on it changes.
+``mergeCost``, ``matcost`` and index upkeep do not depend on ``M`` and are
+memoized for the engine's lifetime, as are the join primitives of its
+:class:`~repro.optimizer.cost_model.MemoizedCostModel`.  A
+:meth:`speculative` context manager snapshots the state so the greedy
+algorithm can price "what if I also materialized x?" cheaply and roll back.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.estimator import CardinalityEstimator
 from repro.maintenance.diff_dag import DifferentialAnnotations, ResultKey
 from repro.maintenance.update_spec import UpdateSpec
-from repro.optimizer.cost_model import CostModel, InputDescriptor
+from repro.optimizer.cost_model import CostModel, InputDescriptor, MemoizedCostModel
 from repro.optimizer.dag import Dag, EquivalenceNode, OperationNode, OperatorKind
 from repro.storage.delta import UpdateId
 
@@ -65,7 +69,8 @@ class MaintenanceCostEngine:
         self.dag = dag
         self.catalog = catalog
         self.spec = spec
-        self.cost_model = cost_model or CostModel()
+        #: Prices through a per-engine memo of the stats-only primitives.
+        self.cost_model = MemoizedCostModel(cost_model or CostModel())
         #: The shared estimator all cardinality questions route through
         #: (the annotations' estimator unless one is injected explicitly).
         if estimator is None and annotations is not None:
@@ -86,9 +91,14 @@ class MaintenanceCostEngine:
         self._full_choice: Dict[int, Tuple[Optional[int], str]] = {}
         self._diff_cost: Dict[Tuple[int, int], float] = {}
         self._diff_choice: Dict[Tuple[int, int], Tuple[Optional[int], str]] = {}
+        # cost(x, M) per result key, and the input descriptors join plans
+        # read: a node's full result (stored? indexes?) and its differentials.
+        self._result_cost: Dict[ResultKey, float] = {}
+        self._full_descriptors: Dict[int, InputDescriptor] = {}
+        self._delta_descriptors: Dict[Tuple[int, int], InputDescriptor] = {}
         # Independent of M: per node, what a full result or index there
         # invalidates; mergeCost / matcost / index upkeep by (term, node, ...).
-        self._invalidation: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
+        self._invalidation: Dict[int, Tuple[FrozenSet[int], List[Tuple[int, int]]]] = {}
         self._static: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------ set-up
@@ -132,6 +142,9 @@ class MaintenanceCostEngine:
         self._full_choice.clear()
         self._diff_cost.clear()
         self._diff_choice.clear()
+        self._result_cost.clear()
+        self._full_descriptors.clear()
+        self._delta_descriptors.clear()
         self._static.clear()
 
     # ----------------------------------------------------- incremental updates
@@ -140,16 +153,21 @@ class MaintenanceCostEngine:
         """Incremental cost update (§6.2); a full key also stands for an index."""
         nodes, diff_keys = self._invalidation_keys(key.node_id)
         if key.is_full:
+            self._full_descriptors.pop(key.node_id, None)
             for nid in nodes:
                 self._full_cost.pop(nid, None)
                 self._full_choice.pop(nid, None)
         else:
+            self._delta_descriptors.pop((key.node_id, key.update), None)
             diff_keys = [(nid, key.update) for nid in nodes]
         for diff_key in diff_keys:
             self._diff_cost.pop(diff_key, None)
             self._diff_choice.pop(diff_key, None)
+        # cost(x, M) reads only x and what lies below it.
+        for result in [k for k in self._result_cost if k.node_id in nodes]:
+            del self._result_cost[result]
 
-    def _invalidation_keys(self, node_id: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+    def _invalidation_keys(self, node_id: int) -> Tuple[FrozenSet[int], List[Tuple[int, int]]]:
         if node_id not in self._invalidation:
             node = self.dag.node(node_id)
             affected = {node_id} | self.dag.ancestors_of(node)
@@ -165,7 +183,7 @@ class MaintenanceCostEngine:
                 if update.relation in self.dag.node(nid).base_relations
                 and (update.relation not in node.base_relations or nid in closure)
             ]
-            self._invalidation[node_id] = (list(affected), diff_keys)
+            self._invalidation[node_id] = (frozenset(affected), diff_keys)
         return self._invalidation[node_id]
 
     @staticmethod
@@ -191,6 +209,9 @@ class MaintenanceCostEngine:
             dict(self._full_choice),
             dict(self._diff_cost),
             dict(self._diff_choice),
+            dict(self._result_cost),
+            dict(self._full_descriptors),
+            dict(self._delta_descriptors),
         )
         try:
             yield self
@@ -202,6 +223,9 @@ class MaintenanceCostEngine:
                 self._full_choice,
                 self._diff_cost,
                 self._diff_choice,
+                self._result_cost,
+                self._full_descriptors,
+                self._delta_descriptors,
             ) = saved
 
     # ------------------------------------------------------------- descriptors
@@ -216,6 +240,9 @@ class MaintenanceCostEngine:
         return indexed
 
     def _full_descriptor(self, node: EquivalenceNode) -> InputDescriptor:
+        descriptor = self._full_descriptors.get(node.id)
+        if descriptor is not None:
+            return descriptor
         stored = node.is_base_relation or ResultKey(node.id, 0) in self.materialized
         sorted_on: Tuple[str, ...] = ()
         if node.is_base_relation:
@@ -223,17 +250,23 @@ class MaintenanceCostEngine:
                 if index.kind == "btree":
                     sorted_on = tuple(index.columns)
                     break
-        return InputDescriptor(
+        descriptor = self._full_descriptors[node.id] = InputDescriptor(
             stats=node.stats,
             stored=stored,
             indexed_columns=tuple(self._node_indexes(node)),
             sorted_on=sorted_on,
         )
+        return descriptor
 
     def _delta_descriptor(self, node: EquivalenceNode, update: UpdateId) -> InputDescriptor:
-        stats = self.annotations.delta_stats(node.id, update.number)
-        stored = ResultKey(node.id, update.number) in self.materialized
-        return InputDescriptor(stats=stats, stored=stored)
+        key = (node.id, update.number)
+        descriptor = self._delta_descriptors.get(key)
+        if descriptor is None:
+            descriptor = self._delta_descriptors[key] = InputDescriptor(
+                stats=self.annotations.delta_stats(*key),
+                stored=ResultKey(*key) in self.materialized,
+            )
+        return descriptor
 
     # --------------------------------------------------------------- compcost
 
@@ -532,9 +565,14 @@ class MaintenanceCostEngine:
 
     def result_cost(self, key: ResultKey) -> float:
         """``cost(x, M)`` for one materialized result (paper §6.1)."""
-        if key.is_full:
-            return min(self.recompute_cost(key.node_id), self.maintcost(key.node_id))
-        return self.diffcost(key.node_id, key.update) + self.matcost(key.node_id, key.update)
+        cost = self._result_cost.get(key)
+        if cost is None:
+            if key.is_full:
+                cost = min(self.recompute_cost(key.node_id), self.maintcost(key.node_id))
+            else:
+                cost = self.diffcost(key.node_id, key.update) + self.matcost(key.node_id, key.update)
+            self._result_cost[key] = cost
+        return cost
 
     def prefers_recomputation(self, node_id: int) -> bool:
         """Whether a full result is cheaper to recompute than to maintain.

@@ -19,8 +19,8 @@ results and differentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.statistics import TableStats
 from repro.storage.buffer import BufferPool
@@ -54,17 +54,31 @@ class InputDescriptor:
     stored: bool = False
     indexed_columns: Tuple[Tuple[str, ...], ...] = ()
     sorted_on: Tuple[str, ...] = ()
+    #: ``indexed_columns`` and ``sorted_on`` without qualifiers, computed once.
+    index_keys: Tuple[Tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    sort_key: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index_keys", tuple(map(_unqualified, self.indexed_columns)))
+        object.__setattr__(self, "sort_key", _unqualified(self.sorted_on))
 
     def has_index_on(self, columns: Sequence[str]) -> bool:
         """Whether an index with leading key ``columns`` is available."""
-        wanted = tuple(c.rsplit(".", 1)[-1] for c in columns)
+        return self.has_index_key(_unqualified(columns))
+
+    def has_index_key(self, wanted: Tuple[str, ...]) -> bool:
+        """:meth:`has_index_on` for columns already without qualifiers."""
         if not wanted:
             return False
-        for key in self.indexed_columns:
-            normalized = tuple(c.rsplit(".", 1)[-1] for c in key)
-            if normalized[: len(wanted)] == wanted or wanted[: len(normalized)] == normalized:
+        for key in self.index_keys:
+            if key[: len(wanted)] == wanted or wanted[: len(key)] == key:
                 return True
         return False
+
+
+def _unqualified(columns: Sequence[str]) -> Tuple[str, ...]:
+    """Column names with any ``relation.`` qualifier stripped."""
+    return tuple(c.rsplit(".", 1)[-1] for c in columns)
 
 
 class CostModel:
@@ -240,6 +254,10 @@ class CostModel:
             return 0.0
         return self.sequential_write(output_stats) + self.sequential_read(output_stats)
 
+    def join_keys(self, conditions: Sequence[Tuple[str, str]]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The unqualified left and right join columns of ``conditions``."""
+        return _unqualified([a for a, _ in conditions]), _unqualified([b for _, b in conditions])
+
     # -------------------------------------------------------------------- joins
 
     def join_cost(
@@ -275,14 +293,14 @@ class CostModel:
         p = self.parameters
         output_cpu = output_stats.cardinality * p.cpu_output_time
         both_access = left_access + right_access
+        left_size = left.stats.size_bytes
+        right_size = right.stats.size_bytes
         candidates: List[Tuple[float, str]] = []
 
-        left_cols = [a for a, _ in conditions]
-        right_cols = [b for _, b in conditions]
-
         if conditions:
+            left_key, right_key = self.join_keys(conditions)
             # --- hash join
-            build, probe = (right, left) if right.stats.size_bytes <= left.stats.size_bytes else (left, right)
+            build, probe = (right, left) if right_size <= left_size else (left, right)
             hash_cost = (
                 both_access
                 + self._spill_penalty(build.stats)
@@ -298,23 +316,19 @@ class CostModel:
                 + output_cpu
                 + (left.stats.cardinality + right.stats.cardinality) * p.cpu_compare_time
             )
-            if tuple(c.rsplit(".", 1)[-1] for c in left.sorted_on[: len(left_cols)]) != tuple(
-                c.rsplit(".", 1)[-1] for c in left_cols
-            ):
+            if left.sort_key[: len(left_key)] != left_key:
                 merge_cost += self.sort_cost(left.stats)
-            if tuple(c.rsplit(".", 1)[-1] for c in right.sorted_on[: len(right_cols)]) != tuple(
-                c.rsplit(".", 1)[-1] for c in right_cols
-            ):
+            if right.sort_key[: len(right_key)] != right_key:
                 merge_cost += self.sort_cost(right.stats)
             candidates.append((merge_cost, "merge"))
 
             # --- index nested loops (either direction): the probed stored
             # side is accessed only through its index, so its access cost is
             # NOT charged.
-            if right.stored and right.has_index_on(right_cols):
+            if right.stored and right.has_index_key(right_key):
                 matches = output_stats.cardinality / max(left.stats.cardinality, 1.0)
                 probe_io = 0.0
-                if not self.buffer.fits(right.stats.size_bytes):
+                if not self.buffer.fits(right_size):
                     probe_io = p.block_read_time + p.seek_time * 0.01
                 index_cost = (
                     left_access
@@ -322,10 +336,10 @@ class CostModel:
                     + output_cpu
                 )
                 candidates.append((index_cost, "index_nested_loop_right"))
-            if left.stored and left.has_index_on(left_cols):
+            if left.stored and left.has_index_key(left_key):
                 matches = output_stats.cardinality / max(right.stats.cardinality, 1.0)
                 probe_io = 0.0
-                if not self.buffer.fits(left.stats.size_bytes):
+                if not self.buffer.fits(left_size):
                     probe_io = p.block_read_time + p.seek_time * 0.01
                 index_cost = (
                     right_access
@@ -335,7 +349,7 @@ class CostModel:
                 candidates.append((index_cost, "index_nested_loop_left"))
 
         # --- (block) nested loops; the only choice for pure cross products.
-        small, big = (left, right) if left.stats.size_bytes <= right.stats.size_bytes else (right, left)
+        small, big = (left, right) if left_size <= right_size else (right, left)
         nl_cost = (
             both_access
             + small.stats.cardinality * big.stats.cardinality * p.cpu_compare_time * 0.01
@@ -349,3 +363,47 @@ class CostModel:
         # Non-pipelined intermediate results are written and re-read by the
         # consumer regardless of the join algorithm chosen.
         return best_cost + self.pipeline_breaker_cost(output_stats), best_algorithm
+
+
+class MemoizedCostModel(CostModel):
+    """A :class:`CostModel` that prices each stats-only primitive once.
+
+    ``sort_cost``, ``_spill_penalty`` and ``pipeline_breaker_cost`` read
+    nothing of their statistics but the cardinality and the tuple width, so
+    each is memoized on that pair, and ``join_keys`` on the conditions; the
+    memoized value is the one the formula returns, so every cost is
+    bit-identical to the plain model's.  The tables grow with the distinct
+    statistics priced: one lives as long as one optimization's cost engine,
+    never on a model an executor keeps.
+    """
+
+    def __init__(self, model: CostModel) -> None:
+        super().__init__(model.parameters, model.buffer)
+        self._sort: Dict[Tuple[float, int], float] = {}
+        self._spill: Dict[Tuple[float, int], float] = {}
+        self._breaker: Dict[Tuple[float, int], float] = {}
+        self._keys: Dict[Tuple[Tuple[str, str], ...], Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+    def sort_cost(self, stats: TableStats) -> float:
+        return self._memo(self._sort, super().sort_cost, stats)
+
+    def _spill_penalty(self, build_stats: TableStats) -> float:
+        return self._memo(self._spill, super()._spill_penalty, build_stats)
+
+    def pipeline_breaker_cost(self, output_stats: TableStats) -> float:
+        return self._memo(self._breaker, super().pipeline_breaker_cost, output_stats)
+
+    @staticmethod
+    def _memo(table: Dict[Tuple[float, int], float], price, stats: TableStats) -> float:
+        key = (stats.cardinality, stats.tuple_width)
+        cost = table.get(key)
+        if cost is None:
+            cost = table[key] = price(stats)
+        return cost
+
+    def join_keys(self, conditions: Sequence[Tuple[str, str]]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        key = tuple(conditions)
+        keys = self._keys.get(key)
+        if keys is None:
+            keys = self._keys[key] = super().join_keys(conditions)
+        return keys

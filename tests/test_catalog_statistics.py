@@ -1,6 +1,10 @@
 """Unit tests for statistics and selectivity estimation."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import (
@@ -220,3 +224,56 @@ def test_updated_by_delta_maintains_bounds_and_histogram():
     shrunk = updated.updated_by_delta(Relation(schema, [(2.0,)]), sign=-1)
     assert shrunk.cardinality == 101.0
     assert shrunk.column("v").histogram.total == pytest.approx(101.0)
+
+
+# ------------------------------------- copies built without dataclasses.replace
+
+def _replaced_with_cardinality(stats, cardinality):
+    """``TableStats.with_cardinality`` as written with ``dataclasses.replace``."""
+    new_cols = {
+        name: replace(cs, distinct=max(1.0, min(cs.distinct, max(cardinality, 1.0))))
+        for name, cs in stats.column_stats.items()
+    }
+    return TableStats(max(0.0, cardinality), stats.tuple_width, new_cols)
+
+
+def _replaced_scaled(cs, factor):
+    """``ColumnStats.scaled`` as written with ``dataclasses.replace``."""
+    histogram = cs.histogram.scaled(factor) if cs.histogram is not None else None
+    return replace(cs, distinct=max(1.0, cs.distinct * factor), histogram=histogram)
+
+
+SIZES = st.one_of(
+    st.sampled_from([0, 1, 1.0, 0.5, 25, 25.0]),
+    st.integers(0, 10**6),
+    st.floats(0.0, 1e6, allow_nan=False),
+)
+
+COLUMN_STATS = st.builds(
+    ColumnStats,
+    distinct=SIZES,
+    min_value=st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False)),
+    max_value=st.one_of(st.none(), st.floats(-1e3, 1e3, allow_nan=False)),
+    null_fraction=st.floats(0.0, 1.0),
+    histogram=st.one_of(st.none(), st.just(Histogram((0.0, 5.0, 9.0), (3.0, 7.0)))),
+    sampled=st.booleans(),
+)
+
+
+def _same(a, b):
+    """Equal field for field, down to the type of every number."""
+    return a == b and repr(a) == repr(b)
+
+
+@given(
+    columns=st.dictionaries(st.sampled_from(["a", "t.b", "c"]), COLUMN_STATS, max_size=3),
+    cardinality=SIZES,
+    new_cardinality=st.one_of(SIZES, st.floats(-10.0, 0.0)),
+    factor=st.one_of(st.just(1.0), st.floats(0.0, 10.0, allow_nan=False)),
+)
+def test_copies_equal_the_replace_based_ones(columns, cardinality, new_cardinality, factor):
+    stats = TableStats(cardinality, 24, columns)
+    assert _same(stats.with_cardinality(new_cardinality), _replaced_with_cardinality(stats, new_cardinality))
+    assert _same(stats.scaled(factor), _replaced_with_cardinality(stats, cardinality * factor))
+    for cs in columns.values():
+        assert _same(cs.scaled(factor), _replaced_scaled(cs, factor))

@@ -159,13 +159,26 @@ def test_speculative_rolls_back_state(join_view_engine):
     shared = next(
         n for n in dag.equivalence_nodes if n.base_relations == frozenset({"lineitem", "orders"})
     )
+    tables = _memo_tables(engine)
     with engine.speculative():
         engine.add_materialized(ResultKey(shared.id, 0))
         engine.add_index(root.id, ("l_orderkey",))
         inside = engine.total_cost()
         assert inside != baseline
+        assert engine._full_descriptors[shared.id].stored
+        assert _memo_tables(engine) != tables
+    assert _memo_tables(engine) == tables
     assert engine.total_cost() == pytest.approx(baseline)
     assert ResultKey(shared.id, 0) not in engine.materialized
+
+
+def _memo_tables(engine):
+    """Copies of the memo tables that depend on the materialized set."""
+    return (
+        dict(engine._result_cost),
+        dict(engine._full_descriptors),
+        dict(engine._delta_descriptors),
+    )
 
 
 def test_incremental_invalidation_matches_full_recompute(catalog):
@@ -302,6 +315,19 @@ def _assert_cache_matches_fresh_engine(engine, dag, catalog):
     for (node_id, update), cost in engine._diff_cost.items():
         assert fresh.diffcost(node_id, update) == cost, f"diffcost e{node_id}, update {update}"
         assert fresh._diff_choice[(node_id, update)] == engine._diff_choice[(node_id, update)]
+    for key, cost in engine._result_cost.items():
+        assert fresh.result_cost(key) == cost, f"cost({key.describe(dag)}, M)"
+    for node_id, descriptor in engine._full_descriptors.items():
+        expected = fresh._full_descriptor(dag.node(node_id))
+        assert _descriptor_fields(descriptor) == _descriptor_fields(expected), f"full e{node_id}"
+    for (node_id, update), descriptor in engine._delta_descriptors.items():
+        expected = fresh._delta_descriptor(dag.node(node_id), engine.annotations.update_by_number(update))
+        assert descriptor == expected, f"delta e{node_id}, update {update}"
+
+
+def _descriptor_fields(descriptor):
+    # Extra indexes come out of a set, so their order carries no meaning.
+    return descriptor.stats, descriptor.stored, set(descriptor.indexed_columns), descriptor.sorted_on
 
 
 @pytest.mark.parametrize("view_set", sorted(INVALIDATION_VIEW_SETS))
@@ -309,7 +335,8 @@ def _assert_cache_matches_fresh_engine(engine, dag, catalog):
 @given(data=st.data())
 def test_every_cached_cost_equals_a_fresh_engines(catalog, invalidation_setups, view_set, data):
     """Exact invalidation: after any sequence of adds, removes and speculative
-    blocks, every memoized compcost / diffCost equals a from-scratch value."""
+    blocks, every memoized compcost / diffCost / cost(x, M) and every memoized
+    input descriptor equals a from-scratch value."""
     dag, annotations, initial, candidates = invalidation_setups[view_set]
     engine = MaintenanceCostEngine(dag, catalog, annotations.spec, annotations=annotations)
     engine.set_materialized(initial)

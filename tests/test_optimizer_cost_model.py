@@ -1,9 +1,16 @@
 """Unit tests for the cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.statistics import ColumnStats, TableStats
-from repro.optimizer.cost_model import CostModel, CostParameters, InputDescriptor
+from repro.optimizer.cost_model import (
+    CostModel,
+    CostParameters,
+    InputDescriptor,
+    MemoizedCostModel,
+)
 from repro.storage.buffer import BufferPool
 
 
@@ -114,3 +121,76 @@ def test_buffer_size_changes_costs():
     small = CostModel(CostParameters(), BufferPool(blocks=100))
     big_input = stats(500_000, width=100)
     assert small.aggregate_cost(big_input, stats(10)) >= large.aggregate_cost(big_input, stats(10))
+
+
+# ------------------------------------------ memoized primitives (per engine)
+
+#: The default pool and the buffer-size study's small one.
+POOLS = (BufferPool(8000), BufferPool(1000))
+WIDTHS = (8, 60, 144)
+
+
+@st.composite
+def straddling_stats(draw, pool):
+    """Statistics whose size lies below, at, just past or far past ``pool``."""
+    width = draw(st.sampled_from(WIDTHS))
+    fit = pool.capacity_bytes // width
+    cardinality = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, float(fit), float(fit + 1), fit + 0.5]),
+            st.floats(0.0, 3.0 * fit, allow_nan=False),
+        )
+    )
+    distinct = draw(st.floats(1.0, max(1.0, cardinality), allow_nan=False))
+    return TableStats(cardinality, width, {"k": ColumnStats(distinct=distinct)})
+
+
+@st.composite
+def descriptors(draw, pool):
+    columns = st.sampled_from([(), ("k",), ("t.k",), ("k", "j"), ("j",)])
+    return InputDescriptor(
+        draw(straddling_stats(pool)),
+        stored=draw(st.booleans()),
+        indexed_columns=tuple(draw(st.lists(columns.filter(bool), max_size=2))),
+        sorted_on=draw(columns),
+    )
+
+
+CONDITIONS = st.sampled_from([(), (("t.k", "s.k"),), (("k", "k"),), (("t.k", "s.k"), ("t.j", "s.j"))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_memoized_primitives_equal_the_plain_models_bit_for_bit(data):
+    pool = data.draw(st.sampled_from(POOLS))
+    plain = CostModel(CostParameters(), pool)
+    memo = MemoizedCostModel(plain)
+    for _ in range(3):
+        stats = data.draw(straddling_stats(pool))
+        # A second object with the same cardinality and width but other
+        # column statistics hits the memo: the primitives must not read them.
+        # A third with another width must miss it.
+        twin = TableStats(stats.cardinality, stats.tuple_width)
+        wider = TableStats(stats.cardinality, stats.tuple_width * 3)
+        for priced, reference in ((stats, stats), (twin, stats), (wider, wider)):
+            assert memo.sort_cost(priced) == plain.sort_cost(reference)
+            assert memo._spill_penalty(priced) == plain._spill_penalty(reference)
+            assert memo.pipeline_breaker_cost(priced) == plain.pipeline_breaker_cost(reference)
+        conditions = data.draw(CONDITIONS)
+        left, right = data.draw(descriptors(pool)), data.draw(descriptors(pool))
+        output = data.draw(straddling_stats(pool))
+        access = data.draw(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)))
+        expected = plain.join_cost(conditions, left, right, output, *access)
+        assert memo.join_cost(conditions, left, right, output, *access) == expected
+        assert memo.join_cost(list(conditions), left, right, output, *access) == expected
+
+
+def test_input_descriptor_index_keys_ignore_qualifiers():
+    descriptor = InputDescriptor(stats(10), indexed_columns=(("t.k", "t.j"),), sorted_on=("t.k",))
+    assert descriptor.index_keys == (("k", "j"),)
+    assert descriptor.sort_key == ("k",)
+    assert descriptor.has_index_on(["s.k"])
+    assert descriptor.has_index_on(["k", "j", "x"])
+    assert not descriptor.has_index_on(["j"])
+    assert not descriptor.has_index_on([])
+    assert descriptor == InputDescriptor(stats(10), indexed_columns=(("t.k", "t.j"),), sorted_on=("t.k",))
