@@ -9,15 +9,9 @@ concrete numbers.
 from __future__ import annotations
 
 import os
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.bench.reporting import (
-    comparison_payload,
-    format_comparison,
-    format_series,
-    render_json,
-    series_payload,
-)
+from repro.bench.reporting import format_comparison, format_series
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
@@ -35,25 +29,14 @@ def write_result(name: str, text: str) -> str:
     return path
 
 
-def write_json_result(name: str, payload: Mapping[str, Any]) -> str:
-    """Persist a machine-readable ``BENCH_<name>.json`` under ``results/``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_json(payload) + "\n")
-    return path
-
-
 def write_series(name: str, series) -> None:
-    """Persist one figure sweep as both a text table and a JSON payload."""
+    """Persist one figure sweep as a text table."""
     write_result(name, format_series(series))
-    write_json_result(name, series_payload(series))
 
 
-def write_comparison(name: str, label: str, values: Mapping[str, Any]) -> None:
-    """Persist one summary block as both text and JSON."""
+def write_comparison(name: str, label: str, values: Mapping[str, object]) -> None:
+    """Persist one summary block of deterministic values as text."""
     write_result(name, format_comparison(label, values))
-    write_json_result(name, comparison_payload(label, values))
 
 
 def assert_greedy_dominates(series, tolerance: float = 1.001) -> None:

@@ -30,13 +30,9 @@ def _run(include_indexes=True, use_monotonicity=True, expand_joins=True):
     return optimizer.optimize(queries.view_set_plain(), UpdateSpec.uniform(0.05))
 
 
-def test_ablation_monotonicity_optimization(benchmark):
+def test_ablation_monotonicity_optimization():
     """Lazy benefit re-evaluation finds the same-quality answer with less work."""
-
-    def both():
-        return _run(use_monotonicity=True), _run(use_monotonicity=False)
-
-    lazy, eager = benchmark.pedantic(both, rounds=1, iterations=1)
+    lazy, eager = _run(use_monotonicity=True), _run(use_monotonicity=False)
     write_comparison(
         "ablation_monotonicity",
         "ablation: monotonicity optimization (fig4a workload, 5% updates)",
@@ -45,21 +41,15 @@ def test_ablation_monotonicity_optimization(benchmark):
             "eager_total_cost": eager.total_cost,
             "lazy_benefit_evaluations": lazy.selection.benefit_evaluations,
             "eager_benefit_evaluations": eager.selection.benefit_evaluations,
-            "lazy_seconds": lazy.optimization_seconds,
-            "eager_seconds": eager.optimization_seconds,
         },
     )
     assert lazy.total_cost <= eager.total_cost * 1.05
     assert lazy.selection.benefit_evaluations <= eager.selection.benefit_evaluations
 
 
-def test_ablation_index_selection(benchmark):
+def test_ablation_index_selection():
     """Disabling index candidates makes the chosen configuration clearly worse."""
-
-    def both():
-        return _run(include_indexes=True), _run(include_indexes=False)
-
-    with_indexes, without_indexes = benchmark.pedantic(both, rounds=1, iterations=1)
+    with_indexes, without_indexes = _run(include_indexes=True), _run(include_indexes=False)
     write_comparison(
         "ablation_indexes",
         "ablation: index selection (fig4a workload, 5% updates)",
@@ -71,13 +61,9 @@ def test_ablation_index_selection(benchmark):
     assert with_indexes.total_cost < without_indexes.total_cost
 
 
-def test_ablation_join_expansion(benchmark):
+def test_ablation_join_expansion():
     """Without associativity expansion the optimizer cannot do better."""
-
-    def both():
-        return _run(expand_joins=True), _run(expand_joins=False)
-
-    expanded, literal = benchmark.pedantic(both, rounds=1, iterations=1)
+    expanded, literal = _run(expand_joins=True), _run(expand_joins=False)
     write_comparison(
         "ablation_expansion",
         "ablation: join-order expansion (fig4a workload, 5% updates)",

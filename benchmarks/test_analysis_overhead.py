@@ -3,10 +3,10 @@
 The analyzer runs on every ``define_view`` and the plan verifier on every
 plan-cache insert (``cache-insert``) or planning call (``always``), so both
 must be cheap relative to planning itself.  This benchmark times the three
-phases separately over the full workload view pool and records the
-ratios into ``results/BENCH_analysis.json``; the assertions pin the claims
-the docs make — every workload passes both passes with zero diagnostics,
-and the combined overhead stays a fraction of raw planning time.
+phases separately over the full workload view pool; the assertions pin the
+claims the docs make — every workload passes both passes with zero
+diagnostics, and the combined overhead stays a fraction of raw planning
+time.  ``results/analysis.txt`` records only the deterministic counts.
 """
 
 from time import perf_counter
@@ -72,14 +72,17 @@ def run_analysis_overhead():
     }
 
 
-def test_analysis_overhead(benchmark):
+def test_analysis_overhead():
     """Analyzer + verifier cost a fraction of planning, with zero findings."""
-    result = benchmark.pedantic(run_analysis_overhead, rounds=1, iterations=1)
+    result = run_analysis_overhead()
     write_comparison(
         "analysis",
         "analysis: static analyzer + plan verifier overhead "
         "(full workload view pool)",
-        result,
+        {
+            key: result[key]
+            for key in ("views", "analyzer_diagnostics", "verifier_diagnostics")
+        },
     )
     assert result["views"] >= 20
     # Conservativeness: every supported workload passes both passes clean.

@@ -7,29 +7,17 @@ moved further in favour of the Greedy algorithm.
 """
 
 from repro.bench.experiments import run_buffer_size_effect
-from repro.bench.reporting import format_series, series_payload
+from repro.bench.reporting import format_series
 
-from benchmarks.helpers import write_json_result, write_result
+from benchmarks.helpers import write_result
 
 
-def test_small_buffer_increases_costs_and_benefit_ratio(benchmark):
+def test_small_buffer_increases_costs_and_benefit_ratio():
     """Shrinking the buffer raises costs and strengthens Greedy's advantage."""
-    result = benchmark.pedantic(
-        run_buffer_size_effect,
-        kwargs={"update_percentages": (0.01, 0.10, 0.40)},
-        rounds=1,
-        iterations=1,
-    )
+    result = run_buffer_size_effect(update_percentages=(0.01, 0.10, 0.40))
     write_result(
         "bufsize",
         format_series(result.large_buffer) + "\n\n" + format_series(result.small_buffer),
-    )
-    write_json_result(
-        "bufsize",
-        {
-            "large_buffer": series_payload(result.large_buffer),
-            "small_buffer": series_payload(result.small_buffer),
-        },
     )
     large_ratio, small_ratio = result.ratio_at_lowest_update()
     # Costs go up with the smaller buffer, for both algorithms (paper's first

@@ -15,28 +15,24 @@ workload so estimate-quality regressions fail CI, and end-to-end runtimes
 must not degrade relative to the baseline estimator's plans.
 """
 
-import os
-
 from repro.bench.estimation import run_estimation_quality
-from repro.bench.reporting import estimation_payload, format_estimation
+from repro.bench.reporting import format_estimation
 
-from benchmarks.helpers import write_json_result, write_result
+from benchmarks.helpers import write_result
 
 #: Absolute ceiling for the histogram+feedback median q-error on the fig3
-#: workload.  Overridable for exotic environments; the recorded
-#: BENCH_estimation.json still tracks the real number.
-QERROR_CEILING = float(os.environ.get("ESTIMATION_QERROR_CEILING", "1.5"))
+#: workload.
+QERROR_CEILING = 1.5
 
 #: Allowed runtime slack of histogram-estimated plans over baseline plans
 #: (generous: shared CI runners are noisy and the workloads run in ~1s).
-RUNTIME_SLACK = float(os.environ.get("ESTIMATION_RUNTIME_SLACK", "1.75"))
+RUNTIME_SLACK = 1.75
 
 
-def test_histogram_feedback_beats_uniformity(benchmark):
+def test_histogram_feedback_beats_uniformity():
     """Histogram + feedback estimation dominates the uniformity baseline."""
-    result = benchmark.pedantic(run_estimation_quality, rounds=1, iterations=1)
+    result = run_estimation_quality()
     write_result("estimation", format_estimation(result))
-    write_json_result("estimation", estimation_payload(result))
 
     for workload in ("fig3", "fig5"):
         uniform = result.workload(workload).modes["uniform"]

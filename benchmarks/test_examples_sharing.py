@@ -10,9 +10,9 @@ from repro.bench.experiments import run_sharing_examples
 from benchmarks.helpers import write_comparison
 
 
-def test_sharing_examples(benchmark):
+def test_sharing_examples():
     """Both §3.3 examples produce cost reductions from sharing."""
-    result = benchmark.pedantic(run_sharing_examples, rounds=1, iterations=1)
+    result = run_sharing_examples()
     write_comparison(
         "examples_sharing",
         "ex3.1/ex3.2: sharing illustrations",

@@ -15,11 +15,9 @@ from benchmarks.helpers import (
 )
 
 
-def test_fig3a_standalone_join_view(benchmark):
+def test_fig3a_standalone_join_view():
     """Figure 3(a): join of 4 relations, no aggregation."""
-    series = benchmark.pedantic(
-        run_fig3a, kwargs={"update_percentages": BENCH_UPDATE_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig3a(update_percentages=BENCH_UPDATE_PERCENTAGES)
     write_series("fig3a", series)
     assert_greedy_dominates(series)
     assert_costs_nondecreasing(series)
@@ -27,11 +25,9 @@ def test_fig3a_standalone_join_view(benchmark):
     assert_benefit_shrinks_with_updates(series, minimum_low_ratio=2.0)
 
 
-def test_fig3b_standalone_aggregate_view(benchmark):
+def test_fig3b_standalone_aggregate_view():
     """Figure 3(b): aggregation over the same join."""
-    series = benchmark.pedantic(
-        run_fig3b, kwargs={"update_percentages": BENCH_UPDATE_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig3b(update_percentages=BENCH_UPDATE_PERCENTAGES)
     write_series("fig3b", series)
     assert_greedy_dominates(series)
     assert_costs_nondecreasing(series)

@@ -15,11 +15,9 @@ from benchmarks.helpers import (
 )
 
 
-def test_fig4a_view_set_without_aggregation(benchmark):
+def test_fig4a_view_set_without_aggregation():
     """Figure 4(a): five join views sharing sub-expressions."""
-    series = benchmark.pedantic(
-        run_fig4a, kwargs={"update_percentages": BENCH_UPDATE_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig4a(update_percentages=BENCH_UPDATE_PERCENTAGES)
     write_series("fig4a", series)
     assert_greedy_dominates(series)
     assert_costs_nondecreasing(series)
@@ -28,11 +26,9 @@ def test_fig4a_view_set_without_aggregation(benchmark):
     assert_benefit_shrinks_with_updates(series, minimum_low_ratio=3.0)
 
 
-def test_fig4b_view_set_with_aggregation(benchmark):
+def test_fig4b_view_set_with_aggregation():
     """Figure 4(b): five aggregate views over shared joins."""
-    series = benchmark.pedantic(
-        run_fig4b, kwargs={"update_percentages": BENCH_UPDATE_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig4b(update_percentages=BENCH_UPDATE_PERCENTAGES)
     write_series("fig4b", series)
     assert_greedy_dominates(series)
     assert_costs_nondecreasing(series)

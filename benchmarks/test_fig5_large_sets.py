@@ -17,21 +17,17 @@ from benchmarks.helpers import (
 FIG5_PERCENTAGES = (0.01, 0.10, 0.40, 0.80)
 
 
-def test_fig5a_with_predefined_indexes(benchmark):
+def test_fig5a_with_predefined_indexes():
     """Figure 5(a): ten views with primary-key indexes predefined."""
-    series = benchmark.pedantic(
-        run_fig5a, kwargs={"update_percentages": FIG5_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig5a(update_percentages=FIG5_PERCENTAGES)
     write_series("fig5a", series)
     assert_greedy_dominates(series)
     assert_benefit_shrinks_with_updates(series, minimum_low_ratio=4.0)
 
 
-def test_fig5b_without_predefined_indexes(benchmark):
+def test_fig5b_without_predefined_indexes():
     """Figure 5(b): the same ten views with no initial indexes."""
-    series = benchmark.pedantic(
-        run_fig5b, kwargs={"update_percentages": FIG5_PERCENTAGES}, rounds=1, iterations=1
-    )
+    series = run_fig5b(update_percentages=FIG5_PERCENTAGES)
     write_series("fig5b", series)
     assert_greedy_dominates(series)
     assert_benefit_shrinks_with_updates(series, minimum_low_ratio=4.0)
@@ -39,16 +35,10 @@ def test_fig5b_without_predefined_indexes(benchmark):
     assert all(point.greedy_indexes > 0 for point in series.points)
 
 
-def test_fig5_greedy_insensitive_to_initial_indexes(benchmark):
+def test_fig5_greedy_insensitive_to_initial_indexes():
     """Greedy's plan cost barely depends on whether indexes pre-exist (§7.2)."""
-
-    def both():
-        return (
-            run_fig5a(update_percentages=(0.01, 0.10)),
-            run_fig5b(update_percentages=(0.01, 0.10)),
-        )
-
-    with_idx, without_idx = benchmark.pedantic(both, rounds=1, iterations=1)
+    with_idx = run_fig5a(update_percentages=(0.01, 0.10))
+    without_idx = run_fig5b(update_percentages=(0.01, 0.10))
     for point_a, point_b in zip(with_idx.points, without_idx.points):
         # Greedy costs within 25% of each other whether or not indexes existed.
         assert point_b.greedy_cost <= point_a.greedy_cost * 1.25

@@ -2,10 +2,10 @@
 
 This is the benchmark for :mod:`repro.serving`: the fig3 view pair is
 served through ``Warehouse.serve()`` while reader threads hammer the
-views and the producer ingests the same churn stream the stream benchmark
-uses.  Two SLO cells run — ``serve-stale`` and ``block``, both bounded at
-``max_rounds=4`` over the cost-based deferral — and each must clear the
-correctness gates before any number counts:
+views and the producer ingests a churn stream of update rounds.  Two SLO
+cells run — ``serve-stale`` and ``block``, both bounded at
+``max_rounds=4`` over the cost-based deferral — and each must pass two
+checks:
 
 * **snapshot isolation**: every *distinct (view, version)* relation any
   reader was served is bag-identical to a serial oracle that replayed the
@@ -14,32 +14,24 @@ correctness gates before any number counts:
   every individual read without a per-query bag comparison;
 * **SLO admission**: no non-degraded read ever observed staleness beyond
   the configured bound (degraded reads are the ``serve-stale`` policy's
-  explicit escape hatch, and are counted, not hidden).
+  explicit escape hatch).
 
-``results/BENCH_serving.json`` records p50/p99 read latency, throughput,
-and the maximum observed staleness per cell under ``timing`` (wall-clock
-and scheduling-dependent numbers never go in the deterministic part);
-``results/serving.txt`` records the deterministic verification table.
-
-Environment knobs for CI smoke runs: ``SERVING_ROUNDS``,
-``SERVING_READERS``, ``SERVING_SCALE``.
+Read latency and throughput under load are measured end to end by
+``perf/`` (the ``serve_mixed`` workload), not here.
 """
-
-import os
 
 from repro.algebra.expressions import base_relations
 from repro.api import FreshnessSLO, Warehouse, WarehouseConfig
 from repro.bench.experiments import PAPER_SCALE_FACTOR
-from repro.serving import run_client_swarm
 from repro.workloads import queries
 from repro.workloads.datagen import small_database
 from repro.workloads.updategen import generate_update_stream
 
-from benchmarks.helpers import write_json_result, write_result
+from benchmarks.swarm import run_client_swarm
 
-SCALE = float(os.environ.get("SERVING_SCALE", "0.002"))
-ROUNDS = int(os.environ.get("SERVING_ROUNDS", "10"))
-READERS = int(os.environ.get("SERVING_READERS", "4"))
+SCALE = 0.002
+ROUNDS = 6
+READERS = 8
 UPDATE_PERCENTAGE = 0.03
 OVERLAP = 0.6
 SLO_BOUND = 4
@@ -49,7 +41,7 @@ CELLS = ("serve-stale", "block")
 
 
 def _make_warehouse(database):
-    """The stream benchmark's setup: plan at paper scale, run small."""
+    """Plan at paper scale, run small."""
     wh = Warehouse(
         WarehouseConfig.profile(
             "fast",
@@ -121,26 +113,13 @@ def run_serving_benchmark():
                 swarm.served_versions.items()
             )
         )
-        cells.append((policy, slo, swarm, final_round, verified))
-    return stream_rounds, cells
+        cells.append((policy, swarm, final_round, verified))
+    return cells
 
 
-def test_serving_swarm_matches_serial_oracle(benchmark):
+def test_serving_swarm_matches_serial_oracle():
     """Concurrent serving is exactly serial replay, within the SLO bounds."""
-    stream_rounds, cells = benchmark.pedantic(
-        run_serving_benchmark, rounds=1, iterations=1
-    )
-
-    payload_cells = []
-    table = [
-        f"serving: concurrent client swarm over snapshot-isolated views "
-        f"(scale factor {SCALE:g}, {UPDATE_PERCENTAGE:.0%} updates x "
-        f"{ROUNDS} rounds, {READERS} readers)",
-        f"{'policy':<12}  {'slo':<12}  {'rounds':>6}  {'verified':>8}  {'slo_respected':>13}",
-        f"{'-' * 12}  {'-' * 12}  {'-' * 6}  {'-' * 8}  {'-' * 13}",
-    ]
-    for policy, slo, swarm, final_round, verified in cells:
-        # Correctness gates before any performance claim.
+    for policy, swarm, final_round, verified in run_serving_benchmark():
         assert not swarm.errors, f"[{policy}] reader errors: {swarm.errors}"
         assert swarm.ingested_rounds == ROUNDS, (
             f"[{policy}] producer only landed {swarm.ingested_rounds} of "
@@ -154,61 +133,8 @@ def test_serving_swarm_matches_serial_oracle(benchmark):
             f"[{policy}] a served snapshot diverged from the serial oracle"
         )
         # Admission control: non-degraded reads always satisfy the SLO.
-        slo_respected = swarm.max_fresh_staleness_rounds <= SLO_BOUND
-        assert slo_respected, (
+        assert swarm.max_fresh_staleness_rounds <= SLO_BOUND, (
             f"[{policy}] a non-degraded read observed "
             f"{swarm.max_fresh_staleness_rounds} rounds of staleness "
             f"(SLO bound: {SLO_BOUND})"
         )
-        table.append(
-            f"{policy:<12}  {slo.render():<12}  {ROUNDS:>6}  "
-            f"{str(verified):>8}  {str(slo_respected):>13}"
-        )
-        payload_cells.append(
-            {
-                "policy": policy,
-                "slo": slo.render(),
-                "slo_max_rounds": SLO_BOUND,
-                "ingested_rounds": swarm.ingested_rounds,
-                "final_round": final_round,
-                "verified": verified,
-                "slo_respected": slo_respected,
-                # Latency, throughput and observed staleness depend on
-                # thread scheduling — timing sub-object, never diffed.
-                "timing": {
-                    "p50_ms": swarm.p50_ms,
-                    "p99_ms": swarm.p99_ms,
-                    "elapsed_seconds": swarm.elapsed_seconds,
-                    "throughput_qps": swarm.throughput_qps,
-                    "queries": float(swarm.queries),
-                    "degraded_reads": float(swarm.degraded),
-                    "rejected_reads": float(swarm.rejected),
-                    "max_staleness_rounds": float(swarm.max_staleness_rounds),
-                    "max_staleness_rows": float(swarm.max_staleness_rows),
-                    "max_fresh_staleness_rounds": float(
-                        swarm.max_fresh_staleness_rounds
-                    ),
-                    "distinct_versions": float(len(swarm.served_versions)),
-                },
-            }
-        )
-
-    table.append(
-        "(latency percentiles, throughput and observed staleness: "
-        "results/BENCH_serving.json)"
-    )
-    write_result("serving", "\n".join(table))
-    write_json_result(
-        "serving",
-        {
-            "experiment": "serving",
-            "scale_factor": SCALE,
-            "update_percentage": UPDATE_PERCENTAGE,
-            "overlap": OVERLAP,
-            "rounds": ROUNDS,
-            "readers": READERS,
-            "slo_max_rounds": SLO_BOUND,
-            "views": sorted(VIEWS),
-            "cells": payload_cells,
-        },
-    )

@@ -16,14 +16,9 @@ from repro.bench.experiments import run_temp_vs_perm
 from benchmarks.helpers import write_comparison
 
 
-def test_temp_vs_perm_flip_with_update_rate(benchmark):
+def test_temp_vs_perm_flip_with_update_rate():
     """Low update rates favour maintenance; high update rates favour recomputation."""
-    result = benchmark.pedantic(
-        run_temp_vs_perm,
-        kwargs={"update_percentages": (0.01, 0.05, 0.50, 0.90)},
-        rounds=1,
-        iterations=1,
-    )
+    result = run_temp_vs_perm(update_percentages=(0.01, 0.05, 0.50, 0.90))
     write_comparison(
         "tempperm",
         "tempperm: materialized results classified by cheaper refresh strategy",

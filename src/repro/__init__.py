@@ -17,7 +17,8 @@ A from-scratch Python reproduction of Mistry, Roy, Ramamritham and Sudarshan,
 * ``repro.serving``   — the concurrent serving tier: versioned snapshot
   reads, a background refresh daemon, per-view freshness SLOs
 * ``repro.workloads`` — TPC-D-style schema, data, update and view generators
-* ``repro.bench``     — experiment drivers reproducing the paper's figures
+* ``repro.bench``     — drivers for the paper's §7 figures and tables (plan
+  costs and selections; end-to-end timings are measured by ``perf/``)
 * ``repro.api``       — the public façade: one :class:`Warehouse` session
   object plus the fluent :class:`Q` view builder
 

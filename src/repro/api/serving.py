@@ -271,6 +271,10 @@ class ServingSession:
         try:
             seq = self.daemon.request_flush()
             if not self.daemon.wait_processed(seq, timeout=timeout):
+                if timeout is None or self.closed:
+                    raise ServingClosedError(
+                        "the session closed before the flush ran"
+                    )
                 raise ServingError(
                     f"flush did not complete within {timeout:g}s"
                 )

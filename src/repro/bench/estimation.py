@@ -17,9 +17,10 @@ configuration of the unified :class:`~repro.catalog.estimator.CardinalityEstimat
 For every executed plan step that carries a logical expression the estimated
 and actual output cardinalities are recorded; the per-mode summary reports
 the median/mean/maximum q-error (``max(est/act, act/est)`` with +1
-smoothing), the total optimizer plan cost, and the end-to-end wall-clock
-runtime of the workload, so estimate quality and plan quality are tracked
-side by side in ``results/BENCH_estimation.json``.
+smoothing) and the total optimizer plan cost, written to
+``results/estimation.txt``.  The best-of-N wall-clock runtime of each mode
+is kept only for the benchmark's plan-quality guard (better estimates must
+not buy slower plans).
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ class EstimationQualityResult:
         """Median q-error of one workload under one mode."""
         return self.workload(workload).modes[mode].median_qerror
 
-    def runtime(self, workload: str, mode: str) -> float:
-        """End-to-end runtime of one workload under one mode."""
-        return self.workload(workload).modes[mode].runtime_seconds
-
     def as_rows(self) -> List[Dict[str, object]]:
         """Rows suitable for tabular rendering."""
         rows: List[Dict[str, object]] = []
@@ -173,7 +170,6 @@ class EstimationQualityResult:
                         "mean_qerror": result.mean_qerror,
                         "max_qerror": result.max_qerror,
                         "plan_cost": result.plan_cost,
-                        "runtime_ms": result.runtime_seconds * 1000.0,
                     }
                 )
         return rows

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.algebra.expressions import base_relations
 from repro.bench.harness import ExperimentConfig, FigureSeries, run_figure_sweep
-from repro.engine.executor import evaluate
-from repro.engine.physical import PhysicalExecutor
-from repro.maintenance.maintainer import ViewRefresher
 from repro.maintenance.update_spec import UpdateSpec
 from repro.mqo.greedy import MultiQueryOptimizer, MqoResult
-from repro.storage.delta import DeltaStore
 from repro.workloads import queries, tpcd
-from repro.workloads.datagen import small_database
-from repro.workloads.updategen import uniform_deltas
 
 #: The x axis of every figure: update percentages from 1% to 80% (paper §7.1).
 DEFAULT_UPDATE_PERCENTAGES: Tuple[float, ...] = (0.01, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80)
@@ -284,415 +277,6 @@ def run_buffer_size_effect(
         update_percentages,
     )
     return BufferSizeResult(large_buffer=large, small_buffer=small)
-
-
-# ------------------------------------------- physical executor vs interpreter
-
-@dataclass
-class ExecutionComparisonPoint:
-    """One view's execution timings under both execution paths."""
-
-    view: str
-    rows: int
-    plan_cost: float
-    logical_seconds: float
-    physical_seconds: float
-    #: One-time DAG-build + Volcano-search time, paid once per expression
-    #: and amortized out of ``physical_seconds`` by the plan cache.
-    planning_seconds: float = 0.0
-
-    @property
-    def speedup(self) -> float:
-        """Interpreter time divided by physical-pipeline time (> 1 = faster)."""
-        if self.physical_seconds <= 0:
-            return float("inf")
-        return self.logical_seconds / self.physical_seconds
-
-
-@dataclass
-class ExecutionComparisonResult:
-    """Vectorized physical execution vs the row-at-a-time interpreter."""
-
-    experiment: str
-    scale_factor: float
-    points: List[ExecutionComparisonPoint] = field(default_factory=list)
-
-    @property
-    def total_logical_seconds(self) -> float:
-        """Total interpreter time across the query set."""
-        return sum(p.logical_seconds for p in self.points)
-
-    @property
-    def total_physical_seconds(self) -> float:
-        """Total physical-pipeline time across the query set."""
-        return sum(p.physical_seconds for p in self.points)
-
-    @property
-    def overall_speedup(self) -> float:
-        """Workload-level speedup of the physical path."""
-        if self.total_physical_seconds <= 0:
-            return float("inf")
-        return self.total_logical_seconds / self.total_physical_seconds
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Rows suitable for tabular rendering."""
-        return [
-            {
-                "view": p.view,
-                "rows": p.rows,
-                "plan_cost": p.plan_cost,
-                "logical_ms": p.logical_seconds * 1000.0,
-                "physical_ms": p.physical_seconds * 1000.0,
-                "speedup": p.speedup,
-            }
-            for p in self.points
-        ]
-
-
-def run_physical_vs_interpreter(
-    scale_factor: float = 0.01,
-    repetitions: int = 3,
-    views: Optional[Mapping[str, object]] = None,
-) -> ExecutionComparisonResult:
-    """Execute the fig3/fig5 query sets through both execution paths.
-
-    Every view is first checked for bag-equality between the two paths (the
-    physical executor has no interpreter fallback), then timed; the best of
-    ``repetitions`` runs is kept for each path.
-
-    The physical timings measure *execution* with a warm plan cache:
-    planning (DAG build + Volcano search) is a once-per-expression cost in
-    the paper's setting — maintenance plans are chosen once per
-    configuration, then executed refresh after refresh — so it is amortized
-    out of ``physical_seconds`` and reported separately as
-    ``planning_seconds``.
-    """
-    if views is None:
-        combined: Dict[str, object] = {}
-        combined.update(queries.standalone_join_view())
-        combined.update(queries.standalone_agg_view())
-        combined.update(queries.large_view_set())
-        views = combined
-    database = small_database(scale_factor=scale_factor)
-    executor = PhysicalExecutor(database)
-    result = ExecutionComparisonResult(
-        experiment="physical_exec", scale_factor=scale_factor
-    )
-
-    def best_time(fn) -> float:
-        best = float("inf")
-        for _ in range(max(1, repetitions)):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    for name, expression in views.items():
-        planning_started = time.perf_counter()
-        plan, _ = executor.plan(expression)
-        planning_seconds = time.perf_counter() - planning_started
-        reference = evaluate(expression, database)
-        produced = executor.evaluate(expression)
-        if not reference.same_bag(produced):
-            raise AssertionError(
-                f"physical execution of {name} differs from the interpreter"
-            )
-        logical_seconds = best_time(lambda: evaluate(expression, database))
-        physical_seconds = best_time(lambda: executor.evaluate(expression))
-        result.points.append(
-            ExecutionComparisonPoint(
-                view=name,
-                rows=len(reference),
-                plan_cost=plan.total_cost(),
-                logical_seconds=logical_seconds,
-                physical_seconds=physical_seconds,
-                planning_seconds=planning_seconds,
-            )
-        )
-    return result
-
-
-# ------------------------------------------------------- differential refresh
-
-@dataclass
-class RefreshComparisonPoint:
-    """One view set's refresh timing and verification outcome."""
-
-    workload: str
-    views: int
-    rounds: int
-    #: Tuples inserted+deleted across all views and rounds.
-    changes: int
-    vectorized_seconds: float
-    #: Whether ``verify_against_recomputation`` passed for every view after
-    #: every refresh round.
-    verified: bool
-
-
-@dataclass
-class RefreshComparisonResult:
-    """Refresh through the differential engine, verified against recomputation."""
-
-    experiment: str
-    scale_factor: float
-    update_percentage: float
-    points: List[RefreshComparisonPoint] = field(default_factory=list)
-
-    @property
-    def total_vectorized_seconds(self) -> float:
-        """Total refresh time."""
-        return sum(p.vectorized_seconds for p in self.points)
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether every benchmarked refresh round verified."""
-        return all(p.verified for p in self.points)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Rows suitable for tabular rendering."""
-        return [
-            {
-                "workload": p.workload,
-                "views": p.views,
-                "rounds": p.rounds,
-                "changes": p.changes,
-                "vectorized_ms": p.vectorized_seconds * 1000.0,
-                "verified": p.verified,
-            }
-            for p in self.points
-        ]
-
-
-def run_refresh_comparison(
-    scale_factor: float = 0.01,
-    update_percentage: float = 0.05,
-    refresh_rounds: int = 2,
-) -> RefreshComparisonResult:
-    """Refresh the fig3/fig5 view sets and verify every round.
-
-    For each view set, a sequence of update batches is propagated through
-    the vectorized :class:`~repro.engine.differential.DifferentialEngine`
-    with its per-round shared old-value cache.  After *every* refresh round
-    the views are verified against recomputation (the interpreter
-    reference); a point only counts as verified if every view passed every
-    time.
-
-    Update batches are generated against a lock-step simulation of the base
-    tables.
-    """
-    workloads: Dict[str, Dict[str, object]] = {
-        "fig3": {**queries.standalone_join_view(), **queries.standalone_agg_view()},
-        "fig5": queries.large_view_set(),
-    }
-    base = small_database(scale_factor=scale_factor)
-    result = RefreshComparisonResult(
-        experiment="refresh",
-        scale_factor=scale_factor,
-        update_percentage=update_percentage,
-    )
-
-    for workload, views in workloads.items():
-        involved = sorted({r for e in views.values() for r in base_relations(e)})
-        # Pre-generate one delta batch per refresh round against a base-table
-        # simulation evolved in lock step with the measured databases.
-        sim = base.copy()
-        batches: List[DeltaStore] = []
-        for round_number in range(refresh_rounds):
-            deltas = uniform_deltas(
-                sim, update_percentage, relations=involved, seed=1000 + round_number
-            )
-            batches.append(deltas)
-            for delta in deltas:
-                sim.apply_delta(delta)
-
-        verified = True
-        changes = 0
-        refresher = ViewRefresher(base.copy(), views)
-        refresher.initialize_views()
-        elapsed = 0.0
-        for deltas in batches:
-            started = time.perf_counter()
-            report = refresher.refresh(deltas)
-            elapsed += time.perf_counter() - started
-            verified = verified and all(
-                refresher.verify_against_recomputation().values()
-            )
-            changes += report.total_changes()
-
-        result.points.append(
-            RefreshComparisonPoint(
-                workload=workload,
-                views=len(views),
-                rounds=refresh_rounds,
-                changes=changes,
-                vectorized_seconds=elapsed,
-                verified=verified,
-            )
-        )
-    return result
-
-
-# ------------------------------------------------- stream scheduling policies
-
-@dataclass
-class StreamPolicyOutcome:
-    """What one refresh policy did with the same update stream."""
-
-    policy: str
-    flushes: int
-    rounds_refreshed: int
-    skipped_flushes: int
-    #: Base-table tuples entering the refresher (after coalescing, if any).
-    base_rows_applied: int
-    #: View tuples changed incrementally across all flushes.
-    view_rows_changed: int
-    #: Views rebuilt by recomputation across all flushes.
-    view_recomputations: int
-    #: Tuples annihilated by insert/delete coalescing.
-    annihilated_rows: int
-    #: Wall-clock seconds spent ingesting + refreshing.
-    refresh_seconds: float
-    #: Whether every view matched recomputation after the final flush.
-    verified: bool
-
-    @property
-    def rows_propagated(self) -> int:
-        """Total refresh traffic: base rows applied + view rows changed."""
-        return self.base_rows_applied + self.view_rows_changed
-
-
-@dataclass
-class StreamComparisonResult:
-    """Eager per-round refresh vs coalesced deferred refresh on one stream."""
-
-    experiment: str
-    scale_factor: float
-    update_percentage: float
-    rounds: int
-    overlap: float
-    views: int
-    outcomes: Dict[str, StreamPolicyOutcome] = field(default_factory=dict)
-    #: Whether the final view bags are identical across the two policies.
-    views_identical: bool = False
-
-    @property
-    def speedup(self) -> float:
-        """Eager refresh wall-clock over coalesced/deferred wall-clock."""
-        coalesced = self.outcomes["coalesce"].refresh_seconds
-        if coalesced <= 0:
-            return float("inf")
-        return self.outcomes["eager"].refresh_seconds / coalesced
-
-    @property
-    def rows_saved(self) -> int:
-        """Refresh traffic avoided by coalescing + deferral."""
-        return (
-            self.outcomes["eager"].rows_propagated
-            - self.outcomes["coalesce"].rows_propagated
-        )
-
-    @property
-    def all_verified(self) -> bool:
-        """Whether both policies' views matched recomputation at the end."""
-        return all(o.verified for o in self.outcomes.values())
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Rows suitable for tabular rendering (deterministic fields only)."""
-        return [
-            {
-                "policy": o.policy,
-                "flushes": o.flushes,
-                "rounds_refreshed": o.rounds_refreshed,
-                "base_rows": o.base_rows_applied,
-                "view_rows": o.view_rows_changed,
-                "recomputes": o.view_recomputations,
-                "annihilated": o.annihilated_rows,
-                "verified": o.verified,
-            }
-            for o in self.outcomes.values()
-        ]
-
-
-def run_stream_comparison(
-    scale_factor: float = 0.002,
-    update_percentage: float = 0.03,
-    rounds: int = 6,
-    overlap: float = 0.6,
-) -> StreamComparisonResult:
-    """Ingest the same update stream under the eager and coalescing policies.
-
-    The stream is the fig3 workload (the stand-alone join view and its
-    aggregate sibling) fed ``rounds`` update rounds in which ``overlap`` of
-    each round's deletes target the previous round's inserts — warehouse
-    churn where coalescing annihilation pays.  Both policies go through
-    ``Warehouse.stream()``: *eager* refreshes after every ingest (the
-    pre-stream behavior), *coalesce* defers until the scheduler or the final
-    ``close()`` flushes.  Final view contents are verified bag-identical
-    between the policies (and against recomputation) before any timing
-    counts.
-    """
-    from repro.api import Warehouse, WarehouseConfig
-    from repro.workloads.updategen import generate_update_stream
-
-    views = {**queries.standalone_join_view(), **queries.standalone_agg_view()}
-    base = small_database(scale_factor=scale_factor)
-    involved = sorted({r for e in views.values() for r in base_relations(e)})
-    stream_rounds = generate_update_stream(
-        base,
-        update_percentage,
-        rounds,
-        relations=involved,
-        overlap=overlap,
-        seed=4242,
-    )
-
-    result = StreamComparisonResult(
-        experiment="stream",
-        scale_factor=scale_factor,
-        update_percentage=update_percentage,
-        rounds=rounds,
-        overlap=overlap,
-        views=len(views),
-    )
-    finals: Dict[str, Database] = {}
-    for policy in ("eager", "coalesce"):
-        database = base.copy()
-        wh = Warehouse(WarehouseConfig.profile("fast", stream_policy=policy))
-        # The paper's pattern: plan against full-scale statistics (where
-        # incremental maintenance wins), execute at a small scale factor.
-        wh.load(scale=PAPER_SCALE_FACTOR)
-        wh.load_data(database=database)
-        wh.define_views(views)
-        wh.optimize()
-        # Materialize the views before timing so both policies start warm.
-        wh.apply(0.0)
-
-        started = time.perf_counter()
-        with wh.stream(policy) as session:
-            for deltas in stream_rounds:
-                session.ingest(deltas)
-        elapsed = time.perf_counter() - started
-
-        verified = all(wh.verify().values())
-        finals[policy] = database
-        result.outcomes[policy] = StreamPolicyOutcome(
-            policy=policy,
-            flushes=len(session.reports),
-            rounds_refreshed=sum(r.rounds for r in session.reports),
-            skipped_flushes=session.skipped_flushes,
-            base_rows_applied=sum(r.base_rows_applied for r in session.reports),
-            view_rows_changed=sum(r.total_changes() for r in session.reports),
-            view_recomputations=sum(len(r.recomputed_views) for r in session.reports),
-            annihilated_rows=session.annihilated_rows,
-            refresh_seconds=elapsed,
-            verified=verified,
-        )
-
-    result.views_identical = all(
-        finals["eager"].view(name).same_bag(finals["coalesce"].view(name))
-        for name in views
-    )
-    return result
 
 
 # --------------------------------------------------------------- §3.3 examples

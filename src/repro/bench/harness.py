@@ -9,7 +9,6 @@ workload, the catalog configuration and the sweep points.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -64,7 +63,6 @@ class FigurePoint:
     greedy_indexes: int
     greedy_permanent: int
     greedy_temporary: int
-    optimization_seconds: float
 
     @property
     def benefit_ratio(self) -> float:
@@ -118,9 +116,7 @@ def run_figure_sweep(
     for percentage in update_percentages:
         spec = UpdateSpec.uniform(percentage, insert_to_delete_ratio=config.insert_to_delete_ratio)
         no_greedy = warehouse.optimize(spec, greedy=False)
-        started = time.perf_counter()
         greedy = warehouse.optimize(spec, greedy=True, max_selections=max_selections)
-        elapsed = time.perf_counter() - started
         series.points.append(
             FigurePoint(
                 update_percentage=percentage,
@@ -130,7 +126,6 @@ def run_figure_sweep(
                 greedy_indexes=len(greedy.indexes),
                 greedy_permanent=len(greedy.permanent_results),
                 greedy_temporary=len(greedy.temporary_results),
-                optimization_seconds=elapsed,
             )
         )
     return series

@@ -49,6 +49,7 @@ from repro.maintenance.diff_dag import DifferentialAnnotations, ResultKey
 from repro.maintenance.update_spec import UpdateSpec
 from repro.optimizer.cost_model import CostModel, InputDescriptor, MemoizedCostModel
 from repro.optimizer.dag import Dag, EquivalenceNode, OperationNode, OperatorKind
+from repro.optimizer.volcano import describe_input
 from repro.storage.delta import UpdateId
 
 INFINITY = math.inf
@@ -230,32 +231,15 @@ class MaintenanceCostEngine:
 
     # ------------------------------------------------------------- descriptors
 
-    def _node_indexes(self, node: EquivalenceNode) -> List[Tuple[str, ...]]:
-        indexed: List[Tuple[str, ...]] = []
-        if node.is_base_relation:
-            relation = node.expression.canonical()
-            for index in self.catalog.indexes(relation):
-                indexed.append(tuple(index.columns))
-        indexed.extend(self.indexes.get(node.id, ()))
-        return indexed
-
     def _full_descriptor(self, node: EquivalenceNode) -> InputDescriptor:
         descriptor = self._full_descriptors.get(node.id)
-        if descriptor is not None:
-            return descriptor
-        stored = node.is_base_relation or ResultKey(node.id, 0) in self.materialized
-        sorted_on: Tuple[str, ...] = ()
-        if node.is_base_relation:
-            for index in self.catalog.indexes(node.expression.canonical()):
-                if index.kind == "btree":
-                    sorted_on = tuple(index.columns)
-                    break
-        descriptor = self._full_descriptors[node.id] = InputDescriptor(
-            stats=node.stats,
-            stored=stored,
-            indexed_columns=tuple(self._node_indexes(node)),
-            sorted_on=sorted_on,
-        )
+        if descriptor is None:
+            descriptor = self._full_descriptors[node.id] = describe_input(
+                node,
+                self.catalog,
+                ResultKey(node.id, 0) in self.materialized,
+                self.indexes.get(node.id, ()),
+            )
         return descriptor
 
     def _delta_descriptor(self, node: EquivalenceNode, update: UpdateId) -> InputDescriptor:

@@ -46,6 +46,36 @@ class NodeBest:
     best_operation: Optional[OperationChoice]
 
 
+def describe_input(
+    node: EquivalenceNode,
+    catalog: Catalog,
+    materialized: bool,
+    extra_indexes: Iterable[Tuple[str, ...]] = (),
+) -> InputDescriptor:
+    """The cost model's view of a node's full result read as an input.
+
+    Stored when it is a base relation or ``materialized``; indexed on the
+    catalog's indexes of a base relation, then on ``extra_indexes`` (the
+    indexes chosen on a materialized result); sorted on the base relation's
+    first btree index.  Plan search and the maintenance cost engine both
+    describe inputs through this one rule.
+    """
+    indexed: List[Tuple[str, ...]] = []
+    sorted_on: Tuple[str, ...] = ()
+    if node.is_base_relation:
+        for index in catalog.indexes(node.expression.canonical()):
+            indexed.append(tuple(index.columns))
+            if index.kind == "btree" and not sorted_on:
+                sorted_on = tuple(index.columns)
+    indexed.extend(extra_indexes)
+    return InputDescriptor(
+        stats=node.stats,
+        stored=node.is_base_relation or materialized,
+        indexed_columns=tuple(indexed),
+        sorted_on=sorted_on,
+    )
+
+
 class VolcanoSearch:
     """Best-plan search with support for reusing materialized results."""
 
@@ -70,22 +100,11 @@ class VolcanoSearch:
 
     def input_descriptor(self, node: EquivalenceNode, materialized: FrozenSet[int]) -> InputDescriptor:
         """Describe an operator input for the cost model."""
-        stored = node.is_base_relation or node.id in materialized
-        indexed: List[Tuple[str, ...]] = []
-        sorted_on: Tuple[str, ...] = ()
-        if node.is_base_relation:
-            relation = node.expression.canonical()
-            for index in self.catalog.indexes(relation):
-                indexed.append(tuple(index.columns))
-                if index.kind == "btree" and not sorted_on:
-                    sorted_on = tuple(index.columns)
-        if node.id in self.extra_indexes:
-            indexed.extend(self.extra_indexes[node.id])
-        return InputDescriptor(
-            stats=node.stats,
-            stored=stored,
-            indexed_columns=tuple(indexed),
-            sorted_on=sorted_on,
+        return describe_input(
+            node,
+            self.catalog,
+            node.id in materialized,
+            self.extra_indexes.get(node.id, ()),
         )
 
     # ------------------------------------------------------------- local costs

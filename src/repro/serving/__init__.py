@@ -40,7 +40,6 @@ from repro.serving.snapshot import (
     SnapshotManager,
     SnapshotStats,
 )
-from repro.serving.swarm import SwarmResult, run_client_swarm
 
 __all__ = [
     "DaemonCrash",
@@ -54,7 +53,5 @@ __all__ = [
     "SnapshotManager",
     "SnapshotStats",
     "Staleness",
-    "SwarmResult",
-    "run_client_swarm",
     "validate_read_policy",
 ]

@@ -24,6 +24,9 @@ from repro.engine.executor import evaluate
 from repro.maintenance.maintainer import ViewRefresher, apply_and_refresh
 from repro.storage.delta import Delta, DeltaStore
 from repro.storage.relation import Relation
+from repro.workloads import queries
+from repro.workloads.datagen import small_database
+from repro.workloads.updategen import uniform_deltas
 
 
 def star_views():
@@ -261,3 +264,22 @@ def test_tpcd_views_refresh_correctly(tiny_tpcd_database):
     report, verification = apply_and_refresh(database, views, deltas)
     assert all(verification.values()), f"TPC-D views diverged: {verification}"
     assert report.total_changes() > 0
+
+
+def test_tpcd_view_sets_match_recomputation_after_every_round():
+    """Consecutive refresh rounds keep the fig3 and fig5 view sets exact."""
+    database = small_database(scale_factor=0.002)
+    for views in (
+        {**queries.standalone_join_view(), **queries.standalone_agg_view()},
+        queries.large_view_set(),
+    ):
+        involved = sorted({r for e in views.values() for r in base_relations(e)})
+        refresher = ViewRefresher(database.copy(), views)
+        refresher.initialize_views()
+        for round_number in range(2):
+            deltas = uniform_deltas(
+                refresher.database, 0.05, relations=involved, seed=1000 + round_number
+            )
+            assert refresher.refresh(deltas).total_changes() > 0
+            verification = refresher.verify_against_recomputation()
+            assert all(verification.values()), f"round {round_number}: {verification}"

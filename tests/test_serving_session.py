@@ -118,6 +118,34 @@ def test_context_manager_error_path_does_not_flush(warehouse):
     )
 
 
+def test_flush_waiting_when_an_aborted_session_stops_raises_closed(warehouse):
+    """A flush without a timeout, stranded by stop(drain=False), says why."""
+    import threading  # tests are outside the REPRO-L009 lint scope
+
+    outcome = {}
+
+    def flush(session):
+        try:
+            session.flush()
+            outcome["flush"] = "ran"
+        except Exception as exc:  # the assertion below names the type
+            outcome["flush"] = exc
+
+    with pytest.raises(RuntimeError, match="boom"):
+        with warehouse.serve() as session:
+            session.pause()
+            flusher = threading.Thread(target=flush, args=(session,))
+            flusher.start()
+            # Leave only once the flush barrier is queued behind the pause.
+            while session.daemon.stats().queue_peak < 1 and flusher.is_alive():
+                flusher.join(timeout=0.01)
+            raise RuntimeError("boom")
+    flusher.join(timeout=60.0)
+    assert not flusher.is_alive()
+    assert isinstance(outcome["flush"], ServingClosedError), outcome
+    assert "closed before the flush ran" in str(outcome["flush"])
+
+
 def test_unknown_view_is_rejected_with_candidates(warehouse):
     with warehouse.serve() as session:
         with pytest.raises(WarehouseError, match="v_rev"):

@@ -81,17 +81,20 @@ DATABASE_MODULE = "repro/engine/database.py"
 INDEX_MODULE = "repro/storage/index.py"
 #: Relation accessors that materialize a second representation (L011).
 _MATERIALIZING_ACCESSORS = frozenset({"rows", "_rows", "vector_store"})
-#: Modules allowed to read the wall clock: the bench package plus the
-#: writers that fill ``*_seconds`` / timing report fields.  This allowlist
-#: is configuration — a new timing writer is added here, not suppressed
+#: Modules allowed to read the wall clock: the two benchmark drivers whose
+#: paper claims are timings (§7.2 optimization cost, the estimation
+#: plan-quality runtime guard), the writers that fill ``*_seconds`` report
+#: fields, and the serving daemon's staleness clock.  This allowlist is
+#: configuration — a new timing writer is added here, not suppressed
 #: inline, so the sanctioned set stays reviewable in one place.
 TIMING_ALLOWLIST: Tuple[str, ...] = (
-    "repro/bench/",
+    "repro/bench/experiments.py",
+    "repro/bench/estimation.py",
     "repro/api/warehouse.py",
     "repro/mqo/greedy.py",
     "repro/maintenance/greedy.py",
     "repro/maintenance/optimizer.py",
-    "repro/serving/",
+    "repro/serving/daemon.py",
 )
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
