@@ -256,15 +256,6 @@ def test_deferred_session_matches_eager_session_on_same_stream():
             deferred.ingest(deltas)
 
     assert deferred.annihilated_rows > 0
-    # Deferral refreshed less often, and coalescing propagated fewer rows
-    # (base rows applied + view rows changed) than eager per-round refresh.
-    assert len(eager.reports) == len(rounds)
-    assert len(deferred.reports) < len(eager.reports)
-
-    def propagated(session):
-        return sum(r.base_rows_applied + r.total_changes() for r in session.reports)
-
-    assert propagated(deferred) < propagated(eager)
     for table in wh_eager.view_relations:
         assert wh_eager.database.table(table).same_bag(
             wh_deferred.database.table(table)
