@@ -21,7 +21,14 @@ from repro.algebra.predicates import Predicate, TruePredicate, conjuncts
 
 
 class Expression:
-    """Base class of all logical operators."""
+    """Base class of all logical operators.
+
+    Nodes are frozen, so a node's identity never changes after construction:
+    :meth:`canonical` and :func:`base_relations` are derived once per node
+    and kept in the instance ``__dict__`` (a write the frozen ``__setattr__``
+    does not intercept).  ``dataclasses.replace`` builds a new instance
+    through ``__init__``, so a copy never inherits its source's memo.
+    """
 
     def children(self) -> Tuple["Expression", ...]:
         """Child expressions, left to right."""
@@ -29,6 +36,14 @@ class Expression:
 
     def canonical(self) -> str:
         """Canonical textual form used for hashing and unification."""
+        memo = self.__dict__
+        form = memo.get("_canonical")
+        if form is None:
+            form = memo["_canonical"] = self._canonical_form()
+        return form
+
+    def _canonical_form(self) -> str:
+        """The canonical form derived from scratch (children memoized)."""
         raise NotImplementedError
 
     @property
@@ -40,7 +55,9 @@ class Expression:
         return hash(self.canonical())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Expression) and self.canonical() == other.canonical()
+        return self is other or (
+            isinstance(other, Expression) and self.canonical() == other.canonical()
+        )
 
     def __repr__(self) -> str:
         return self.canonical()
@@ -55,7 +72,7 @@ class BaseRelation(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return ()
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         return self.name
 
     @property
@@ -73,7 +90,7 @@ class Select(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.child,)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         return f"select[{self.predicate.canonical()}]({self.child.canonical()})"
 
     @property
@@ -95,7 +112,7 @@ class Project(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.child,)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         cols = ",".join(c.rsplit(".", 1)[-1] for c in self.columns)
         return f"project[{cols}]({self.child.canonical()})"
 
@@ -134,7 +151,7 @@ class Join(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         conds = sorted(
             "=".join(sorted((a.rsplit(".", 1)[-1], b.rsplit(".", 1)[-1])))
             for a, b in self.conditions
@@ -208,7 +225,7 @@ class Aggregate(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.child,)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         groups = ",".join(c.rsplit(".", 1)[-1] for c in self.group_by)
         aggs = ",".join(sorted(a.canonical() for a in self.aggregates))
         return f"aggregate[{groups};{aggs}]({self.child.canonical()})"
@@ -232,7 +249,7 @@ class UnionAll(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return self.inputs
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         parts = sorted(i.canonical() for i in self.inputs)
         return f"union({','.join(parts)})"
 
@@ -251,7 +268,7 @@ class Difference(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         return f"difference({self.left.canonical()},{self.right.canonical()})"
 
     @property
@@ -268,7 +285,7 @@ class Distinct(Expression):
     def children(self) -> Tuple[Expression, ...]:
         return (self.child,)
 
-    def canonical(self) -> str:
+    def _canonical_form(self) -> str:
         return f"distinct({self.child.canonical()})"
 
     @property
@@ -286,10 +303,17 @@ def walk(expression: Expression) -> Iterator[Expression]:
 
 
 def base_relations(expression: Expression) -> FrozenSet[str]:
-    """The set of base relation names the expression depends on."""
-    return frozenset(
-        node.name for node in walk(expression) if isinstance(node, BaseRelation)
-    )
+    """The set of base relation names the expression depends on (memoized
+    per node, like :meth:`Expression.canonical`)."""
+    memo = expression.__dict__
+    names = memo.get("_base_relations")
+    if names is None:
+        if isinstance(expression, BaseRelation):
+            names = frozenset((expression.name,))
+        else:
+            names = frozenset().union(*map(base_relations, expression.children()))
+        memo["_base_relations"] = names
+    return names
 
 
 def join_conditions(expression: Expression) -> List[Tuple[str, str]]:

@@ -24,7 +24,6 @@ consistent everywhere.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -717,12 +716,11 @@ class Warehouse:
             estimator = (
                 self._runtime.estimator if self._runtime is not None else self._estimator
             )
-            indexed = Counter(index.table for index in database.catalog.all_indexes())
             return estimator.refresh_round_cost(
                 self._views,
                 delta_sizes,
                 index_rebuild_fraction=INCREMENTAL_INDEX_FRACTION,
-                indexed_relations=indexed,
+                indexed_relations=database.catalog.index_counts(),
             )
 
         return round_cost

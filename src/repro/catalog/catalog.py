@@ -10,7 +10,8 @@ statistics (as the paper itself did: its numbers are estimated plan costs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema, TableDef
 from repro.catalog.statistics import TableStats
@@ -62,6 +63,8 @@ class Catalog:
         #: cached estimates never survive a stats change for a relation
         #: they depend on.
         self._stats_versions: Dict[str, int] = {}
+        #: :meth:`index_counts`, memoized until an index is added or dropped.
+        self._index_counts: Optional[Mapping[str, int]] = None
 
     def _bump_stats_version(self, name: str) -> None:
         self._stats_versions[name] = self._stats_versions.get(name, 0) + 1
@@ -135,6 +138,7 @@ class Catalog:
             if idx.columns == index.columns and idx.kind == index.kind:
                 return
         existing.append(index)
+        self._index_counts = None
 
     def drop_index(self, index: IndexDef) -> None:
         """Remove an index if present."""
@@ -142,6 +146,7 @@ class Catalog:
         self._indexes[index.table] = [
             idx for idx in existing if not (idx.columns == index.columns and idx.kind == index.kind)
         ]
+        self._index_counts = None
 
     def indexes(self, table: str) -> List[IndexDef]:
         """All indexes on ``table``."""
@@ -150,6 +155,15 @@ class Catalog:
     def all_indexes(self) -> List[IndexDef]:
         """Every registered index."""
         return [idx for idxs in self._indexes.values() for idx in idxs]
+
+    def index_counts(self) -> Mapping[str, int]:
+        """Read-only map of table -> number of indexes, for tables with any."""
+        if self._index_counts is None:
+            counts: Dict[str, int] = {}
+            for idx in self.all_indexes():
+                counts[idx.table] = counts.get(idx.table, 0) + 1
+            self._index_counts = MappingProxyType(counts)
+        return self._index_counts
 
     def has_index_on(self, table: str, columns: Sequence[str]) -> bool:
         """Whether an index exists whose leading key matches ``columns``."""

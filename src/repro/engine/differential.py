@@ -533,7 +533,6 @@ class DifferentialEngine:
         #: node's oriented form, which fixes its column order.
         self._keys: Dict[int, Tuple[Expression, str]] = {}
         self._schemas: Dict[str, Schema] = {}
-        self._relations: Dict[str, FrozenSet[str]] = {}
         self._join_plans: Dict[Tuple[str, str], DeltaJoinPlan] = {}
         self._view_plans: Dict[Tuple[str, str], Tuple[DeltaJoinPlan, ...]] = {}
 
@@ -553,14 +552,6 @@ class DifferentialEngine:
             schema = derive_schema(node, self.database.catalog)
             self._schemas[key] = schema
         return schema
-
-    def _base_relations(self, node: Expression) -> FrozenSet[str]:
-        key = self._key(node)
-        relations = self._relations.get(key)
-        if relations is None:
-            relations = base_relations(node)
-            self._relations[key] = relations
-        return relations
 
     def _join_plan(self, node: Join, relation: str) -> DeltaJoinPlan:
         key = (self._key(node), relation)
@@ -608,7 +599,7 @@ class DifferentialEngine:
                 cache.misses += 1
                 result = self.physical.evaluate(expr, materialized)
                 cache.old[key] = result
-                cache.dependencies[key] = self._base_relations(expr)
+                cache.dependencies[key] = base_relations(expr)
             else:
                 cache.hits += 1
             return result
@@ -647,7 +638,7 @@ class DifferentialEngine:
 
         def recurse(node: Expression) -> ExpressionDelta:
             schema = self._schema(node)
-            if relation not in self._base_relations(node):
+            if relation not in base_relations(node):
                 return ExpressionDelta.empty(schema)
             return memo(node, lambda: compute(node, schema))
 
@@ -768,7 +759,7 @@ class DifferentialEngine:
         def side(child: Expression) -> Optional[ExpressionDelta]:
             """An operand's δ inside an as-written block: joins of the block
             keep the syntax walk, other operands are differentiated anew."""
-            if relation not in self._base_relations(child):
+            if relation not in base_relations(child):
                 return None
             if isinstance(child, Join):
                 return memo(child, lambda: written_join(child, self._schema(child)))

@@ -38,7 +38,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algebra.expressions import BaseRelation, Expression, base_relations
+from repro.algebra.expressions import BaseRelation, Expression
 from repro.algebra.predicates import Predicate
 from repro.algebra.rewrite import oriented_form
 from repro.algebra.schema_derivation import derive_schema
@@ -912,20 +912,8 @@ class PhysicalExecutor:
     # ----------------------------------------------------------------- feedback
 
     def _record_actual(self, node: PlanNode, result: Relation) -> None:
-        """Feed one plan step's observed output cardinality to the estimator.
-
-        The canonical key and base-relation set are memoized on the plan
-        node (plans are cached and re-executed many times; re-deriving the
-        canonical form per operator execution would dominate small deltas).
-        """
-        cached = getattr(node, "_feedback_key", None)
-        if cached is None:
-            cached = (node.expression.canonical(), frozenset(base_relations(node.expression)))
-            node._feedback_key = cached
-        key, relations = cached
-        self.estimator.record_actual(
-            key, node.cardinality, float(len(result)), relations=relations
-        )
+        """Feed one plan step's observed output cardinality to the estimator."""
+        self.estimator.record_actual(node.expression, node.cardinality, float(len(result)))
 
 
 def evaluate_physical(

@@ -6,6 +6,9 @@ and the end-to-end guarantee that a deferred coalesced session leaves the
 database in the same state as an eager one fed the identical rounds.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -16,10 +19,13 @@ from repro import (
     WarehouseConfig,
     WarehouseError,
 )
+from repro.algebra.expressions import BaseRelation, walk
 from repro.catalog.schema import Schema
+from repro.engine.database import INCREMENTAL_INDEX_FRACTION
 from repro.storage.delta import Delta, DeltaStore
 from repro.storage.relation import Relation
 from repro.stream import StreamScheduler
+from repro.workloads import queries
 from repro.workloads.updategen import generate_update_stream
 
 
@@ -404,3 +410,170 @@ def test_racing_flush_and_close_never_double_flush():
     assert reports[0].base_rows_applied > 0
     assert session.pending_batches == 0
     assert all(wh.verify().values())
+
+
+# ------------------------------------------------------- round costing is exact
+#
+# ``CardinalityEstimator.refresh_round_cost`` reads each view's propagation
+# ratio from a table validated by stats versions and an observation epoch.
+# The reference below is the view loop it replaced, recomputing every ratio
+# on every call; the two must agree bit for bit in every state a stream can
+# see.
+
+def reference_round_cost(estimator, views, delta_sizes, index_rebuild_fraction, index_counts):
+    cost = 0.0
+    for relation, (inserts, deletes) in delta_sizes.items():
+        relation_rows = float(inserts) + float(deletes)
+        if relation_rows <= 0:
+            continue
+        cost += 64.0 * ((inserts > 0) + (deletes > 0))
+        for view in views.values():
+            names = {node.name for node in walk(view) if isinstance(node, BaseRelation)}
+            if relation in names:
+                cost += relation_rows * estimator.delta_propagation_ratio(view, relation)
+        indexes = index_counts.get(relation, 0)
+        if index_rebuild_fraction is not None and indexes > 0:
+            cardinality = max(1.0, estimator.catalog.stats(relation).cardinality)
+            if inserts > index_rebuild_fraction * cardinality:
+                cost += indexes * cardinality
+    return cost
+
+
+def reference_stream_cost(wh, delta_sizes):
+    """What the warehouse's stream round cost computed before the table."""
+    indexed = Counter(index.table for index in wh.database.catalog.all_indexes())
+    return reference_round_cost(
+        wh._runtime.estimator, wh._views, delta_sizes, INCREMENTAL_INDEX_FRACTION, indexed
+    )
+
+
+COSTED_RELATIONS = ("lineitem", "orders", "customer", "nation", "supplier", "partsupp", "part")
+
+
+def random_delta_sizes(seed, count=40):
+    rng = random.Random(seed)
+    scale = (0, 1, 7, 60, 900, 20_000)
+    return [
+        {
+            relation: (rng.choice(scale), rng.choice(scale))
+            for relation in rng.sample(COSTED_RELATIONS, rng.randint(1, len(COSTED_RELATIONS)))
+        }
+        for _ in range(count)
+    ]
+
+
+def costing_warehouse(feedback=True):
+    wh = Warehouse(WarehouseConfig.profile("fast", feedback=feedback))
+    wh.load(scale=0.05)
+    wh.load_data(scale=0.002)
+    views = queries.large_view_set(with_aggregates=True)
+    for name in ("v01_order_lines", "v04_supplier_lines", "v05_part_supply"):
+        wh.define_view(name, views[name])
+    wh.optimize()
+    wh.apply(0.0)
+    return wh
+
+
+def assert_round_cost_exact(wh, round_cost, seed):
+    """Every random round prices bit-identically; returns the reference costs."""
+    costs = []
+    for sizes in random_delta_sizes(seed):
+        expected = reference_stream_cost(wh, sizes)
+        assert round_cost(sizes) == expected, sizes
+        assert round_cost(sizes) == expected, sizes  # now served from the table
+        costs.append(expected)
+    return costs
+
+
+@pytest.mark.parametrize("feedback", [False, True], ids=["versions-only", "feedback"])
+def test_round_cost_exact_after_apply_moves_stats_versions(feedback):
+    # Without feedback only the stats versions can invalidate the table.
+    wh = costing_warehouse(feedback)
+    with wh.stream() as session:
+        round_cost = session._scheduler.round_cost
+        before = assert_round_cost_exact(wh, round_cost, seed=1)
+        versions = {r: wh.database.catalog.stats_version(r) for r in COSTED_RELATIONS}
+        wh.apply(0.05)
+        assert any(
+            wh.database.catalog.stats_version(r) != v for r, v in versions.items()
+        )
+        assert assert_round_cost_exact(wh, round_cost, seed=1) != before
+
+
+def test_round_cost_exact_after_a_changed_observation():
+    wh = costing_warehouse()
+    estimator = wh._runtime.estimator
+    assert estimator.use_feedback
+    with wh.stream() as session:
+        round_cost = session._scheduler.round_cost
+        before = assert_round_cost_exact(wh, round_cost, seed=2)
+        view = wh._views["v04_supplier_lines"]
+        estimated = estimator.cardinality(view)
+        estimator.record_actual(view, estimated, estimated * 7 + 100)
+        assert estimator.cardinality(view) == estimated * 7 + 100
+        assert assert_round_cost_exact(wh, round_cost, seed=2) != before
+        # Re-recording the same observation changes nothing and stays exact.
+        estimator.record_actual(view, estimated, estimated * 7 + 100)
+        observed = assert_round_cost_exact(wh, round_cost, seed=2)
+        assert observed != before
+        # clear() forgets every observation: the estimates fall back to the
+        # model's.
+        estimator.clear()
+        assert estimator.cardinality(view) != estimated * 7 + 100
+        assert assert_round_cost_exact(wh, round_cost, seed=2) != observed
+
+
+def test_round_cost_exact_after_define_view_while_streaming():
+    wh = costing_warehouse()
+    with wh.stream() as session:
+        round_cost = session._scheduler.round_cost
+        before = assert_round_cost_exact(wh, round_cost, seed=3)
+        wh.define_view("v07_supply_regions", queries.large_view_set()["v07_supply_regions"])
+        assert assert_round_cost_exact(wh, round_cost, seed=3) != before
+
+
+def test_round_cost_exact_after_a_rolled_back_apply(monkeypatch):
+    from repro.engine.database import Database
+
+    wh = costing_warehouse()
+    with wh.stream() as session:
+        round_cost = session._scheduler.round_cost
+        old_estimator = wh._runtime.estimator
+        view = wh._views["v01_order_lines"]
+        estimated = old_estimator.cardinality(view)
+        # An observation only the discarded runtime knows about.
+        old_estimator.record_actual(view, estimated, estimated * 5 + 50)
+        before = assert_round_cost_exact(wh, round_cost, seed=4)
+
+        merge = Database.apply_update
+
+        def merge_then_fail(self, *args, **kwargs):
+            merge(self, *args, **kwargs)
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(Database, "apply_update", merge_then_fail)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            wh.apply(0.05)
+        monkeypatch.undo()
+        assert wh._runtime.estimator is not old_estimator
+        assert assert_round_cost_exact(wh, round_cost, seed=4) != before
+
+
+def test_scheduler_decisions_identical_with_the_reference_round_cost():
+    wh = costing_warehouse()
+    rounds = generate_update_stream(
+        wh.database, 0.01, 40, relations=list(COSTED_RELATIONS), overlap=0.6, seed=11
+    )
+    policy = StreamPolicy.coalescing(max_batches=16)
+
+    def trace(round_cost):
+        scheduler = StreamScheduler(policy, round_cost=round_cost)
+        for deltas in rounds:
+            if scheduler.ingest(deltas).refreshes:
+                scheduler.take()
+        return [decision.render() for decision in scheduler.decisions]
+
+    served = trace(wh._stream_round_cost())
+    assert served == trace(lambda sizes: reference_stream_cost(wh, sizes))
+    assert any("refresh" in line for line in served)
+    assert any("defer" in line for line in served)

@@ -58,6 +58,27 @@ def test_drop_index(catalog):
     assert not catalog.has_index_on("orders", ["o_custkey"])
 
 
+def test_index_counts_follow_register_and_drop(catalog):
+    def recount(cat):
+        counts = {}
+        for idx in cat.all_indexes():
+            counts[idx.table] = counts.get(idx.table, 0) + 1
+        return counts
+
+    assert dict(catalog.index_counts()) == recount(catalog) == {"orders": 1}
+    extra = IndexDef("orders", ("o_custkey",), kind="hash")
+    catalog.register_index(extra)
+    assert dict(catalog.index_counts()) == recount(catalog) == {"orders": 2}
+    catalog.register_index(extra)  # a duplicate is ignored
+    assert dict(catalog.index_counts()) == {"orders": 2}
+    clone = catalog.copy()
+    catalog.drop_index(extra)
+    assert dict(catalog.index_counts()) == recount(catalog) == {"orders": 1}
+    assert dict(clone.index_counts()) == recount(clone) == {"orders": 2}
+    with pytest.raises(TypeError):
+        catalog.index_counts()["orders"] = 5
+
+
 def test_has_index_on_prefix_match(catalog):
     catalog.register_index(IndexDef("orders", ("o_custkey", "o_orderkey")))
     assert catalog.has_index_on("orders", ["o_custkey"])

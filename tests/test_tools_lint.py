@@ -205,6 +205,50 @@ def test_l011_index_reads_key_columns_only(tmp_path):
     ) == []
 
 
+def test_l013_frozen_nodes_written_only_while_constructed(tmp_path):
+    source = (
+        "class Node:\n"
+        "    def __init__(self, child):\n"
+        "        object.__setattr__(self, 'child', child)\n"
+        "\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'child', tuple(self.child))\n"
+        "\n"
+        "    def rebind(self, child):\n"
+        "        object.__setattr__(self, 'child', child)\n"
+        "\n"
+        "    def setter(self):\n"
+        "        return object.__setattr__\n"
+        "\n"
+        "    def memo(self):\n"
+        "        self.__dict__['_canonical'] = 'x'\n"
+        "\n"
+        "\n"
+        "def graft(node, child):\n"
+        "    object.__setattr__(node, 'child', child)\n"
+        "\n"
+        "\n"
+        "object.__setattr__(Node, 'kind', 'leaf')\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/algebra/expressions.py")
+    assert codes_of(findings) == ["REPRO-L013"] * 4
+    assert [f.line for f in findings] == [9, 12, 19, 22]
+    assert "rebind" in findings[0].message
+    # A helper nested in a constructor is not the constructor.
+    nested = (
+        "class Node:\n"
+        "    def __init__(self, child):\n"
+        "        def later():\n"
+        "            object.__setattr__(self, 'child', child)\n"
+        "        later()\n"
+    )
+    assert codes_of(lint_source(tmp_path, nested, "repro/algebra/nested.py")) == [
+        "REPRO-L013"
+    ]
+    # Only the package is held to it.
+    assert codes_of(lint_source(tmp_path, source, "tools/helper.py")) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(
@@ -234,7 +278,7 @@ def test_repository_lints_clean():
 
 def test_linter_codes_are_documented():
     """Every code the linter can emit appears in the shared CODES table."""
-    emitted = {f"REPRO-L{i:03d}" for i in range(1, 12)}
+    emitted = {f"REPRO-L{i:03d}" for i in (*range(1, 12), 13)}
     assert emitted <= set(CODES)
     for code in emitted:
         assert CODES[code], code

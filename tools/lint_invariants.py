@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L011).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L013).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -49,6 +49,12 @@ tool makes them machine-checked so they cannot erode silently:
   row to hash an appended tail or answer one probe, and ``vector_store(``
   converts every column of a row-backed one where only the key columns
   are read.
+* **REPRO-L013** — under ``src/repro``, ``object.__setattr__`` appears only
+  inside an ``__init__`` or ``__post_init__``: a frozen node stays frozen
+  once built.  Memoized derivations (an expression's canonical form and
+  base relations) are exact only because a node's fields never change after
+  construction; they cache through the instance ``__dict__``, which this
+  rule does not flag.  (L012 was retired with the accessors it guarded.)
 
 Usage::
 
@@ -96,6 +102,10 @@ TIMING_ALLOWLIST: Tuple[str, ...] = (
     "repro/maintenance/optimizer.py",
     "repro/serving/daemon.py",
 )
+#: The package whose frozen nodes may be written only while constructed (L013).
+PACKAGE_ROOT = "repro/"
+#: The methods in which ``object.__setattr__`` may initialise a frozen node.
+_CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
 #: The one package allowed to import threading (posix-style path prefix):
@@ -381,6 +391,38 @@ def _check_index_materialization(tree: ast.Module, path: Path) -> List[Finding]:
     ]
 
 
+def _check_frozen_writes(tree: ast.Module, path: Path) -> List[Finding]:
+    if not _matches(path, PACKAGE_ROOT):
+        return []
+    findings = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and function not in _CONSTRUCTORS
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    node.lineno,
+                    "REPRO-L013",
+                    f"object.__setattr__ in {function or 'module scope'} writes "
+                    f"a frozen node after construction — memoized derivations "
+                    f"of the node go stale; build a new node instead",
+                )
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return findings
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -528,6 +570,7 @@ _CHECKS = (
     _check_relation_mutation,
     _check_aggregate_state_writes,
     _check_index_materialization,
+    _check_frozen_writes,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
