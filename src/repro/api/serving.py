@@ -12,9 +12,11 @@ swarm can query while updates keep arriving:
 
 Division of labor with :mod:`repro.serving`:
 
-* the **daemon** (one background thread) owns every engine mutation —
-  batch resolution, scheduler ticks, refresh flushes, snapshot publishes —
-  so the database and refresher stay single-threaded;
+* the **daemon** (one background thread) owns every engine mutation: it
+  drives the same :class:`~repro.api.stream.IngestPipeline` a stream
+  session drives on its caller thread — batch resolution, scheduler ticks,
+  refresh flushes — and publishes a snapshot after each flush, so the
+  database and refresher stay single-threaded;
 * **client threads** only enqueue ingests and read published snapshots;
   :meth:`query` pins a snapshot version for the duration of the read, so
   it can never observe torn or mid-refresh state;
@@ -38,10 +40,9 @@ from repro.api.errors import (
     ServingClosedError,
     ServingError,
     StaleReadError,
-    WarehouseError,
     unknown_name,
 )
-from repro.api.stream import IngestBatch, IngestResolver
+from repro.api.stream import IngestBatch, IngestPipeline
 from repro.serving import (
     DaemonCrash,
     FreshnessSLO,
@@ -55,7 +56,7 @@ from repro.serving import (
 from repro.serving.sync import Mutex
 from repro.storage.delta import DeltaStore
 from repro.storage.relation import Relation
-from repro.stream import StreamScheduler
+from repro.stream import StreamPolicy
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,11 @@ class ServingSession:
     def __init__(
         self,
         warehouse,
+        policy: StreamPolicy,
         *,
         read_policy: Optional[str] = None,
         slo: Optional[FreshnessSLO] = None,
         slos: Optional[Mapping[str, FreshnessSLO]] = None,
-        stream_policy=None,
     ) -> None:
         self._warehouse = warehouse
         config = warehouse.config
@@ -111,16 +112,13 @@ class ServingSession:
                 raise unknown_name("view", view, warehouse._views, hint="(in slos=)")
         self._block_timeout = config.serving_block_timeout_seconds
 
-        database = warehouse._require_database()
-        if not warehouse._views:
-            raise WarehouseError("no views defined — call define_view() first")
         self._view_bases = {
             name: frozenset(base_relations(expr))
             for name, expr in warehouse._views.items()
         }
         # Materialize any missing views before the daemon thread starts:
         # the first snapshot needs contents.
-        self._materialize_missing(database)
+        self._materialize_missing(warehouse._require_database())
 
         self._mutex = Mutex()
         self._closed = False
@@ -128,20 +126,14 @@ class ServingSession:
         self.degraded_reads = 0
         self.rejected_reads = 0
         self.shed_ingests = 0
-        #: Validates on the caller thread, resolves on the daemon thread
-        #: (delta generation reads the database).
-        self._resolver = IngestResolver(warehouse)
+        #: Validates on the caller thread; ticks and flushes on the daemon
+        #: thread (delta generation reads the database).
+        self._pipeline = IngestPipeline(warehouse, policy)
 
         self.snapshots = SnapshotManager()
-        scheduler = StreamScheduler(
-            stream_policy if stream_policy is not None else config.make_stream_policy(),
-            round_cost=warehouse._stream_round_cost(),
-        )
         self.daemon = RefreshDaemon(
-            scheduler=scheduler,
+            pipeline=self._pipeline,
             snapshots=self.snapshots,
-            resolve=self._resolver.resolve,
-            flush=self._flush_on_daemon,
             capture=self._capture_views,
             views_of=self._views_touched,
             slo_for=self.slo_for,
@@ -254,7 +246,7 @@ class ServingSession:
         :class:`~repro.api.errors.ServingError`.
         """
         self._require_open()
-        self._resolver.validate(batch)
+        self._pipeline.validate(batch)
         rows_hint = batch.total_rows() if isinstance(batch, DeltaStore) else 0
         try:
             return self.daemon.submit(batch, seed, rows_hint=rows_hint)
@@ -341,7 +333,7 @@ class ServingSession:
     @property
     def reports(self) -> List:
         """Refresh reports of every daemon flush so far, in order."""
-        return list(self.daemon.reports)
+        return list(self._pipeline.reports)
 
     @property
     def current_version(self) -> int:
@@ -367,7 +359,7 @@ class ServingSession:
         ]
         for view in sorted(self._slos):
             lines.append(f"  SLO override {view}: {self._slos[view].render()}")
-        lines.append(self.daemon.scheduler.render_trace())
+        lines.append(self._pipeline.scheduler.render_trace())
         lines.append("daemon events:")
         lines.extend("  " + line for line in self.daemon.render_events().splitlines())
         lines.append(
@@ -389,11 +381,6 @@ class ServingSession:
         return "\n".join(lines)
 
     # ----------------------------------------------------- daemon-side closures
-
-    def _flush_on_daemon(self, rounds):
-        """Daemon thread: apply + refresh the taken rounds."""
-        self._resolver.flushed()
-        return self._warehouse._refresh_rounds(rounds, transactional=False)
 
     def _capture_views(self) -> Dict[str, Relation]:
         """Daemon thread: the view contents the next snapshot publishes."""

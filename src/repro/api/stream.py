@@ -12,6 +12,11 @@ forces it::
             session.ingest(batch)          # refreshes only when it pays
     print(session.explain_schedule())      # the full decision trace
 
+The ingest → resolve → tick → take → refresh sequence is one
+:class:`IngestPipeline` with two drivers: :class:`StreamSession` on the
+caller thread, and the serving :class:`~repro.serving.RefreshDaemon` on its
+own thread for ``Warehouse.serve()``.
+
 Unlike ``Warehouse.apply()``, stream flushes are **not transactional**: an
 ingested delta is accepted state, so a flush failure surfaces without
 rolling the database back (``verify_refresh`` still raises on divergence).
@@ -19,7 +24,7 @@ rolling the database back (``verify_refresh`` still raises on divergence).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import StreamClosedError, WarehouseError, unknown_name
 from repro.maintenance.update_spec import UpdateSpec
@@ -33,25 +38,32 @@ from repro.workloads import updategen
 IngestBatch = Union[DeltaStore, UpdateSpec, float]
 
 
-class IngestResolver:
-    """Turns what ``ingest()`` accepts into concrete delta rounds.
+class IngestPipeline:
+    """The one ingest → flush pipeline behind ``stream()`` and ``serve()``.
 
-    The one implementation behind :class:`StreamSession` and
-    :class:`~repro.api.serving.ServingSession`.  :meth:`validate` is
-    stateless and safe on any caller thread; :meth:`resolve` owns the
-    session's tick counter and pending-delete pool, so exactly one thread
-    (the caller under the stream mutex, or the refresh daemon) may run it.
-    Key sequences are tracked warehouse-wide (``_issued_keys`` on the
-    :class:`Warehouse`), so apply() batches and every session's ingests
-    share one monotonic key space.
+    :meth:`validate` is stateless and safe on any thread; :meth:`tick` and
+    :meth:`flush` own the scheduler, the tick counter, the pending-delete
+    pool and the counters below, so exactly one thread (the caller under
+    the stream mutex, or the refresh daemon) may run them.  Key sequences
+    are tracked warehouse-wide (``_issued_keys`` on the :class:`Warehouse`),
+    so apply() batches and every session's ingests share one key space.
     """
 
-    def __init__(self, warehouse) -> None:
+    def __init__(self, warehouse, policy: StreamPolicy) -> None:
         self._warehouse = warehouse
+        self.scheduler = StreamScheduler(policy, round_cost=warehouse._stream_round_cost())
         self._ticks = 0
         #: Rows already marked for deletion by pending rounds (never delete
-        #: a tuple twice); reset by :meth:`flushed`.
+        #: a tuple twice); every :meth:`flush` resets it.
         self._pending_deletes: Dict[str, List[Row]] = {}
+        #: Refresh reports of every flush, in order.
+        self.reports: List = []
+        #: Flushes skipped because the pending deltas annihilated to nothing.
+        self.skipped_flushes = 0
+        #: Tuples annihilated by coalescing across the pipeline's lifetime.
+        self.annihilated_rows = 0
+        #: Rounds a *failed* flush was about to refresh, kept for inspection.
+        self.failed_rounds: List[DeltaStore] = []
 
     def validate(self, batch: Optional[IngestBatch]) -> None:
         """Reject a malformed batch now, while rejecting is free.
@@ -85,8 +97,11 @@ class IngestResolver:
                         f"(in ingested batch)"
                     )
 
-    def resolve(self, batch: Optional[IngestBatch], seed: Optional[int]) -> DeltaStore:
-        """The concrete deltas of one (validated) ingest; reads the database."""
+    def tick(
+        self, batch: Optional[IngestBatch], seed: Optional[int]
+    ) -> Tuple[DeltaStore, TickDecision]:
+        """Resolve one (validated) ingest into concrete deltas (reading the
+        database) and return them with the scheduler's verdict on them."""
         wh = self._warehouse
         self._ticks += 1
         if isinstance(batch, DeltaStore):
@@ -116,40 +131,50 @@ class IngestResolver:
                 self._pending_deletes.setdefault(delta.relation, []).extend(
                     delta.deletes.rows
                 )
-        return deltas
+        return deltas, self.scheduler.ingest(deltas)
 
-    def flushed(self) -> None:
-        """Pending rounds were handed to a refresh: their deletes are applied
-        (or the session is poisoned) either way, so the exclusion pool
-        resets; the issued-keys high-water mark deliberately survives."""
+    def flush(self):
+        """Refresh everything pending, non-transactionally.
+
+        Returns the refresh report, or ``None`` when nothing survived
+        coalescing.  The delete pool resets either way; the issued-keys
+        high-water mark deliberately survives.  A failed refresh keeps its
+        rounds in :attr:`failed_rounds` and re-raises: the database may
+        hold a partial flush, so the driver must not replay them.
+        """
+        pending = self.scheduler.pending
+        had_batches = pending.batches > 0
+        # The coalescing work happened whether or not a refresh follows.
+        self.annihilated_rows += pending.annihilated_rows
+        rounds = self.scheduler.take()
         self._pending_deletes = {}
+        if not rounds:
+            if had_batches:
+                # Batches were pending but coalesced to nothing — the
+                # "insert-then-delete annihilates" fast path: no refresh.
+                self.skipped_flushes += 1
+            return None
+        try:
+            report = self._warehouse._refresh_rounds(rounds, transactional=False)
+        except Exception:
+            self.failed_rounds = rounds
+            raise
+        self.reports.append(report)
+        return report
 
 
 class StreamSession:
     """One streaming ingest session over a :class:`~repro.api.Warehouse`.
 
     Create it with :meth:`Warehouse.stream`; use it as a context manager so
-    pending deltas are flushed on exit.
+    pending deltas are flushed on exit.  It drives an :class:`IngestPipeline`
+    and adds the lifecycle: a mutex, the closed flag, and poisoning.
     """
 
     def __init__(self, warehouse, policy: StreamPolicy) -> None:
-        self._warehouse = warehouse
         self.policy = policy
-        self._scheduler = StreamScheduler(
-            policy,
-            round_cost=warehouse._stream_round_cost(),
-        )
+        self._pipeline = IngestPipeline(warehouse, policy)
         self._closed = False
-        #: Refresh reports of every flush, in order.
-        self.reports: List = []
-        #: Flushes skipped because the pending deltas annihilated to nothing.
-        self.skipped_flushes = 0
-        #: Tuples annihilated by coalescing across the session's lifetime.
-        self.annihilated_rows = 0
-        #: Rounds a *failed* flush was about to refresh, kept for inspection.
-        #: A flush failure poisons the session (see :meth:`flush`).
-        self.failed_rounds: List[DeltaStore] = []
-        self._resolver = IngestResolver(warehouse)
         #: Serializes ingest/flush/close: the session is not a concurrent
         #: object (use ``Warehouse.serve()`` for that), but lifecycle races
         #: must stay deterministic — a ``flush()`` racing a ``close()``
@@ -172,9 +197,8 @@ class StreamSession:
         """
         with self._mutex:
             self._require_open()
-            self._resolver.validate(batch)
-            deltas = self._resolver.resolve(batch, seed)
-            decision = self._scheduler.ingest(deltas)
+            self._pipeline.validate(batch)
+            _, decision = self._pipeline.tick(batch, seed)
             if decision.refreshes:
                 self._flush_pending()
             return decision
@@ -205,30 +229,13 @@ class StreamSession:
             return self._flush_pending()
 
     def _flush_pending(self):
-        had_batches = self._scheduler.pending.batches > 0
-        annihilated = self._scheduler.pending.annihilated_rows
-        rounds = self._scheduler.take()
-        self._resolver.flushed()
-        if not rounds:
-            if had_batches:
-                # Batches were pending but coalesced to nothing — the
-                # "insert-then-delete annihilates" fast path: no refresh.
-                self.annihilated_rows += annihilated
-                self.skipped_flushes += 1
-            return None
-        # The coalescing work happened whether or not the refresh succeeds.
-        self.annihilated_rows += annihilated
         try:
-            report = self._warehouse._refresh_rounds(rounds, transactional=False)
+            return self._pipeline.flush()
         except Exception:
-            # Non-transactional: the database may hold a partially applied
-            # flush, so retrying these rounds would double-apply them.
-            # Poison the session; keep the rounds readable for diagnosis.
-            self.failed_rounds = rounds
+            # Non-transactional: retrying these rounds would double-apply
+            # them.  Poison the session; the pipeline keeps them readable.
             self._closed = True
             raise
-        self.reports.append(report)
-        return report
 
     def close(self):
         """Flush pending deltas and retire the session.
@@ -264,19 +271,39 @@ class StreamSession:
         return self._closed
 
     @property
+    def reports(self) -> List:
+        """Refresh reports of every flush, in order."""
+        return self._pipeline.reports
+
+    @property
+    def skipped_flushes(self) -> int:
+        """Flushes skipped because the pending deltas annihilated to nothing."""
+        return self._pipeline.skipped_flushes
+
+    @property
+    def annihilated_rows(self) -> int:
+        """Tuples annihilated by coalescing across the session's lifetime."""
+        return self._pipeline.annihilated_rows
+
+    @property
+    def failed_rounds(self) -> List[DeltaStore]:
+        """Rounds a *failed* flush was about to refresh (see :meth:`flush`)."""
+        return self._pipeline.failed_rounds
+
+    @property
     def pending_rows(self) -> int:
         """Tuples a flush would currently propagate (after coalescing)."""
-        return self._scheduler.pending.pending_rows()
+        return self._pipeline.scheduler.pending.pending_rows()
 
     @property
     def pending_batches(self) -> int:
         """Update rounds deferred since the last flush."""
-        return self._scheduler.pending.batches
+        return self._pipeline.scheduler.pending.batches
 
     @property
     def decisions(self) -> List[TickDecision]:
         """Every scheduler decision so far (the explain trace)."""
-        return list(self._scheduler.decisions)
+        return list(self._pipeline.scheduler.decisions)
 
     def explain_schedule(self) -> str:
         """Human-readable decision trace, like ``Warehouse.explain()``.
@@ -285,7 +312,7 @@ class StreamSession:
         eager-vs-deferred cost, the verdict and its reason), followed by a
         summary of what the flushes actually did.
         """
-        lines = [self._scheduler.render_trace()]
+        lines = [self._pipeline.scheduler.render_trace()]
         total_changes = sum(report.total_changes() for report in self.reports)
         recomputes = sum(len(report.recomputed_views) for report in self.reports)
         flushed_rounds = sum(getattr(report, "rounds", 1) for report in self.reports)

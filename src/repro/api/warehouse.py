@@ -386,10 +386,11 @@ class Warehouse:
         """Refresh a sequence of concrete update rounds in one session.
 
         This is the shared core of :meth:`apply` (always one round,
-        transactional) and the stream session's flush (possibly many rounds
-        through :meth:`ViewRefresher.refresh_many`, non-transactional —
-        ingested deltas are accepted state, so a failure surfaces without
-        rolling back).
+        transactional) and the ingest pipeline's flush behind ``stream()``
+        and ``serve()`` (possibly many rounds through
+        :meth:`ViewRefresher.refresh_many`, non-transactional — ingested
+        deltas are accepted state, so a failure surfaces without rolling
+        back).
         """
         database = self._require_database()
         if not self._views:
@@ -616,28 +617,8 @@ class Warehouse:
             print(session.explain_schedule())
         """
         from repro.api.stream import StreamSession
-        from repro.stream import StreamPolicy
 
-        self._require_database()
-        if not self._views:
-            raise WarehouseError("no views defined — call define_view() first")
-        if policy is None:
-            policy = self.config.make_stream_policy()
-        elif isinstance(policy, str):
-            # Route through the config so the name-to-policy mapping (and
-            # its validation) lives in exactly one place.
-            policy = replace(self.config, stream_policy=policy).make_stream_policy()
-        elif not isinstance(policy, StreamPolicy):
-            raise WarehouseError(
-                f"stream() takes a StreamPolicy or a policy name, got "
-                f"{type(policy).__name__}"
-            )
-        try:
-            return StreamSession(self, policy)
-        except ValueError as exc:
-            # e.g. a caller-built policy that could never trigger a refresh —
-            # surface it as the façade's error family.
-            raise WarehouseError(str(exc)) from exc
+        return self._open_session(StreamSession, "stream()", policy)
 
     # ----------------------------------------------------------------- serving
 
@@ -669,29 +650,43 @@ class Warehouse:
         interleave ``apply()`` / ``stream()`` on the same warehouse.
         """
         from repro.api.serving import ServingSession
+
+        return self._open_session(
+            ServingSession,
+            "serve(stream_policy=...)",
+            stream_policy,
+            read_policy=read_policy,
+            slo=slo,
+            slos=slos,
+        )
+
+    def _open_session(self, session_class, entry_point: str, policy, **options):
+        """Open a stream or serving session over one resolved stream policy.
+
+        ``policy`` may be a ready :class:`~repro.stream.StreamPolicy`, a
+        policy name, or ``None`` for the config's stream knobs.
+        """
         from repro.stream import StreamPolicy
 
         self._require_database()
         if not self._views:
             raise WarehouseError("no views defined — call define_view() first")
-        if isinstance(stream_policy, str):
-            stream_policy = replace(
-                self.config, stream_policy=stream_policy
-            ).make_stream_policy()
-        elif stream_policy is not None and not isinstance(stream_policy, StreamPolicy):
+        if policy is None:
+            policy = self.config.make_stream_policy()
+        elif isinstance(policy, str):
+            # Route through the config so the name-to-policy mapping (and
+            # its validation) lives in exactly one place.
+            policy = replace(self.config, stream_policy=policy).make_stream_policy()
+        elif not isinstance(policy, StreamPolicy):
             raise WarehouseError(
-                f"serve() takes a StreamPolicy or a policy name for "
-                f"stream_policy, got {type(stream_policy).__name__}"
+                f"{entry_point} takes a StreamPolicy or a policy name, got "
+                f"{type(policy).__name__}"
             )
         try:
-            return ServingSession(
-                self,
-                read_policy=read_policy,
-                slo=slo,
-                slos=slos,
-                stream_policy=stream_policy,
-            )
+            return session_class(self, policy, **options)
         except ValueError as exc:
+            # e.g. a caller-built policy that could never trigger a refresh —
+            # surface it as the façade's error family.
             raise WarehouseError(str(exc)) from exc
 
     def _stream_round_cost(self):

@@ -62,6 +62,10 @@ from repro.catalog.statistics import (
 #: mis-costed and re-optimized against the observed cardinalities.
 DEFAULT_DRIFT_THRESHOLD = 2.0
 
+#: Fixed cost, in delta-row-equivalents, of propagating one non-empty
+#: single-relation update (:meth:`CardinalityEstimator.refresh_round_cost`).
+UPDATE_OVERHEAD_ROWS = 64.0
+
 
 def qerror(estimated: float, actual: float) -> float:
     """The symmetric q-error ``max(e/a, a/e)`` with +1 smoothing.
@@ -363,9 +367,9 @@ class CardinalityEstimator:
         self,
         views: Mapping[str, Expression],
         delta_sizes: Mapping[str, Tuple[int, int]],
-        update_overhead_rows: float = 64.0,
-        index_rebuild_fraction: Optional[float] = None,
-        indexed_relations: Union[Iterable[str], Mapping[str, int]] = (),
+        *,
+        index_rebuild_fraction: float,
+        indexed_relations: Mapping[str, int],
     ) -> float:
         """Estimated cost of one refresh round, in delta-row-equivalents.
 
@@ -374,27 +378,21 @@ class CardinalityEstimator:
         :class:`~repro.maintenance.maintainer.ViewRefresher` actually does:
 
         * every non-empty single-relation update pays a fixed overhead
-          (``update_overhead_rows``) for differential set-up — plan lookups,
-          old-value cache checks, per-view dispatch;
+          (:data:`UPDATE_OVERHEAD_ROWS`) for differential set-up — plan
+          lookups, old-value cache checks, per-view dispatch;
         * every delta row pays the propagation ratio of each view that
           depends on the updated relation
           (:meth:`delta_propagation_ratio`);
-        * when ``index_rebuild_fraction`` is given and a relation's insert
-          bag exceeds that fraction of its cardinality, the incremental
-          index maintenance of ``Database.apply_update`` falls back to a
-          full rebuild — charged here as one pass over the relation per
-          declared index.  ``indexed_relations`` is either a mapping
-          relation → index count, or a plain iterable of relation names
-          (one index each).
+        * when a relation's insert bag exceeds ``index_rebuild_fraction`` of
+          its cardinality, the incremental index maintenance of
+          ``Database.apply_update`` falls back to a full rebuild — charged
+          here as one pass over the relation per declared index
+          (``indexed_relations`` maps relation → index count).
 
         This is the quantity the :class:`~repro.stream.StreamScheduler`
         compares between *replaying pending rounds eagerly* and *one
         coalesced deferred round*.
         """
-        if isinstance(indexed_relations, Mapping):
-            index_counts = indexed_relations
-        else:
-            index_counts = {relation: 1 for relation in indexed_relations}
         view_list = tuple(views.values())
         view_keys = tuple(view.canonical() for view in view_list)
         cost = 0.0
@@ -404,11 +402,11 @@ class CardinalityEstimator:
                 continue
             # One overhead per non-empty single-relation update (δ+ and δ−
             # are propagated separately, per the paper's 1..2n numbering).
-            cost += update_overhead_rows * ((inserts > 0) + (deletes > 0))
+            cost += UPDATE_OVERHEAD_ROWS * ((inserts > 0) + (deletes > 0))
             for ratio in self._propagation_ratios(view_list, view_keys, relation):
                 cost += relation_rows * ratio
-            indexes = index_counts.get(relation, 0)
-            if index_rebuild_fraction is not None and indexes > 0:
+            indexes = indexed_relations.get(relation, 0)
+            if indexes > 0:
                 cardinality = max(1.0, self.catalog.stats(relation).cardinality)
                 if inserts > index_rebuild_fraction * cardinality:
                     cost += indexes * cardinality

@@ -8,9 +8,10 @@ tier, in three pieces:
 * :class:`SnapshotManager` / :class:`SnapshotHandle` — versioned
   copy-on-write view snapshots, published atomically at each refresh
   commit; readers pin a version and can never observe torn state;
-* :class:`RefreshDaemon` — the single writer: a background thread owning
-  the :class:`~repro.stream.StreamScheduler` tick loop, fed by a bounded
-  write queue so ``ingest()`` never blocks on refresh work;
+* :class:`RefreshDaemon` — the single writer: a background thread driving
+  the session's ingest pipeline (the one ``Warehouse.stream()`` drives on
+  the caller thread), fed by a bounded write queue so ``ingest()`` never
+  blocks on refresh work;
 * :class:`FreshnessSLO` / :class:`Staleness` — per-view staleness bounds
   (rounds / rows / seconds) layered as hard limits over PR 5's cost-based
   deferral, plus the read admission policies (``serve-stale`` / ``block``

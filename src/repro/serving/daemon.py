@@ -1,13 +1,15 @@
-"""The background refresh daemon: one thread owning the scheduler tick loop.
+"""The background refresh daemon: the serving driver of the ingest pipeline.
 
 :class:`RefreshDaemon` is the single writer of the serving layer.  Client
 threads :meth:`submit` update batches into a bounded FIFO write queue and
-return immediately; the daemon thread dequeues them in order, resolves them
-into concrete deltas, runs each through the PR 5
-:class:`~repro.stream.StreamScheduler` tick, and — when the scheduler (or a
-:class:`~repro.serving.slo.FreshnessSLO`) says deferral stopped paying —
-flushes the pending rounds through the warehouse refresher and publishes a
-new :class:`~repro.serving.snapshot.SnapshotManager` version.
+return immediately; the daemon thread dequeues them in order and drives
+the session's ingest pipeline — the same object a stream session drives on
+its caller thread (``repro.api.stream.IngestPipeline``).  ``pipeline.tick``
+resolves a batch into concrete deltas and runs the
+:class:`~repro.stream.StreamScheduler` tick; when the scheduler (or a
+:class:`~repro.serving.slo.FreshnessSLO`) says deferral stopped paying,
+``pipeline.flush()`` refreshes the pending rounds and the daemon publishes
+a new :class:`~repro.serving.snapshot.SnapshotManager` version.
 
 Because *all* resolution, refresh and publication happens on this one
 thread, the engine underneath (database, refresher, key
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Deque, List, Mapping, Optional, Sequence, Tuple
 
 from repro.serving.slo import FreshnessSLO, Staleness
@@ -43,7 +45,6 @@ from repro.serving.snapshot import SnapshotManager
 from repro.serving.sync import Condition, Mutex, Thread
 from repro.storage.delta import DeltaStore
 from repro.storage.relation import Relation
-from repro.stream import StreamScheduler
 
 
 class DaemonCrash(RuntimeError):
@@ -86,25 +87,21 @@ class DaemonStats:
     slo_overrides: int = 0
     timeout_flushes: int = 0
     queue_peak: int = 0
-    as_of_round: int = 0
-    alive: bool = False
-    crashed: bool = False
 
 
 class RefreshDaemon:
     """Background thread that owns ingestion, refresh and snapshot publish.
 
-    The daemon is wired with callables instead of a ``Warehouse`` so the
-    serving package never imports the façade (the dependency points the
-    other way):
+    The daemon is wired with the session's ingest pipeline and callables
+    instead of a ``Warehouse`` so the serving package never imports the
+    façade (the dependency points the other way):
 
-    ``resolve(batch, seed)``
-        Turn a queued batch into a concrete :class:`DeltaStore`.  Runs on
-        the daemon thread — it may read the database (spec-driven delta
-        generation does).
-    ``flush(rounds)``
-        Apply + refresh the taken rounds (non-transactional), returning the
-        refresh report.  Runs on the daemon thread.
+    ``pipeline``
+        The ingest pipeline, duck-typed: ``tick(batch, seed)`` resolves a
+        queued batch and returns ``(deltas, decision)``, ``flush()``
+        refreshes the pending rounds, ``scheduler.override_last`` rewrites
+        a verdict, and ``reports`` / ``skipped_flushes`` count the flushes.
+        Both calls run on the daemon thread and may read the database.
     ``capture()``
         The current view contents to publish as the next snapshot.
     ``views_of(deltas)``
@@ -116,10 +113,8 @@ class RefreshDaemon:
     def __init__(
         self,
         *,
-        scheduler: StreamScheduler,
+        pipeline,
         snapshots: SnapshotManager,
-        resolve: Callable[[object, Optional[int]], DeltaStore],
-        flush: Callable[[Sequence[DeltaStore]], object],
         capture: Callable[[], Mapping[str, Relation]],
         views_of: Callable[[DeltaStore], Sequence[str]],
         slo_for: Callable[[str], FreshnessSLO],
@@ -132,10 +127,8 @@ class RefreshDaemon:
             raise ValueError(f"queue_capacity must be positive, got {queue_capacity}")
         if tick_seconds <= 0:
             raise ValueError(f"tick_seconds must be positive, got {tick_seconds}")
-        self.scheduler = scheduler
+        self.pipeline = pipeline
         self.snapshots = snapshots
-        self._resolve = resolve
-        self._flush_rounds = flush
         self._capture = capture
         self._views_of = views_of
         self._slo_for = slo_for
@@ -158,8 +151,6 @@ class RefreshDaemon:
         self._crash: Optional[BaseException] = None
         self._thread: Optional[Thread] = None
 
-        #: Refresh reports of every flush, in order (daemon thread appends).
-        self.reports: List[object] = []
         #: Daemon-side decision log (SLO overrides, forced flushes, publishes).
         self.events: List[str] = []
         self._stats = DaemonStats()
@@ -324,18 +315,13 @@ class RefreshDaemon:
             return self._as_of
 
     def stats(self) -> DaemonStats:
-        """Point-in-time counters for ``explain_serving()``."""
+        """Point-in-time counters for ``explain_serving()``; the flush
+        counters are the pipeline's."""
         with self._mutex:
-            return DaemonStats(
-                ticks=self._stats.ticks,
-                flushes=self._stats.flushes,
-                skipped_flushes=self._stats.skipped_flushes,
-                slo_overrides=self._stats.slo_overrides,
-                timeout_flushes=self._stats.timeout_flushes,
-                queue_peak=self._stats.queue_peak,
-                as_of_round=self._as_of,
-                alive=self.alive,
-                crashed=self._crash is not None,
+            return replace(
+                self._stats,
+                flushes=len(self.pipeline.reports),
+                skipped_flushes=self.pipeline.skipped_flushes,
             )
 
     # -------------------------------------------------------------- the thread
@@ -382,8 +368,7 @@ class RefreshDaemon:
             self._progress.notify_all()
 
     def _tick(self, command: _Command) -> None:
-        deltas = self._resolve(command.batch, command.seed)
-        decision = self.scheduler.ingest(deltas)
+        deltas, decision = self.pipeline.tick(command.batch, command.seed)
         views = tuple(self._views_of(deltas))
         with self._mutex:
             self._stats.ticks += 1
@@ -399,7 +384,7 @@ class RefreshDaemon:
                 violation = self._slo_violation_locked(self._clock())
         if violation is not None:
             view, reason = violation
-            self.scheduler.override_last(
+            decision = self.pipeline.scheduler.override_last(
                 "refresh", f"freshness SLO on {view!r}: {reason}"
             )
             with self._mutex:
@@ -408,7 +393,6 @@ class RefreshDaemon:
                     f"tick {self._stats.ticks}: overrode defer — SLO on "
                     f"{view!r}: {reason}"
                 )
-            decision = self.scheduler.decisions[-1]
         if decision.refreshes:
             self._flush(decision.reason)
 
@@ -426,17 +410,10 @@ class RefreshDaemon:
             self._flush(f"freshness SLO on {view!r}: {reason}")
 
     def _flush(self, reason: str) -> None:
-        rounds = self.scheduler.take()
-        if rounds:
-            report = self._flush_rounds(rounds)
-            self.reports.append(report)
+        self.pipeline.flush()
         with self._mutex:
-            if not rounds and not self._ticked:
+            if not self._ticked:
                 return
-            if not rounds:
-                self._stats.skipped_flushes += 1
-            else:
-                self._stats.flushes += 1
             self._as_of += len(self._ticked)
             self._ticked = []
             as_of = self._as_of

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import (
+    FreshnessSLO,
     Q,
     StreamClosedError,
     StreamPolicy,
@@ -245,14 +246,15 @@ def test_scheduler_without_cost_model_defers_within_bounds():
 def test_deferred_session_matches_eager_session_on_same_stream():
     wh_eager = small_warehouse()
     wh_deferred = small_warehouse()
+    wh_served = small_warehouse()
     # One shared, pre-generated stream with insert/delete overlap, valid for
-    # replay from the identical starting state both warehouses loaded.
+    # replay from the identical starting state the warehouses loaded.
     rounds = generate_update_stream(
         wh_eager.database, 0.02, rounds=4, relations=wh_eager.view_relations,
         overlap=0.5, seed=99,
     )
-    wh_eager.apply(0.0)
-    wh_deferred.apply(0.0)
+    for wh in (wh_eager, wh_deferred, wh_served):
+        wh.apply(0.0)
 
     with wh_eager.stream("eager") as eager:
         for deltas in rounds:
@@ -260,15 +262,28 @@ def test_deferred_session_matches_eager_session_on_same_stream():
     with wh_deferred.stream() as deferred:
         for deltas in rounds:
             deferred.ingest(deltas)
+    # The serving daemon drives the same pipeline: with an unbounded SLO it
+    # makes the stream session's decisions and flushes the same rounds.
+    with wh_served.serve(stream_policy="coalesce", slo=FreshnessSLO()) as served:
+        for deltas in rounds:
+            served.ingest(deltas)
 
     assert deferred.annihilated_rows > 0
-    for table in wh_eager.view_relations:
-        assert wh_eager.database.table(table).same_bag(
-            wh_deferred.database.table(table)
-        ), table
-    assert wh_eager.database.view("v_rev").same_bag(wh_deferred.database.view("v_rev"))
+    assert (
+        served._pipeline.scheduler.render_trace()
+        == deferred._pipeline.scheduler.render_trace()
+    )
+    assert [r.base_rows_applied for r in served.reports] == [
+        r.base_rows_applied for r in deferred.reports
+    ]
+    for other in (wh_deferred, wh_served):
+        for table in wh_eager.view_relations:
+            assert wh_eager.database.table(table).same_bag(
+                other.database.table(table)
+            ), table
+        assert wh_eager.database.view("v_rev").same_bag(other.database.view("v_rev"))
+        assert all(other.verify().values())
     assert all(wh_eager.verify().values())
-    assert all(wh_deferred.verify().values())
 
 
 def test_failed_flush_poisons_session_and_keeps_rounds_inspectable(monkeypatch):
@@ -490,7 +505,7 @@ def test_round_cost_exact_after_apply_moves_stats_versions(feedback):
     # Without feedback only the stats versions can invalidate the table.
     wh = costing_warehouse(feedback)
     with wh.stream() as session:
-        round_cost = session._scheduler.round_cost
+        round_cost = session._pipeline.scheduler.round_cost
         before = assert_round_cost_exact(wh, round_cost, seed=1)
         versions = {r: wh.database.catalog.stats_version(r) for r in COSTED_RELATIONS}
         wh.apply(0.05)
@@ -505,7 +520,7 @@ def test_round_cost_exact_after_a_changed_observation():
     estimator = wh._runtime.estimator
     assert estimator.use_feedback
     with wh.stream() as session:
-        round_cost = session._scheduler.round_cost
+        round_cost = session._pipeline.scheduler.round_cost
         before = assert_round_cost_exact(wh, round_cost, seed=2)
         view = wh._views["v04_supplier_lines"]
         estimated = estimator.cardinality(view)
@@ -526,7 +541,7 @@ def test_round_cost_exact_after_a_changed_observation():
 def test_round_cost_exact_after_define_view_while_streaming():
     wh = costing_warehouse()
     with wh.stream() as session:
-        round_cost = session._scheduler.round_cost
+        round_cost = session._pipeline.scheduler.round_cost
         before = assert_round_cost_exact(wh, round_cost, seed=3)
         wh.define_view("v07_supply_regions", queries.large_view_set()["v07_supply_regions"])
         assert assert_round_cost_exact(wh, round_cost, seed=3) != before
@@ -537,7 +552,7 @@ def test_round_cost_exact_after_a_rolled_back_apply(monkeypatch):
 
     wh = costing_warehouse()
     with wh.stream() as session:
-        round_cost = session._scheduler.round_cost
+        round_cost = session._pipeline.scheduler.round_cost
         old_estimator = wh._runtime.estimator
         view = wh._views["v01_order_lines"]
         estimated = old_estimator.cardinality(view)

@@ -14,11 +14,13 @@ from repro import (
     ServingClosedError,
     ServingError,
     StaleReadError,
+    UpdateSpec,
     Warehouse,
     WarehouseConfig,
     WarehouseError,
 )
 from repro.catalog.schema import Schema
+from repro.maintenance.update_spec import RelationUpdate
 from repro.storage.delta import Delta, DeltaStore
 from repro.storage.relation import Relation
 
@@ -309,6 +311,43 @@ def test_ingest_validates_delta_batches(warehouse):
             session.ingest(lopsided)
         with pytest.raises(WarehouseError):
             session.ingest(object())
+
+
+def test_annihilated_flush_releases_pending_deletes_on_both_drivers():
+    """stream() and serve() drive one pipeline: a flush whose rounds
+    annihilated still resets the pending-delete pool, so a later generated
+    delete-everything round reaches the row the annihilated round deleted."""
+
+    def nation_after(open_session):
+        wh = small_warehouse()
+        nation = wh.database.table("nation")
+        row = nation.rows[0]
+
+        def round_of(inserts, deletes):
+            store = DeltaStore(["nation"])
+            store.set_delta(
+                Delta(
+                    "nation",
+                    Relation(nation.schema, inserts),
+                    Relation(nation.schema, deletes),
+                )
+            )
+            return store
+
+        with open_session(wh) as session:
+            session.ingest(round_of([row], []))  # a copy of base row r
+            session.ingest(round_of([], [row]))  # r, annihilating the copy
+            session.flush()
+            session.ingest(
+                UpdateSpec({"nation": RelationUpdate(delete_fraction=1.0)}), seed=7
+            )
+            session.flush()
+        return wh.database.table("nation")
+
+    streamed = nation_after(lambda wh: wh.stream())
+    served = nation_after(lambda wh: wh.serve())
+    assert len(streamed) == 0
+    assert served.same_bag(streamed)
 
 
 # ------------------------------------------------------------------- explain

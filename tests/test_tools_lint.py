@@ -249,6 +249,28 @@ def test_l013_frozen_nodes_written_only_while_constructed(tmp_path):
     assert codes_of(lint_source(tmp_path, source, "tools/helper.py")) == []
 
 
+def test_l014_one_ingest_pipeline(tmp_path):
+    source = (
+        "from repro.stream import StreamScheduler\n"
+        "import repro.stream as stream\n"
+        "\n"
+        "def drive(warehouse, policy, rounds):\n"
+        "    scheduler = StreamScheduler(policy)\n"
+        "    other = stream.StreamScheduler(policy)\n"
+        "    return warehouse._refresh_rounds(rounds, transactional=False)\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/serving/daemon.py")
+    assert codes_of(findings) == ["REPRO-L014"] * 3
+    assert sorted(f.line for f in findings) == [5, 6, 7]
+    # The pipeline builds the scheduler and flushes; the façade flushes.
+    assert codes_of(lint_source(tmp_path, source, "repro/api/stream.py")) == []
+    assert codes_of(lint_source(tmp_path, source, "repro/api/warehouse.py")) == [
+        "REPRO-L014"
+    ] * 2
+    # Only the package is held to it.
+    assert codes_of(lint_source(tmp_path, source, "tools/helper.py")) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(
@@ -278,7 +300,7 @@ def test_repository_lints_clean():
 
 def test_linter_codes_are_documented():
     """Every code the linter can emit appears in the shared CODES table."""
-    emitted = {f"REPRO-L{i:03d}" for i in (*range(1, 12), 13)}
+    emitted = {f"REPRO-L{i:03d}" for i in (*range(1, 12), 13, 14)}
     assert emitted <= set(CODES)
     for code in emitted:
         assert CODES[code], code

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L013).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L014).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -55,6 +55,12 @@ tool makes them machine-checked so they cannot erode silently:
   base relations) are exact only because a node's fields never change after
   construction; they cache through the instance ``__dict__``, which this
   rule does not flag.  (L012 was retired with the accessors it guarded.)
+* **REPRO-L014** — one ingest → flush pipeline: under ``src/repro``,
+  ``StreamScheduler(`` is constructed only in ``repro/api/stream.py`` and
+  ``._refresh_rounds(`` is called only from ``repro/api/warehouse.py``
+  (``apply()``) and ``repro/api/stream.py`` (the pipeline's flush).  The
+  stream session and the serving daemon both drive that pipeline; a second
+  scheduler or refresh call elsewhere would fork the flush path again.
 
 Usage::
 
@@ -106,6 +112,12 @@ TIMING_ALLOWLIST: Tuple[str, ...] = (
 PACKAGE_ROOT = "repro/"
 #: The methods in which ``object.__setattr__`` may initialise a frozen node.
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
+#: Calls confined to the ingest pipeline and the façade (L014): callee name
+#: → the modules allowed to make the call.
+PIPELINE_CALLS: Dict[str, Tuple[str, ...]] = {
+    "StreamScheduler": ("repro/api/stream.py",),
+    "_refresh_rounds": ("repro/api/warehouse.py", "repro/api/stream.py"),
+}
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
 #: The one package allowed to import threading (posix-style path prefix):
@@ -423,6 +435,30 @@ def _check_frozen_writes(tree: ast.Module, path: Path) -> List[Finding]:
     return findings
 
 
+def _check_pipeline_calls(tree: ast.Module, path: Path) -> List[Finding]:
+    if not _matches(path, PACKAGE_ROOT):
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        allowed = PIPELINE_CALLS.get(name)
+        if allowed is None or any(_matches(path, module) for module in allowed):
+            continue
+        findings.append(
+            Finding(
+                path,
+                node.lineno,
+                "REPRO-L014",
+                f"{name}( outside {' / '.join(allowed)} forks the ingest → "
+                f"flush pipeline — drive repro.api.stream.IngestPipeline instead",
+            )
+        )
+    return findings
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -571,6 +607,7 @@ _CHECKS = (
     _check_aggregate_state_writes,
     _check_index_materialization,
     _check_frozen_writes,
+    _check_pipeline_calls,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
