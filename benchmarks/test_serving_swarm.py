@@ -4,7 +4,7 @@ This is the benchmark for :mod:`repro.serving`: the fig3 view pair is
 served through ``Warehouse.serve()`` while reader threads hammer the
 views and the producer ingests a churn stream of update rounds.  Two SLO
 cells run — ``serve-stale`` and ``block``, both bounded at
-``max_rounds=4`` over the cost-based deferral — and each must pass two
+``max_rounds=4`` over the stream policy's deferral — and each must pass two
 checks:
 
 * **snapshot isolation**: every *distinct (view, version)* relation any

@@ -1,4 +1,4 @@
-"""Streaming ingest: coalesce update rounds, refresh when it stops paying.
+"""Streaming ingest: coalesce update rounds, refresh at a staleness bound.
 
 ``Warehouse.apply()`` pays a full refresh per batch; this example feeds the
 same churny update stream (every round deletes part of the previous round's
@@ -7,7 +7,8 @@ inserts — corrections arriving one batch late) through two
 
 * ``eager``    — refresh after every ingested round;
 * ``coalesce`` — buffer rounds, annihilate insert-then-delete pairs, and
-  flush once the cost model or a staleness bound says so.
+  flush once a staleness bound (``stream_max_batches``) is reached, or at
+  ``close()``.
 
 Both end with bit-identical view contents; the coalescing session gets
 there with one refresh instead of six, propagating fewer tuples.

@@ -13,7 +13,7 @@ A from-scratch Python reproduction of Mistry, Roy, Ramamritham and Sudarshan,
 * ``repro.maintenance`` — the paper's contribution: optimal view-maintenance
   plans and greedy selection of extra temporary/permanent materializations
 * ``repro.stream``    — streaming ingestion: delta coalescing and
-  cost-based deferred refresh scheduling
+  staleness-bounded deferred refresh scheduling
 * ``repro.serving``   — the concurrent serving tier: versioned snapshot
   reads, a background refresh daemon, per-view freshness SLOs
 * ``repro.workloads`` — TPC-D-style schema, data, update and view generators

@@ -8,7 +8,7 @@ This package is the supported way to drive the reproduction:
   named profiles (``paper``, ``fast``, ``verify``);
 * :class:`Q` — the fluent view builder compiling to the logical algebra;
 * :class:`StreamSession` / :class:`StreamPolicy` — streaming ingest with
-  delta coalescing and cost-based deferred refresh
+  delta coalescing and staleness-bounded deferred refresh
   (``Warehouse.stream()``);
 * :class:`ServingSession` / :class:`FreshnessSLO` — the concurrent serving
   tier: snapshot-isolated reads, a background refresh daemon, per-view

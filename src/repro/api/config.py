@@ -93,16 +93,17 @@ class WarehouseConfig:
     workers: int = 1
 
     #: Default refresh timing for ``Warehouse.stream()`` sessions:
-    #: ``"coalesce"`` defers and coalesces update rounds until the cost model
-    #: or a staleness bound triggers a flush; ``"eager"`` refreshes on every
-    #: ingest (the paper's implicit behavior).
+    #: ``"coalesce"`` defers and coalesces update rounds until a staleness
+    #: bound triggers a flush (it needs ``stream_max_rows`` or
+    #: ``stream_max_batches``); ``"eager"`` refreshes on every ingest (the
+    #: paper's implicit behavior).
     stream_policy: str = "coalesce"
     #: Staleness bound: flush once this many pending (coalesced) delta rows
     #: have accumulated (``None`` = unbounded).
     stream_max_rows: Optional[int] = None
     #: Staleness bound: flush once this many update rounds were deferred
-    #: (``None`` = unbounded; the default keeps sessions from deferring
-    #: forever even when deferral keeps paying).
+    #: (``None`` = unbounded; a coalescing policy needs this bound or
+    #: ``stream_max_rows``).
     stream_max_batches: Optional[int] = 32
 
     #: Admission policy for ``Warehouse.serve()`` reads whose view violates
@@ -113,7 +114,7 @@ class WarehouseConfig:
     serving_read_policy: str = "serve-stale"
     #: Per-view freshness SLO: most ingested-but-unapplied update rounds a
     #: served view tolerates before the daemon forces a refresh
-    #: (``None`` = unbounded, cost-based deferral alone decides).
+    #: (``None`` = unbounded, the stream policy's bounds alone decide).
     serving_max_staleness_rounds: Optional[int] = 8
     #: ... most pending delta rows over the view's base relations.
     serving_max_staleness_rows: Optional[int] = None

@@ -21,7 +21,7 @@ Division of labor with :mod:`repro.serving`:
   :meth:`query` pins a snapshot version for the duration of the read, so
   it can never observe torn or mid-refresh state;
 * the per-view :class:`~repro.serving.FreshnessSLO` is enforced by the
-  daemon as a hard bound over the cost-based scheduler, and by
+  daemon as a hard bound over the stream scheduler's, and by
   :meth:`query` as admission control (``serve-stale`` / ``block`` /
   ``reject``) for the window where the daemon has fallen behind anyway.
 

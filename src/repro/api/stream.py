@@ -2,14 +2,13 @@
 
 A :class:`StreamSession` is the front door to :mod:`repro.stream`: update
 batches are ingested instead of applied, buffered (and coalesced) in a
-:class:`~repro.stream.PendingDeltas`, and flushed into one multi-round
-refresh when the :class:`~repro.stream.StreamScheduler` decides deferral has
-stopped paying — or when a staleness bound or an explicit :meth:`flush`
-forces it::
+:class:`~repro.stream.PendingDeltas`, and flushed into one refresh when the
+:class:`~repro.stream.StreamScheduler` sees a staleness bound reached — or
+when an explicit :meth:`flush` or ``close()`` forces it::
 
     with wh.stream() as session:
         for batch in update_source:
-            session.ingest(batch)          # refreshes only when it pays
+            session.ingest(batch)          # refreshes at a staleness bound
     print(session.explain_schedule())      # the full decision trace
 
 The ingest → resolve → tick → take → refresh sequence is one
@@ -51,7 +50,7 @@ class IngestPipeline:
 
     def __init__(self, warehouse, policy: StreamPolicy) -> None:
         self._warehouse = warehouse
-        self.scheduler = StreamScheduler(policy, round_cost=warehouse._stream_round_cost())
+        self.scheduler = StreamScheduler(policy)
         self._ticks = 0
         #: Rows already marked for deletion by pending rounds (never delete
         #: a tuple twice); every :meth:`flush` resets it.
@@ -308,8 +307,8 @@ class StreamSession:
     def explain_schedule(self) -> str:
         """Human-readable decision trace, like ``Warehouse.explain()``.
 
-        One line per tick (arrived/pending/annihilated rows, estimated
-        eager-vs-deferred cost, the verdict and its reason), followed by a
+        One line per tick (arrived/pending/annihilated rows, the verdict and
+        its reason), followed by a
         summary of what the flushes actually did.
         """
         lines = [self._pipeline.scheduler.render_trace()]

@@ -608,8 +608,9 @@ class Warehouse:
         ``policy`` may be a ready :class:`~repro.stream.StreamPolicy`, a
         policy name (``"eager"`` / ``"coalesce"``), or omitted to use the
         config's stream knobs.  The session buffers ingested update rounds,
-        coalesces them (insert/delete annihilation), and refreshes only when
-        the cost model or a staleness bound says deferral stopped paying::
+        coalesces them (insert/delete annihilation), and refreshes once a
+        staleness bound (``max_batches`` / ``max_rows``) is reached, or on
+        :meth:`~repro.api.stream.StreamSession.flush` / ``close()``::
 
             with wh.stream() as session:
                 session.ingest(0.02)
@@ -688,37 +689,6 @@ class Warehouse:
             # e.g. a caller-built policy that could never trigger a refresh —
             # surface it as the façade's error family.
             raise WarehouseError(str(exc)) from exc
-
-    def _stream_round_cost(self):
-        """The per-round cost model stream schedulers consult.
-
-        Delta-size-aware costing over the *runtime* catalog (the statistics
-        of the actual loaded data — the index-rebuild threshold compares
-        delta sizes against real cardinalities), including the large-delta
-        penalty of ``Database.apply_update``'s rebuild fallback.
-        """
-        from repro.engine.database import INCREMENTAL_INDEX_FRACTION
-
-        self._require_database()
-        if self._runtime is None and self._estimator is None:
-            return None
-
-        def round_cost(delta_sizes: Mapping[str, Tuple[int, int]]) -> float:
-            # Resolved per tick, not captured at session open: a rollback or
-            # load_data() swaps the runtime (and its estimator/catalog), and
-            # open sessions must price against the live statistics.
-            database = self._require_database()
-            estimator = (
-                self._runtime.estimator if self._runtime is not None else self._estimator
-            )
-            return estimator.refresh_round_cost(
-                self._views,
-                delta_sizes,
-                index_rebuild_fraction=INCREMENTAL_INDEX_FRACTION,
-                indexed_relations=database.catalog.index_counts(),
-            )
-
-        return round_cost
 
     # ----------------------------------------------------------------- explain
 

@@ -63,7 +63,7 @@ from repro.catalog.statistics import (
 DEFAULT_DRIFT_THRESHOLD = 2.0
 
 #: Fixed cost, in delta-row-equivalents, of propagating one non-empty
-#: single-relation update (:meth:`CardinalityEstimator.refresh_round_cost`).
+#: single-relation update, in the refresh-round cost estimate.
 UPDATE_OVERHEAD_ROWS = 64.0
 
 
@@ -105,16 +105,6 @@ class CardinalityEstimator:
         self._memo: Dict[str, Tuple[TableStats, Tuple[Tuple[str, int], ...]]] = {}
         #: Runtime-feedback observations keyed by canonical expression.
         self._observations: Dict[str, Observation] = {}
-        #: Bumped whenever an observation changes or :meth:`clear` runs: the
-        #: two ways a memoized estimate can move without a stats version.
-        self._epoch = 0
-        #: Round-costing ratio table: (view canonicals, updated relation) ->
-        #: (epoch, versions of every relation read, propagation ratio of each
-        #: dependent view in view order).  See :meth:`_propagation_ratios`.
-        self._ratios: Dict[
-            Tuple[Tuple[str, ...], str],
-            Tuple[int, Tuple[Tuple[str, int], ...], Tuple[float, ...]],
-        ] = {}
 
     # ------------------------------------------------------------------ clones
 
@@ -151,7 +141,6 @@ class CardinalityEstimator:
         """Drop every memoized estimate and observation."""
         self._memo.clear()
         self._observations.clear()
-        self._epoch += 1
 
     # ------------------------------------------------------------- derivation
 
@@ -367,34 +356,21 @@ class CardinalityEstimator:
         self,
         views: Mapping[str, Expression],
         delta_sizes: Mapping[str, Tuple[int, int]],
-        *,
-        index_rebuild_fraction: float,
-        indexed_relations: Mapping[str, int],
     ) -> float:
         """Estimated cost of one refresh round, in delta-row-equivalents.
 
         ``delta_sizes`` maps each updated relation to its ``(inserts,
-        deletes)`` bag sizes.  The model mirrors what
-        :class:`~repro.maintenance.maintainer.ViewRefresher` actually does:
+        deletes)`` bag sizes.  Every non-empty single-relation update pays
+        a fixed overhead (:data:`UPDATE_OVERHEAD_ROWS`) for differential
+        set-up, and every delta row pays the propagation ratio of each view
+        that depends on the updated relation
+        (:meth:`delta_propagation_ratio`).
 
-        * every non-empty single-relation update pays a fixed overhead
-          (:data:`UPDATE_OVERHEAD_ROWS`) for differential set-up — plan
-          lookups, old-value cache checks, per-view dispatch;
-        * every delta row pays the propagation ratio of each view that
-          depends on the updated relation
-          (:meth:`delta_propagation_ratio`);
-        * when a relation's insert bag exceeds ``index_rebuild_fraction`` of
-          its cardinality, the incremental index maintenance of
-          ``Database.apply_update`` falls back to a full rebuild — charged
-          here as one pass over the relation per declared index
-          (``indexed_relations`` maps relation → index count).
-
-        This is the quantity the :class:`~repro.stream.StreamScheduler`
-        compares between *replaying pending rounds eagerly* and *one
-        coalesced deferred round*.
+        Nothing in ``src/`` calls this: the stream scheduler flushes on its
+        staleness bounds alone, because a coalesced round never prices
+        above the eager rounds it replaces.  It stays as an entry point of
+        the ``perf/`` benchmark's tracing table.
         """
-        view_list = tuple(views.values())
-        view_keys = tuple(view.canonical() for view in view_list)
         cost = 0.0
         for relation, (inserts, deletes) in delta_sizes.items():
             relation_rows = float(inserts) + float(deletes)
@@ -403,38 +379,10 @@ class CardinalityEstimator:
             # One overhead per non-empty single-relation update (δ+ and δ−
             # are propagated separately, per the paper's 1..2n numbering).
             cost += UPDATE_OVERHEAD_ROWS * ((inserts > 0) + (deletes > 0))
-            for ratio in self._propagation_ratios(view_list, view_keys, relation):
-                cost += relation_rows * ratio
-            indexes = indexed_relations.get(relation, 0)
-            if indexes > 0:
-                cardinality = max(1.0, self.catalog.stats(relation).cardinality)
-                if inserts > index_rebuild_fraction * cardinality:
-                    cost += indexes * cardinality
+            for view in views.values():
+                if relation in base_relations(view):
+                    cost += relation_rows * self.delta_propagation_ratio(view, relation)
         return cost
-
-    def _propagation_ratios(
-        self, views: Tuple[Expression, ...], view_keys: Tuple[str, ...], relation: str
-    ) -> Tuple[float, ...]:
-        """:meth:`delta_propagation_ratio` of each view depending on
-        ``relation``, in view order (memoized per view set and relation).
-
-        The ratios read the statistics of ``relation`` and of each dependent
-        view.  A view's estimate moves only when a stats version of one of
-        its base relations moves (the memo of :meth:`stats` is validated the
-        same way), when an observation changes, or when the estimator is
-        cleared (both bump the epoch).  An entry whose versions and epoch
-        still hold is therefore exactly what recomputing would return.
-        """
-        key = (view_keys, relation)
-        entry = self._ratios.get(key)
-        if entry is not None and entry[0] == self._epoch and self._versions_valid(entry[1]):
-            return entry[2]
-        epoch = self._epoch
-        dependents = [view for view in views if relation in base_relations(view)]
-        ratios = tuple(self.delta_propagation_ratio(view, relation) for view in dependents)
-        read = frozenset().union(*map(base_relations, dependents))
-        self._ratios[key] = (epoch, self._versions_for(read), ratios)
-        return ratios
 
     # ---------------------------------------------------------------- feedback
 
@@ -469,9 +417,6 @@ class CardinalityEstimator:
         self._observations[key] = Observation(actual, versions)
         for memo_key in [k for k in self._memo if key in k]:
             del self._memo[memo_key]
-        # Bumped after the sweep: a ratio derived from a memo entry this
-        # sweep removes carries the previous epoch.
-        self._epoch += 1
         return qerror(estimated, actual) > self.drift_threshold
 
     def observed_cardinality(self, key: str) -> Optional[float]:

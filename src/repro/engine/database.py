@@ -34,14 +34,6 @@ from repro.storage.relation import Merged, Relation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.operators import AggregateState
 
-#: Insert fraction beyond which ``apply_update`` rebuilds a relation's
-#: indexes instead of maintaining them.  Incremental maintenance is O(δ) for
-#: hash indexes and one merge for sorted ones, cheaper than the rebuild at
-#: any size; the threshold stays because the stream scheduler's round-cost
-#: model prices the rebuild penalty from it (``refresh_round_cost``).
-INCREMENTAL_INDEX_FRACTION = 0.25
-
-
 #: One merge step: the bags ``(inserts, deletes)``, either may be ``None``.
 Step = Tuple[Optional[Relation], Optional[Relation]]
 
@@ -233,11 +225,9 @@ class Database:
         """Apply one single-relation update (insert or delete bag) to a base table.
 
         Indexes on the relation are maintained from the delta bag instead of
-        being rebuilt from scratch: insert positions are appended, delete
-        positions remapped.  A full rebuild happens when an insert exceeds
-        ``INCREMENTAL_INDEX_FRACTION`` of the relation (the penalty the
-        stream cost model prices, not a cost cut-over) or an index cannot be
-        maintained incrementally.
+        being rebuilt from scratch, whatever the delta's size: insert
+        positions are appended, delete positions remapped.  A full rebuild
+        happens only when an index cannot be maintained incrementally.
         """
         step: Step = (delta_rows, None) if kind is DeltaKind.INSERT else (None, delta_rows)
         merged = self._merge(relation, self.table(relation), [step])
@@ -375,8 +365,7 @@ class Database:
         """Store ``current`` after ``steps`` and follow it with every index.
 
         Indexes remap the surviving positions of ``current`` and append the
-        surviving inserted tail, or are rebuilt when the tail exceeds
-        ``INCREMENTAL_INDEX_FRACTION`` of the rest.
+        surviving inserted tail.
         """
         merged = current.merge_steps(steps)
         updated = merged.relation
@@ -391,9 +380,6 @@ class Database:
         if not entries:
             return merged
         start = len(updated) - merged.appended
-        if merged.appended > INCREMENTAL_INDEX_FRACTION * max(1, start):
-            self.rebuild_indexes(name)
-            return merged
         try:
             old_to_new = None if merged.keep is None else surviving_positions(merged.keep)
             for _, built in entries:

@@ -13,9 +13,9 @@ tier, in three pieces:
   the caller thread), fed by a bounded write queue so ``ingest()`` never
   blocks on refresh work;
 * :class:`FreshnessSLO` / :class:`Staleness` — per-view staleness bounds
-  (rounds / rows / seconds) layered as hard limits over PR 5's cost-based
-  deferral, plus the read admission policies (``serve-stale`` / ``block``
-  / ``reject``) applied when the daemon falls behind anyway.
+  (rounds / rows / seconds) layered as hard limits over the stream
+  policy's deferral, plus the read admission policies (``serve-stale`` /
+  ``block`` / ``reject``) applied when the daemon falls behind anyway.
 
 The public entry point is :meth:`repro.api.Warehouse.serve`; this package
 never imports the façade.  It is also the only place allowed to touch

@@ -6,10 +6,11 @@ return immediately; the daemon thread dequeues them in order and drives
 the session's ingest pipeline — the same object a stream session drives on
 its caller thread (``repro.api.stream.IngestPipeline``).  ``pipeline.tick``
 resolves a batch into concrete deltas and runs the
-:class:`~repro.stream.StreamScheduler` tick; when the scheduler (or a
-:class:`~repro.serving.slo.FreshnessSLO`) says deferral stopped paying,
-``pipeline.flush()`` refreshes the pending rounds and the daemon publishes
-a new :class:`~repro.serving.snapshot.SnapshotManager` version.
+:class:`~repro.stream.StreamScheduler` tick; when the scheduler's staleness
+bound (or a :class:`~repro.serving.slo.FreshnessSLO`) says the views may
+fall no further behind, ``pipeline.flush()`` refreshes the pending rounds
+and the daemon publishes a new
+:class:`~repro.serving.snapshot.SnapshotManager` version.
 
 Because *all* resolution, refresh and publication happens on this one
 thread, the engine underneath (database, refresher, key
@@ -18,7 +19,7 @@ touch published snapshots, never the live views.  The daemon holds one
 mutex for its queue/staleness bookkeeping and never calls into the engine
 while holding it.
 
-The SLO is layered *over* the cost model, never traded against it: after
+The SLO is layered *over* the stream policy's bounds: after
 each tick, if any view's staleness exceeds its SLO and the scheduler said
 ``defer``, the daemon overrides the verdict to ``refresh`` (the decision
 trace records the override and its reason).  Time-based bounds

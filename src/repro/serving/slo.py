@@ -13,11 +13,10 @@ bound is violated.
 
 The SLO acts on both sides of the serving layer:
 
-* **Scheduler side (hard bound).**  The refresh daemon lets the PR 5
-  cost-based scheduler defer refreshes while deferral pays, but overrides
-  any ``defer`` verdict that would leave some view's staleness past its
-  SLO — the bound is *layered over* the cost model, never traded against
-  it.
+* **Scheduler side (hard bound).**  The refresh daemon lets the stream
+  scheduler defer refreshes within its policy's staleness bounds, but
+  overrides any ``defer`` verdict that would leave some view's staleness
+  past its SLO — the bound is *layered over* the policy's.
 * **Read side (admission control).**  When the daemon has fallen behind
   anyway (a slow flush, a paused daemon, a burst of ingests), each read is
   admitted per :data:`ReadPolicy`: ``serve-stale`` serves the pinned
@@ -67,7 +66,7 @@ class FreshnessSLO:
     All three bounds are inclusive: a snapshot trailing by *exactly*
     ``max_rounds`` rounds still satisfies the SLO; one more pending round
     violates it.  An SLO with every bound ``None`` never forces a refresh
-    and never degrades a read — cost-based deferral alone decides.
+    and never degrades a read — the stream policy's bounds alone decide.
     """
 
     #: Most ingested-but-unapplied update rounds the view tolerates.

@@ -1,4 +1,4 @@
-"""Streaming update ingestion: delta coalescing + cost-based deferred refresh.
+"""Streaming update ingestion: delta coalescing + bounded deferred refresh.
 
 The paper's optimizer decides *what* to materialize by pricing maintenance
 work; this package adds the time dimension — *when* to pay that work under a
@@ -8,9 +8,9 @@ continuous update stream:
   refresher, coalescing consecutive rounds (insert/delete annihilation,
   N rounds → one bag) so one refresh replaces many;
 * :class:`StreamPolicy` / :class:`StreamScheduler` — per-tick refresh-or-defer
-  decisions comparing estimated deferred cost (bigger coalesced delta,
-  possible index-rebuild fallback) against eager replay, bounded by
-  staleness limits (``max_rows``, ``max_batches``);
+  decisions: a coalesced flush never costs more than eager replay, so a
+  deferring policy flushes when a staleness bound (``max_rows``,
+  ``max_batches``) is reached;
 * :class:`TickDecision` — one trace entry, rendered by
   ``Warehouse.stream().explain_schedule()``.
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.storage.delta import Delta, DeltaStore, merge_delta_sizes
+from repro.storage.delta import Delta, DeltaStore
 from repro.storage.bagdiff import multiset_subtract
 from repro.storage.relation import Relation, Row
 
@@ -136,19 +136,6 @@ class PendingDeltas:
                 for state in self._state.values()
             )
         return sum(store.total_rows() for store in self._rounds)
-
-    def delta_sizes(self) -> Dict[str, Tuple[int, int]]:
-        """Per-relation ``(inserts, deletes)`` sizes of the pending work.
-
-        In coalescing mode these are the coalesced bag sizes; otherwise the
-        element-wise sums over the buffered rounds.
-        """
-        if self.coalesce:
-            return {
-                relation: (state.pending_inserts, len(state.delete_rows))
-                for relation, state in self._state.items()
-            }
-        return merge_delta_sizes(*[store.delta_sizes() for store in self._rounds])
 
     # ------------------------------------------------------------------ flush
 

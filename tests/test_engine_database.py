@@ -155,8 +155,7 @@ def test_apply_update_maintains_indexes_incrementally(star_database):
     star_database.apply_update(
         "sales", DeltaKind.DELETE, Relation(schema, [(1, 10, 100, 2, 20.0)])
     )
-    # The small deltas stay under the incremental threshold: the index object
-    # must have been maintained in place, not rebuilt.
+    # The index object must have been maintained in place, not rebuilt.
     assert star_database.index_for("sales", ["product_id"]) is index_after_insert
     assert_indexes_match_rebuild(
         star_database, "sales", ["product_id"], [(10,), (11,), (12,), (99,)]
@@ -167,15 +166,31 @@ def test_apply_update_maintains_indexes_incrementally(star_database):
     assert btree.lookup((1,)) == []
 
 
-def test_large_delta_falls_back_to_rebuild(star_database):
+def test_large_delta_is_maintained_incrementally(star_database):
     star_database.build_index(IndexDef("stores", ("st_id",), kind="hash"))
     before = star_database.index_for("stores", ["st_id"])
     schema = star_database.table("stores").schema
     big = Relation(schema, [(200 + i, f"town{i}", "west") for i in range(10)])
     star_database.apply_update("stores", DeltaKind.INSERT, big)
-    after = star_database.index_for("stores", ["st_id"])
-    assert after is not before  # rebuilt, not spliced
-    assert after.lookup((205,)) == [(205, "town5", "west")]
+    # An insert several times the relation's size is still spliced in.
+    assert star_database.index_for("stores", ["st_id"]) is before
+    assert before.lookup((205,)) == [(205, "town5", "west")]
+    assert_indexes_match_rebuild(
+        star_database, "stores", ["st_id"], [(1,), (200,), (205,), (209,), (999,)]
+    )
+
+
+@pytest.mark.parametrize("kind", ["hash", "btree"])
+def test_insert_into_an_empty_indexed_view_is_maintained_incrementally(star_database, kind):
+    sales = star_database.table("sales")
+    star_database.materialize_view("v_empty", Relation(sales.schema, []))
+    star_database.build_index(IndexDef("v_empty", ("product_id",), kind=kind))
+    before = star_database.index_for("v_empty", ["product_id"])
+    star_database.update_view("v_empty", inserts=Relation(sales.schema, sales.rows))
+    assert star_database.index_for("v_empty", ["product_id"]) is before
+    assert_indexes_match_rebuild(
+        star_database, "v_empty", ["product_id"], [(10,), (11,), (12,), (99,)]
+    )
 
 
 def test_update_view_maintains_view_indexes(star_database):

@@ -2,7 +2,7 @@
 
 Covers the session lifecycle (query/ingest/flush/close, context manager),
 admission control under all three read policies, the SLO hard bound over
-cost-based deferral, daemon crash surfacing, write-queue shedding, the
+the stream policy's deferral, daemon crash surfacing, write-queue shedding, the
 config knobs, and the ``explain_serving()`` trace.
 """
 
@@ -234,7 +234,7 @@ def test_slos_for_unknown_view_rejected(warehouse):
         warehouse.serve(slos={"v_missing": FreshnessSLO(max_rounds=1)})
 
 
-# ------------------------------------------------- SLO over cost-based deferral
+# --------------------------------------- SLO over the stream policy's deferral
 
 def test_freshness_slo_forces_flush_past_deferral(warehouse):
     """The scheduler defers tiny rounds; the SLO bound overrides it."""
