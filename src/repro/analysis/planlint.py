@@ -441,7 +441,7 @@ def verify_delta_round(
             continue
         base = database.table(delta.relation).schema
         for label, bag in (("δ+", delta.inserts), ("δ-", delta.deletes)):
-            if not len(bag):
+            if not len(bag) or bag.schema.names == base.names:
                 continue
             names = tuple(c.unqualified for c in bag.schema.columns)
             base_names = tuple(c.unqualified for c in base.columns)

@@ -25,9 +25,11 @@ Division of labor with :mod:`repro.serving`:
   :meth:`query` as admission control (``serve-stale`` / ``block`` /
   ``reject``) for the window where the daemon has fallen behind anyway.
 
-Like stream flushes, daemon refreshes are non-transactional: a refresh
-failure poisons the session and surfaces as a
-:class:`~repro.api.errors.ServingError` in the next client call.
+A daemon refresh commits or rolls back like every refresh.  A failed one
+stops the daemon and surfaces as a :class:`~repro.api.errors.ServingError`
+in the next client call; the warehouse stays at its last commit — the last
+published snapshot — so a new ``serve()``, ``stream()`` or ``apply()`` on
+it works.
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ The ingest → resolve → tick → take → refresh sequence is one
 caller thread, and the serving :class:`~repro.serving.RefreshDaemon` on its
 own thread for ``Warehouse.serve()``.
 
-Unlike ``Warehouse.apply()``, stream flushes are **not transactional**: an
-ingested delta is accepted state, so a flush failure surfaces without
-rolling the database back (``verify_refresh`` still raises on divergence).
+A flush commits like ``Warehouse.apply()`` or changes nothing: a failed
+flush leaves the database at its last commit and its rounds pending, so the
+session stays open and the next flush refreshes them once.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import StreamClosedError, WarehouseError, unknown_name
@@ -53,7 +54,7 @@ class IngestPipeline:
         self.scheduler = StreamScheduler(policy)
         self._ticks = 0
         #: Rows already marked for deletion by pending rounds (never delete
-        #: a tuple twice); every :meth:`flush` resets it.
+        #: a tuple twice); every committed :meth:`flush` resets it.
         self._pending_deletes: Dict[str, List[Row]] = {}
         #: Refresh reports of every flush, in order.
         self.reports: List = []
@@ -61,17 +62,16 @@ class IngestPipeline:
         self.skipped_flushes = 0
         #: Tuples annihilated by coalescing across the pipeline's lifetime.
         self.annihilated_rows = 0
-        #: Rounds a *failed* flush was about to refresh, kept for inspection.
-        self.failed_rounds: List[DeltaStore] = []
 
     def validate(self, batch: Optional[IngestBatch]) -> None:
         """Reject a malformed batch now, while rejecting is free.
 
-        A flush failure after buffering poisons the session (the refresh is
-        non-transactional), so a malformed round must not get that far.
-        Every recorded delta is checked — even fully empty ones, since the
-        pending buffer adopts the first round's bags as its schema
-        templates.
+        A failed flush keeps its rounds pending, so a malformed round that
+        got into the buffer would fail every later flush.  Every recorded
+        delta is checked — even fully empty ones, since the pending buffer
+        adopts the first round's bags as its schema templates — and then
+        passes the static gate every refresh runs
+        (:meth:`Warehouse._verify_rounds`).
         """
         wh = self._warehouse
         if not isinstance(batch, DeltaStore):
@@ -95,6 +95,7 @@ class IngestPipeline:
                         f"{len(bag.schema)}, the table expects {arity} "
                         f"(in ingested batch)"
                     )
+        wh._verify_rounds([batch])
 
     def tick(
         self, batch: Optional[IngestBatch], seed: Optional[int]
@@ -133,32 +134,33 @@ class IngestPipeline:
         return deltas, self.scheduler.ingest(deltas)
 
     def flush(self):
-        """Refresh everything pending, non-transactionally.
+        """Refresh everything pending; it commits or changes nothing.
 
         Returns the refresh report, or ``None`` when nothing survived
-        coalescing.  The delete pool resets either way; the issued-keys
-        high-water mark deliberately survives.  A failed refresh keeps its
-        rounds in :attr:`failed_rounds` and re-raises: the database may
-        hold a partial flush, so the driver must not replay them.
+        coalescing.  A commit resets the delete pool; the issued-keys
+        high-water mark deliberately survives.  A failed refresh rolls the
+        database back (``Warehouse._refresh_rounds``) and leaves the
+        pending buffer, the delete pool and the counters as they were
+        before the call, so the next flush refreshes the same rounds once.
         """
-        pending = self.scheduler.pending
-        had_batches = pending.batches > 0
-        # The coalescing work happened whether or not a refresh follows.
-        self.annihilated_rows += pending.annihilated_rows
-        rounds = self.scheduler.take()
+        # take() leaves a shallow copy of the buffer intact (see its
+        # docstring): that copy is what a failed refresh puts back.
+        before = copy.copy(self.scheduler.pending)
+        rounds = self.scheduler.pending.take()
+        report = None
+        if rounds:
+            try:
+                report = self._warehouse._refresh_rounds(rounds)
+            except Exception:
+                self.scheduler.pending = before
+                raise
+            self.reports.append(report)
+        elif before.batches:
+            # Batches were pending but coalesced to nothing — the
+            # "insert-then-delete annihilates" fast path: no refresh.
+            self.skipped_flushes += 1
+        self.annihilated_rows += before.annihilated_rows
         self._pending_deletes = {}
-        if not rounds:
-            if had_batches:
-                # Batches were pending but coalesced to nothing — the
-                # "insert-then-delete annihilates" fast path: no refresh.
-                self.skipped_flushes += 1
-            return None
-        try:
-            report = self._warehouse._refresh_rounds(rounds, transactional=False)
-        except Exception:
-            self.failed_rounds = rounds
-            raise
-        self.reports.append(report)
         return report
 
 
@@ -167,7 +169,7 @@ class StreamSession:
 
     Create it with :meth:`Warehouse.stream`; use it as a context manager so
     pending deltas are flushed on exit.  It drives an :class:`IngestPipeline`
-    and adds the lifecycle: a mutex, the closed flag, and poisoning.
+    and adds the lifecycle: a mutex and the closed flag.
     """
 
     def __init__(self, warehouse, policy: StreamPolicy) -> None:
@@ -193,13 +195,15 @@ class StreamSession:
         or nothing (the config's default percentage).  Returns the
         scheduler's :class:`~repro.stream.TickDecision`; when it says
         ``refresh`` the flush has already happened (see :attr:`reports`).
+        If that flush fails, the batch stays ingested and pending (as after
+        a failed :meth:`flush`) and the error propagates.
         """
         with self._mutex:
             self._require_open()
             self._pipeline.validate(batch)
             _, decision = self._pipeline.tick(batch, seed)
             if decision.refreshes:
-                self._flush_pending()
+                self._pipeline.flush()
             return decision
 
     # ----------------------------------------------------------------- flush
@@ -211,12 +215,9 @@ class StreamSession:
         when there was nothing to refresh (nothing ingested, or every
         pending tuple annihilated during coalescing).
 
-        A flush failure **poisons the session**: the refresh is
-        non-transactional, so the database may hold a partially applied
-        flush, and replaying the same rounds would double-apply them.  The
-        session closes itself, the un-refreshed rounds stay readable in
-        :attr:`failed_rounds`, and further ``ingest()``/``flush()`` raise
-        :class:`~repro.api.errors.StreamClosedError`.
+        A failed flush rolls back: the database stays at its last commit,
+        the rounds stay pending, the session stays open, and the error
+        propagates.  Calling ``flush()`` again refreshes the rounds once.
 
         ``flush()`` and ``close()`` are mutually exclusive: under a race,
         whichever enters second waits, and a flush that arrives after the
@@ -225,28 +226,22 @@ class StreamSession:
         """
         with self._mutex:
             self._require_open()
-            return self._flush_pending()
-
-    def _flush_pending(self):
-        try:
             return self._pipeline.flush()
-        except Exception:
-            # Non-transactional: retrying these rounds would double-apply
-            # them.  Poison the session; the pipeline keeps them readable.
-            self._closed = True
-            raise
 
     def close(self):
         """Flush pending deltas and retire the session.
 
         Idempotent and safe under a racing :meth:`flush`: both serialize on
         the session mutex, so exactly one of them performs the final flush
-        and a second ``close()`` is a no-op returning ``None``.
+        and a second ``close()`` is a no-op returning ``None``.  If the
+        final flush fails, the session stays open with its rounds pending;
+        leaving a ``with`` block on an exception closes it without
+        flushing, which is how pending rounds are dropped.
         """
         with self._mutex:
             if self._closed:
                 return None
-            report = self._flush_pending()
+            report = self._pipeline.flush()
             self._closed = True
             return report
 
@@ -283,11 +278,6 @@ class StreamSession:
     def annihilated_rows(self) -> int:
         """Tuples annihilated by coalescing across the session's lifetime."""
         return self._pipeline.annihilated_rows
-
-    @property
-    def failed_rounds(self) -> List[DeltaStore]:
-        """Rounds a *failed* flush was about to refresh (see :meth:`flush`)."""
-        return self._pipeline.failed_rounds
 
     @property
     def pending_rows(self) -> int:

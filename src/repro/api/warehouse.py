@@ -10,7 +10,7 @@ this class owns that whole loop behind a single object:
                                .group_by("n_name").sum("l_extendedprice"))
     result = wh.optimize()              # Greedy / NoGreedy per the config
     wh.load_data(scale=0.001)           # executable data for actual refresh
-    report = wh.apply(0.05)             # one transactional update+refresh
+    report = wh.apply(0.05)             # one update+refresh: commits or rolls back
     print(wh.explain("revenue"))        # strategy, plan tree, est vs actual
 
 Internally the warehouse wires the existing components — ``Catalog``,
@@ -153,26 +153,32 @@ class Warehouse:
         a small scale factor — is the default: ``load()`` sets the planning
         catalog, this generates deterministic TPC-D data at ``scale``.
         """
-        if database is not None:
-            self._database = database
-        else:
-            self._database = datagen.small_database(
-                scale_factor=scale, seed=seed, tables=tables
-            )
-        self._attach_runtime()
-        if self._catalog is None:
-            # No separate planning catalog: plan directly over the data.
-            self.load(catalog=self._database.catalog)
+        if database is None:
+            database = datagen.small_database(scale_factor=scale, seed=seed, tables=tables)
+        self._attach_database(database)
         return self
 
-    def _attach_runtime(self) -> None:
+    def _attach_database(self, database: Database) -> None:
+        """Make ``database`` the one ``apply()``, ``stream()`` and ``serve()``
+        run on — the path shared by :meth:`load_data` and a rollback.
+
+        Planning follows the data when it has no catalog of its own or was
+        bound to the previous database's: ``optimize()`` / ``explain()``
+        must price the statistics of the data that is attached now.
+        """
+        previous = self._database
+        self._database = database
+        if self._catalog is None or (
+            previous is not None and self._catalog is previous.catalog
+        ):
+            self.load(catalog=database.catalog)
         runtime_estimator = CardinalityEstimator(
-            self._database.catalog,
+            database.catalog,
             use_histograms=self.config.histograms,
             use_feedback=self.config.feedback,
         )
         self._runtime = PhysicalExecutor(
-            self._database,
+            database,
             estimator=runtime_estimator,
             feedback=self.config.feedback,
             verify_plans=self.config.verify_plans,
@@ -361,36 +367,34 @@ class Warehouse:
         *,
         seed: Optional[int] = None,
     ) -> WarehouseRefreshReport:
-        """One transactional update+refresh step.
+        """One update+refresh step: it commits, or it rolls back.
 
         ``batch`` may be a ready :class:`DeltaStore`, an :class:`UpdateSpec`,
         a plain update fraction (``0.05`` = the paper's 5% batch), or omitted
         to use the config's default percentage.  Concrete deltas are
         generated deterministically when a spec/fraction is given.  The base
         updates are applied and every view refreshed with the optimizer's
-        decisions (recompute-vs-incremental, temporary shared results); if
-        anything fails — including ``verify_refresh`` finding a mismatch —
-        the database is rolled back to its pre-batch state before the error
-        propagates.
+        decisions (recompute-vs-incremental, temporary shared results), as
+        :meth:`_refresh_rounds` describes.
         """
         deltas, spec = self._resolve_batch(batch, seed)
-        return self._refresh_rounds([deltas], transactional=True, spec=spec)
+        return self._refresh_rounds([deltas], spec=spec)
 
     def _refresh_rounds(
         self,
         rounds: Sequence[DeltaStore],
         *,
-        transactional: bool,
         spec: Optional[UpdateSpec] = None,
     ) -> WarehouseRefreshReport:
-        """Refresh a sequence of concrete update rounds in one session.
+        """Refresh a sequence of concrete update rounds as one unit.
 
-        This is the shared core of :meth:`apply` (always one round,
-        transactional) and the ingest pipeline's flush behind ``stream()``
-        and ``serve()`` (possibly many rounds through
-        :meth:`ViewRefresher.refresh_many`, non-transactional — ingested
-        deltas are accepted state, so a failure surfaces without rolling
-        back).
+        The one commit path behind :meth:`apply` (one round) and the ingest
+        pipeline's flush behind ``stream()`` and ``serve()`` (possibly many
+        rounds through :meth:`ViewRefresher.refresh_many`).  If anything
+        fails — including ``verify_refresh`` finding a mismatch — the
+        pre-refresh copy of the database (tables, views, indexes,
+        statistics, aggregate states) is attached before the error
+        propagates, so every refresh either commits or changes nothing.
         """
         database = self._require_database()
         if not self._views:
@@ -411,7 +415,7 @@ class Warehouse:
             self.optimize(spec if spec is not None else self._spec_of(rounds))
         recompute, temporaries = self._maintenance_choices()
 
-        snapshot = database.copy() if transactional else None
+        snapshot = database.copy()
         refresher = ViewRefresher(
             database,
             self._views,
@@ -429,23 +433,11 @@ class Warehouse:
                 if not all(verification.values()):
                     failed = sorted(n for n, ok in verification.items() if not ok)
                     raise WarehouseError(
-                        f"refresh verification failed for {failed}"
-                        + ("; the batch was rolled back" if transactional else "")
+                        f"refresh verification failed for {failed}; "
+                        f"the batch was rolled back"
                     )
         except Exception:
-            if snapshot is not None:
-                # Transactional semantics: restore the pre-batch state
-                # (tables, views, indexes, statistics) before letting the
-                # error surface.  When the planning catalog *is* the
-                # database's catalog (the load_data-without-load path),
-                # rebind planning to the restored copy too — otherwise
-                # optimize()/explain() would keep pricing against statistics
-                # that include the rolled-back batch.
-                planning_was_runtime = self._catalog is database.catalog
-                self._database = snapshot
-                self._attach_runtime()
-                if planning_was_runtime:
-                    self.load(catalog=snapshot.catalog)
+            self._attach_database(snapshot)
             raise
         return WarehouseRefreshReport(
             steps=report.steps,
@@ -473,7 +465,7 @@ class Warehouse:
 
         database = self._require_database()
         for deltas in rounds:
-            bad = errors(verify_delta_round(deltas, database, views=self._views))
+            bad = errors(verify_delta_round(deltas, database))
             if bad:
                 raise WarehouseError(
                     "update batch failed static verification:\n"

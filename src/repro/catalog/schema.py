@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -115,9 +116,10 @@ class Schema:
             return False
         return True
 
-    @property
+    @cached_property
     def names(self) -> Tuple[str, ...]:
-        """Fully qualified column names in order."""
+        """Fully qualified column names in order (computed once: the schema
+        and its columns are immutable)."""
         return tuple(c.name for c in self.columns)
 
     @property

@@ -318,7 +318,7 @@ class ViewRefresher:
 
         Stale materializations are dropped (and unregistered) *before* any
         recomputation: a registered stale view would short-circuit its own
-        recomputation — and poison any other temporary computed from it —
+        recomputation — and corrupt any other temporary computed from it —
         through the registry lookup in the evaluators.
         """
         dropped = False

@@ -11,7 +11,8 @@ tier, in three pieces:
 * :class:`RefreshDaemon` — the single writer: a background thread driving
   the session's ingest pipeline (the one ``Warehouse.stream()`` drives on
   the caller thread), fed by a bounded write queue so ``ingest()`` never
-  blocks on refresh work;
+  blocks on refresh work; it stops on its first failed refresh, which has
+  rolled back to the last published snapshot;
 * :class:`FreshnessSLO` / :class:`Staleness` — per-view staleness bounds
   (rounds / rows / seconds) layered as hard limits over the stream
   policy's deferral, plus the read admission policies (``serve-stale`` /

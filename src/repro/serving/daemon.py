@@ -27,11 +27,12 @@ trace records the override and its reason).  Time-based bounds
 ``tick_seconds``, so a quiet queue cannot let a pending round age past its
 promise.
 
-Failure model mirrors the stream session: the refresh path is
-non-transactional, so any exception on the daemon thread **poisons the
-daemon** — the crash is captured, the thread exits, and the next client
-call observes it through :meth:`check` (the session translates it into a
-``ServingError``).
+Any exception on the daemon thread **stops the daemon**: the crash is
+captured, the thread exits, and the next client call observes it through
+:meth:`check` (the session translates it into a ``ServingError``).  The
+daemon cannot tell a transient failure from a deterministic one, so it does
+not retry.  A failed flush rolls back, so the engine is left at its last
+commit, which is also the last published snapshot.
 """
 
 from __future__ import annotations

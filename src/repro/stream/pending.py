@@ -144,7 +144,9 @@ class PendingDeltas:
 
         Coalescing mode yields at most one round (none when everything
         annihilated — the refresh is skipped entirely); otherwise the
-        buffered rounds in arrival order.
+        buffered rounds in arrival order.  The reset rebinds the buffer's
+        containers and never mutates them, so a shallow copy taken before
+        is the buffer as it was: a failed flush restores it that way.
         """
         if self.coalesce:
             merged: Optional[DeltaStore] = None

@@ -173,12 +173,6 @@ class StreamScheduler:
         decision.reason = reason
         return decision
 
-    # ----------------------------------------------------------------- flush
-
-    def take(self) -> List[DeltaStore]:
-        """Hand over the pending rounds for refreshing."""
-        return self.pending.take()
-
     # ----------------------------------------------------------------- trace
 
     def render_trace(self) -> str:

@@ -8,6 +8,7 @@ database in the same state as an eager one fed the identical rounds.
 
 import pytest
 
+from failpoints import Failpoint, Injected
 from repro import (
     FreshnessSLO,
     Q,
@@ -19,11 +20,12 @@ from repro import (
     WarehouseError,
 )
 from repro.catalog.schema import Schema
+from repro.engine.database import Database
 from repro.maintenance.update_spec import RelationUpdate
 from repro.storage.delta import Delta, DeltaStore
 from repro.storage.relation import Relation
 from repro.stream import StreamScheduler
-from repro.workloads.updategen import generate_update_stream
+from repro.workloads.updategen import generate_update_stream, uniform_deltas
 
 
 def small_warehouse(**config_overrides):
@@ -107,8 +109,8 @@ def test_ingest_rejects_unknown_relation_before_buffering(warehouse):
     schema = Schema.from_names(["x"])
     bogus = DeltaStore(["linitem"])
     bogus.set_delta(Delta("linitem", Relation(schema, [(1,)]), Relation(schema, [])))
-    # A typo'd relation is rejected at ingest time — a flush failure would
-    # poison the session, so the bad round must never enter the buffer.
+    # A typo'd relation is rejected at ingest time — a failed flush keeps its
+    # rounds pending, so a bad round in the buffer would fail every flush.
     with pytest.raises(WarehouseError, match="lineitem"):
         session.ingest(bogus)
     assert not session.closed and session.pending_batches == 0
@@ -135,6 +137,18 @@ def test_ingest_rejects_wrong_arity_before_buffering(warehouse):
     )
     with pytest.raises(WarehouseError, match="arity"):
         session.ingest(sneaky)
+    assert not session.closed and session.pending_batches == 0
+    session.close()
+
+
+def test_ingest_rejects_stale_column_names_before_buffering(warehouse):
+    session = fresh_session(warehouse)
+    stale = DeltaStore(["nation"])
+    schema = Schema.from_names(["a", "b", "c"])  # nation's arity, stale names
+    stale.set_delta(Delta("nation", Relation(schema, [(99, "x", 0)]), Relation(schema, [])))
+    # The static gate every refresh runs (REPRO-P005) runs at ingest too.
+    with pytest.raises(WarehouseError, match="REPRO-P005"):
+        session.ingest(stale)
     assert not session.closed and session.pending_batches == 0
     session.close()
 
@@ -324,27 +338,36 @@ def test_deferred_session_matches_eager_session_on_same_stream():
     assert all(wh_eager.verify().values())
 
 
-def test_failed_flush_poisons_session_and_keeps_rounds_inspectable(monkeypatch):
+def test_failed_flush_rolls_back_and_keeps_rounds_pending(monkeypatch):
     wh = small_warehouse()
+    wh.apply(0.0)  # materialize the views
+    model = wh.database.copy()
     session = wh.stream()
-    session.ingest(0.02)
-    assert session.pending_rows > 0
-
-    def boom(rounds, **kwargs):
-        raise WarehouseError("refresh exploded")
-
-    monkeypatch.setattr(wh, "_refresh_rounds", boom)
-    with pytest.raises(WarehouseError, match="exploded"):
+    for seed in (1, 2):
+        deltas = uniform_deltas(model, 0.02, wh.view_relations, seed=seed)
+        for delta in deltas:
+            model.apply_delta(delta)
+        session.ingest(deltas)
+    pending = (session.pending_batches, session.pending_rows)
+    before = wh.database.copy()
+    failpoint = Failpoint(monkeypatch, Database, "update_view", 1)
+    with pytest.raises(Injected):
         session.flush()
-    # The refresh is non-transactional, so retrying could double-apply:
-    # the session is poisoned, with the rounds readable for diagnosis.
-    assert session.closed
-    assert session.failed_rounds and session.failed_rounds[0].total_rows() > 0
-    assert len(session.reports) == 0
-    with pytest.raises(StreamClosedError):
-        session.flush()
-    with pytest.raises(StreamClosedError):
-        session.ingest(0.01)
+    # The flush rolled back: the session is open, its rounds pending, and
+    # the tables are the pre-flush ones.
+    assert failpoint.fired and not session.closed
+    assert (session.pending_batches, session.pending_rows) == pending
+    assert session.reports == []
+    for table in wh.view_relations:
+        assert wh.database.table(table).same_bag(before.table(table)), table
+    assert all(wh.verify().values())
+    # The failpoint fired once: the retry commits each round exactly once.
+    assert session.flush().rounds == 1
+    assert session.pending_batches == 0 and len(session.reports) == 1
+    for table in wh.view_relations:
+        assert wh.database.table(table).same_bag(model.table(table)), table
+    assert all(wh.verify().values())
+    session.close()
 
 
 def test_key_sequences_survive_flushes_without_reuse():
@@ -365,8 +388,6 @@ def test_key_sequences_survive_flushes_without_reuse():
 
 
 def test_mixed_deltastore_and_generated_ingests_share_key_space():
-    from repro.workloads.updategen import uniform_deltas
-
     wh = small_warehouse()
     session = wh.stream()
     # A caller-supplied store's inserts (which continue the key sequence at

@@ -376,6 +376,20 @@ def test_apply_rolls_back_on_mid_refresh_failure(tiny_tpcd_database):
     assert report.total_changes() >= 0
 
 
+def test_second_load_data_rebinds_planning_that_followed_the_data():
+    wh = Warehouse(WarehouseConfig.profile("fast")).load_data(scale=0.0005)
+    first = wh.database
+    wh.load_data(scale=0.001)
+    assert wh.catalog is wh.database.catalog is not first.catalog
+    assert wh.catalog.stats("lineitem").cardinality == len(wh.database.table("lineitem"))
+    # A planning catalog of its own stays put.
+    planned = Warehouse(WarehouseConfig.profile("fast")).load(scale=0.05)
+    catalog = planned.catalog
+    planned.load_data(scale=0.0005)
+    planned.load_data(scale=0.001)
+    assert planned.catalog is catalog
+
+
 def test_rolled_back_apply_keeps_tables_columnar(tiny_tpcd_database, monkeypatch):
     from repro.engine.database import Database
 

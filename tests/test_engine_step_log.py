@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failpoints import Failpoint, Injected, update_key
 from repro.api import Warehouse, WarehouseConfig
 from repro.catalog.catalog import IndexDef
 from repro.catalog.schema import Schema
@@ -174,30 +175,11 @@ def test_every_incremental_view_merges_once_per_apply(warehouse):
     assert all(warehouse.verify().values())
 
 
-class Injected(RuntimeError):
-    """The failpoint's error."""
-
-
 @pytest.fixture
 def fail_on_third_update(monkeypatch):
     """Arms a ``DifferentialEngine.differentiate`` that raises on the third
-    update it sees; returns the updates seen."""
-    original = DifferentialEngine.differentiate
-
-    def arm():
-        seen = []
-
-        def differentiate(self, expression, relation, kind, *args, **kwargs):
-            if (relation, kind) not in seen:
-                seen.append((relation, kind))
-            if len(seen) == 3:
-                raise Injected(f"{relation} {kind.value}")
-            return original(self, expression, relation, kind, *args, **kwargs)
-
-        monkeypatch.setattr(DifferentialEngine, "differentiate", differentiate)
-        return seen
-
-    return arm
+    update it sees; returns the failpoint."""
+    return lambda: Failpoint(monkeypatch, DifferentialEngine, "differentiate", 3, key=update_key)
 
 
 def _index_contents(db, index):
@@ -209,21 +191,25 @@ def _index_contents(db, index):
     return sorted((repr(key), built.lookup_positions(key)) for key in keys)
 
 
-def test_a_failed_apply_leaves_the_pre_batch_database(warehouse, fail_on_third_update):
-    warehouse.apply(0.05)  # every δ-aggregate view holds a state
-    before = warehouse.database.copy()
-    seen = fail_on_third_update()
-    with pytest.raises(Injected):
-        warehouse.apply(0.05)
-    after = warehouse.database
-    assert len(seen) == 3
+def _assert_pre_batch(wh, before):
+    after = wh.database
     assert after._logs is None
-    for name in warehouse.views:
+    for name in wh.views:
         assert _contents(after.view(name)) == _contents(before.view(name)), name
         assert after.catalog.view_stats(name) == before.catalog.view_stats(name), name
         assert after.aggregate_state(name) is before.aggregate_state(name), name
     for index in before.catalog.all_indexes():
         assert _index_contents(after, index) == _index_contents(before, index), index
+
+
+def test_a_failed_apply_leaves_the_pre_batch_database(warehouse, fail_on_third_update):
+    warehouse.apply(0.05)  # every δ-aggregate view holds a state
+    before = warehouse.database.copy()
+    failpoint = fail_on_third_update()
+    with pytest.raises(Injected):
+        warehouse.apply(0.05)
+    assert len(failpoint.seen) == 3
+    _assert_pre_batch(warehouse, before)
 
 
 @contextmanager
@@ -232,21 +218,16 @@ def _no_log(self):
 
 
 def test_a_failed_flush_leaves_what_step_by_step_merging_leaves(fail_on_third_update, monkeypatch):
-    results = []
+    # Both leave the pre-flush database: a flush commits or rolls back.
     for deferred in (True, False):
         if not deferred:
             monkeypatch.setattr(Database, "step_log", _no_log)
         wh = _warehouse(data_scale=0.001)
-        fail_on_third_update()
+        wh.apply(0.05)  # every δ-aggregate view holds a state
         session = wh.stream()
         session.ingest(0.05, seed=3)
+        before = wh.database.copy()
+        fail_on_third_update()
         with pytest.raises(Injected):
             session.flush()
-        assert wh.database._logs is None
-        results.append(
-            {
-                name: (_contents(wh.database.view(name)), wh.database.catalog.view_stats(name))
-                for name in wh.views
-            }
-        )
-    assert results[0] == results[1]
+        _assert_pre_batch(wh, before)

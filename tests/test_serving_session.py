@@ -257,6 +257,7 @@ def test_freshness_slo_forces_flush_past_deferral(warehouse):
 # ------------------------------------------------------------- failure modes
 
 def test_daemon_crash_surfaces_into_client_calls(warehouse):
+    tables = {name: warehouse.database.table(name).copy() for name in warehouse.view_relations}
     session = warehouse.serve()
     try:
         original = session._warehouse._refresh_rounds
@@ -280,6 +281,17 @@ def test_daemon_crash_surfaces_into_client_calls(warehouse):
         with pytest.raises(ServingError, match="crashed"):
             session.close()
     assert session.closed
+    # The daemon stopped with the warehouse at its last commit, which a new
+    # session serves and refreshes.
+    assert all(warehouse.verify().values())
+    for name, table in tables.items():
+        assert warehouse.database.table(name).same_bag(table), name
+    with warehouse.serve() as fresh:
+        fresh.ingest(0.02)
+        fresh.flush(timeout=60.0)
+        assert fresh.as_of_round == 1
+    assert len(fresh.reports) == 1 and fresh.reports[0].base_rows_applied > 0
+    assert all(warehouse.verify().values())
 
 
 def test_full_write_queue_sheds_ingests():

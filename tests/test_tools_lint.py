@@ -257,7 +257,7 @@ def test_l014_one_ingest_pipeline(tmp_path):
         "def drive(warehouse, policy, rounds):\n"
         "    scheduler = StreamScheduler(policy)\n"
         "    other = stream.StreamScheduler(policy)\n"
-        "    return warehouse._refresh_rounds(rounds, transactional=False)\n"
+        "    return warehouse._refresh_rounds(rounds)\n"
     )
     findings = lint_source(tmp_path, source, "repro/serving/daemon.py")
     assert codes_of(findings) == ["REPRO-L014"] * 3
