@@ -446,13 +446,19 @@ def verify_delta_round(
             names = tuple(c.unqualified for c in bag.schema.columns)
             base_names = tuple(c.unqualified for c in base.columns)
             if names != base_names:
+                arity = ""
+                if len(names) != len(base_names):
+                    arity = (
+                        f" (arity {len(names)}, the table expects "
+                        f"{len(base_names)})"
+                    )
                 out.append(
                     Diagnostic(
                         "REPRO-P005",
                         "error",
                         f"{label}{delta.relation} schema {list(names)} "
                         f"disagrees with the base relation's "
-                        f"{list(base_names)}",
+                        f"{list(base_names)}{arity}",
                         f"{label}{delta.relation}",
                         "the delta was logged against a stale schema — "
                         "regenerate it from the current definition",

@@ -112,14 +112,6 @@ class WarehouseConfig:
     #: ``serving_block_timeout_seconds``) for a fresh-enough snapshot, then
     #: degrades; ``"reject"`` sheds the read with ``StaleReadError``.
     serving_read_policy: str = "serve-stale"
-    #: Per-view freshness SLO: most ingested-but-unapplied update rounds a
-    #: served view tolerates before the daemon forces a refresh
-    #: (``None`` = unbounded, the stream policy's bounds alone decide).
-    serving_max_staleness_rounds: Optional[int] = 8
-    #: ... most pending delta rows over the view's base relations.
-    serving_max_staleness_rows: Optional[int] = None
-    #: ... longest (seconds) a pending ingest may wait before a refresh.
-    serving_max_staleness_seconds: Optional[float] = None
     #: Bounded write queue between ``ingest()`` callers and the refresh
     #: daemon; a full queue sheds the ingest with ``ServingError``.
     serving_queue_capacity: int = 1024
@@ -177,30 +169,6 @@ class WarehouseConfig:
                 self.serving_read_policy,
                 ("serve-stale", "block", "reject"),
             )
-        if (
-            self.serving_max_staleness_rounds is not None
-            and self.serving_max_staleness_rounds < 1
-        ):
-            raise WarehouseError(
-                f"serving_max_staleness_rounds must be positive or None, got "
-                f"{self.serving_max_staleness_rounds}"
-            )
-        if (
-            self.serving_max_staleness_rows is not None
-            and self.serving_max_staleness_rows < 1
-        ):
-            raise WarehouseError(
-                f"serving_max_staleness_rows must be positive or None, got "
-                f"{self.serving_max_staleness_rows}"
-            )
-        if (
-            self.serving_max_staleness_seconds is not None
-            and self.serving_max_staleness_seconds <= 0
-        ):
-            raise WarehouseError(
-                f"serving_max_staleness_seconds must be positive or None, got "
-                f"{self.serving_max_staleness_seconds}"
-            )
         if self.serving_queue_capacity < 1:
             raise WarehouseError(
                 f"serving_queue_capacity must be positive, got "
@@ -226,17 +194,6 @@ class WarehouseConfig:
         return StreamPolicy.coalescing(
             max_rows=self.stream_max_rows,
             max_batches=self.stream_max_batches,
-        )
-
-    def make_freshness_slo(self) -> "FreshnessSLO":
-        """The default per-view :class:`~repro.serving.FreshnessSLO` the
-        serving knobs describe (``serve()`` overrides apply per view)."""
-        from repro.serving import FreshnessSLO
-
-        return FreshnessSLO(
-            max_rounds=self.serving_max_staleness_rounds,
-            max_rows=self.serving_max_staleness_rows,
-            max_seconds=self.serving_max_staleness_seconds,
         )
 
     # ------------------------------------------------------------------ profiles

@@ -44,7 +44,8 @@ from repro.api.errors import (
     StaleReadError,
     unknown_name,
 )
-from repro.api.stream import IngestBatch, IngestPipeline
+from repro.api.stream import IngestPipeline
+from repro.api.warehouse import UpdateBatch
 from repro.serving import (
     DaemonCrash,
     FreshnessSLO,
@@ -59,6 +60,10 @@ from repro.serving.sync import Mutex
 from repro.storage.delta import DeltaStore
 from repro.storage.relation import Relation
 from repro.stream import StreamPolicy
+
+#: The freshness SLO of every view ``serve()`` is not given one for: at most
+#: eight ingested-but-unapplied update rounds behind.
+DEFAULT_SLO = FreshnessSLO(max_rounds=8)
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ class ServingSession:
         self.read_policy = validate_read_policy(
             config.serving_read_policy if read_policy is None else read_policy
         )
-        self._default_slo = config.make_freshness_slo() if slo is None else slo
+        self._default_slo = DEFAULT_SLO if slo is None else slo
         self._slos: Dict[str, FreshnessSLO] = dict(slos or {})
         for view in self._slos:
             if view not in warehouse._views:
@@ -239,7 +244,7 @@ class ServingSession:
 
     # ------------------------------------------------------------------ write
 
-    def ingest(self, batch: Optional[IngestBatch] = None, *, seed: Optional[int] = None) -> int:
+    def ingest(self, batch: Optional[UpdateBatch] = None, *, seed: Optional[int] = None) -> int:
         """Queue one update round for the refresh daemon; returns its ticket.
 
         Non-blocking: validation happens here (so malformed batches fail in

@@ -11,42 +11,45 @@ when an explicit :meth:`flush` or ``close()`` forces it::
             session.ingest(batch)          # refreshes at a staleness bound
     print(session.explain_schedule())      # the full decision trace
 
-The ingest → resolve → tick → take → refresh sequence is one
-:class:`IngestPipeline` with two drivers: :class:`StreamSession` on the
-caller thread, and the serving :class:`~repro.serving.RefreshDaemon` on its
-own thread for ``Warehouse.serve()``.
+The validate → tick → flush sequence is one :class:`IngestPipeline` with
+three drivers: ``Warehouse.apply()`` (a transient eager pipeline, one round
+per call), :class:`StreamSession` on the caller thread, and the serving
+:class:`~repro.serving.RefreshDaemon` on its own thread for
+``Warehouse.serve()``.
 
-A flush commits like ``Warehouse.apply()`` or changes nothing: a failed
-flush leaves the database at its last commit and its rounds pending, so the
-session stays open and the next flush refreshes them once.
+A flush commits or changes nothing: a failed flush leaves the database at
+its last commit and its rounds pending, so the session stays open and the
+next flush refreshes them once.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.errors import StreamClosedError, WarehouseError, unknown_name
-from repro.maintenance.update_spec import UpdateSpec
+from repro.api.warehouse import UpdateBatch
 from repro.serving.sync import Mutex
 from repro.storage.delta import DeltaStore
 from repro.storage.relation import Row
 from repro.stream import StreamPolicy, StreamScheduler, TickDecision
 from repro.workloads import updategen
 
-#: What ``ingest()`` accepts — the same shapes as ``Warehouse.apply()``.
-IngestBatch = Union[DeltaStore, UpdateSpec, float]
-
 
 class IngestPipeline:
-    """The one ingest → flush pipeline behind ``stream()`` and ``serve()``.
+    """The one validate → tick → flush pipeline behind ``apply()``,
+    ``stream()`` and ``serve()``.
 
-    :meth:`validate` is stateless and safe on any thread; :meth:`tick` and
-    :meth:`flush` own the scheduler, the tick counter, the pending-delete
-    pool and the counters below, so exactly one thread (the caller under
-    the stream mutex, or the refresh daemon) may run them.  Key sequences
-    are tracked warehouse-wide (``_issued_keys`` on the :class:`Warehouse`),
-    so apply() batches and every session's ingests share one key space.
+    ``apply()`` drives a transient pipeline under ``StreamPolicy.always()``
+    for one round; a stream session and the serving daemon each drive one
+    for their lifetime.  :meth:`validate` is stateless and safe on any
+    thread, and every rejection happens there, so a rejected batch changes
+    nothing.  :meth:`tick` and :meth:`flush` own the scheduler, the tick
+    counter, the pending-delete pool and the counters below, so exactly one
+    thread (the caller, under the stream mutex, or the refresh daemon) may
+    run them.  Key sequences are tracked warehouse-wide (``_issued_keys`` on
+    the :class:`Warehouse`), so apply() batches and every session's ingests
+    share one key space.
     """
 
     def __init__(self, warehouse, policy: StreamPolicy) -> None:
@@ -63,42 +66,57 @@ class IngestPipeline:
         #: Tuples annihilated by coalescing across the pipeline's lifetime.
         self.annihilated_rows = 0
 
-    def validate(self, batch: Optional[IngestBatch]) -> None:
-        """Reject a malformed batch now, while rejecting is free.
+    def validate(self, batch: Optional[UpdateBatch]) -> None:
+        """Reject a batch that cannot refresh, before it changes anything.
 
         A failed flush keeps its rounds pending, so a malformed round that
-        got into the buffer would fail every later flush.  Every recorded
-        delta is checked — even fully empty ones, since the pending buffer
-        adopts the first round's bags as its schema templates — and then
-        passes the static gate every refresh runs
-        (:meth:`Warehouse._verify_rounds`).
+        got into the buffer would fail every later flush.  A caller's
+        :class:`DeltaStore` must name loaded relations, pass the static
+        round check (``verify_delta_round``: ``REPRO-P005`` for a bag logged
+        against a stale schema) and carry the table's arity in every bag —
+        even empty ones, since the pending buffer adopts the first round's
+        bags as its schema templates.  The round check covers input from
+        outside the program, so it runs whatever ``verify_plans`` says.
         """
         wh = self._warehouse
+        database = wh._require_database()
+        if not wh._views:
+            raise WarehouseError("no views defined — call define_view() first")
         if not isinstance(batch, DeltaStore):
             # Raises the façade's error for unsupported batch types.
-            wh._batch_spec(batch, "ingest()")
+            wh._batch_spec(batch)
             return
-        database = wh._require_database()
         for delta in batch:
             if not database.has_relation(delta.relation):
                 raise unknown_name(
                     "relation",
                     delta.relation,
                     database.table_names(),
-                    hint="(in ingested batch)",
+                    hint="(in update batch)",
                 )
+        # Imported per call, so a wrapper installed on the package attribute
+        # (perf/tracing.py times this check) sees every call.
+        from repro.analysis import render_diagnostics, verify_delta_round
+        from repro.analysis.diagnostics import errors
+
+        bad = errors(verify_delta_round(batch, database))
+        if bad:
+            raise WarehouseError(
+                "update batch failed static verification:\n"
+                + render_diagnostics(bad)
+            )
+        for delta in batch:
             arity = len(database.table(delta.relation).schema)
             for bag in (delta.inserts, delta.deletes):
                 if len(bag.schema) != arity:
                     raise WarehouseError(
                         f"delta bag for {delta.relation!r} has arity "
                         f"{len(bag.schema)}, the table expects {arity} "
-                        f"(in ingested batch)"
+                        f"(in update batch)"
                     )
-        wh._verify_rounds([batch])
 
     def tick(
-        self, batch: Optional[IngestBatch], seed: Optional[int]
+        self, batch: Optional[UpdateBatch], seed: Optional[int]
     ) -> Tuple[DeltaStore, TickDecision]:
         """Resolve one (validated) ingest into concrete deltas (reading the
         database) and return them with the scheduler's verdict on them."""
@@ -107,7 +125,7 @@ class IngestPipeline:
         if isinstance(batch, DeltaStore):
             deltas = batch
         else:
-            spec = wh._batch_spec(batch, "ingest()")
+            spec = wh._batch_spec(batch)
             relations = wh.view_relations
             # Vary the seed per tick (identical consecutive rounds would
             # delete the same sampled tuples twice), exclude already-pending
@@ -139,9 +157,11 @@ class IngestPipeline:
         Returns the refresh report, or ``None`` when nothing survived
         coalescing.  A commit resets the delete pool; the issued-keys
         high-water mark deliberately survives.  A failed refresh rolls the
-        database back (``Warehouse._refresh_rounds``) and leaves the
-        pending buffer, the delete pool and the counters as they were
-        before the call, so the next flush refreshes the same rounds once.
+        database back (``Warehouse._refresh_rounds``, called from here and
+        nowhere else) and leaves the pending buffer, the delete pool and the
+        counters as they were before the call, so the next flush refreshes
+        the same rounds once.  A ``refresh`` verdict that triggered the
+        failed flush is rewritten to ``defer`` in the decision trace.
         """
         # take() leaves a shallow copy of the buffer intact (see its
         # docstring): that copy is what a failed refresh puts back.
@@ -151,8 +171,13 @@ class IngestPipeline:
         if rounds:
             try:
                 report = self._warehouse._refresh_rounds(rounds)
-            except Exception:
+            except Exception as exc:
                 self.scheduler.pending = before
+                decisions = self.scheduler.decisions
+                if decisions and decisions[-1].refreshes:
+                    self.scheduler.override_last(
+                        "defer", f"refresh rolled back: {type(exc).__name__}"
+                    )
                 raise
             self.reports.append(report)
         elif before.batches:
@@ -186,7 +211,7 @@ class StreamSession:
     # ---------------------------------------------------------------- ingest
 
     def ingest(
-        self, batch: Optional[IngestBatch] = None, *, seed: Optional[int] = None
+        self, batch: Optional[UpdateBatch] = None, *, seed: Optional[int] = None
     ) -> TickDecision:
         """Absorb one update batch; refresh only if the policy says so.
 

@@ -44,7 +44,8 @@ from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.volcano import VolcanoSearch
 from repro.storage.buffer import BufferPool
 from repro.storage.delta import DeltaStore, merge_delta_sizes
-from repro.workloads import datagen, updategen
+from repro.stream import StreamPolicy
+from repro.workloads import datagen
 
 if TYPE_CHECKING:
     from repro.analysis import ColumnProvenance
@@ -76,7 +77,7 @@ class WarehouseRefreshReport(RefreshReport):
         return bool(self.verification) and all(self.verification.values())
 
 
-#: What ``apply()`` accepts as an update batch.
+#: What ``apply()`` and ``ingest()`` accept as an update batch.
 UpdateBatch = Union[DeltaStore, UpdateSpec, float]
 
 
@@ -372,47 +373,49 @@ class Warehouse:
         ``batch`` may be a ready :class:`DeltaStore`, an :class:`UpdateSpec`,
         a plain update fraction (``0.05`` = the paper's 5% batch), or omitted
         to use the config's default percentage.  Concrete deltas are
-        generated deterministically when a spec/fraction is given.  The base
-        updates are applied and every view refreshed with the optimizer's
-        decisions (recompute-vs-incremental, temporary shared results), as
-        :meth:`_refresh_rounds` describes.
-        """
-        deltas, spec = self._resolve_batch(batch, seed)
-        return self._refresh_rounds([deltas], spec=spec)
+        generated deterministically from ``seed`` (default ``config.seed``)
+        when a spec/fraction is given.  The base updates are applied and
+        every view refreshed with the optimizer's decisions
+        (recompute-vs-incremental, temporary shared results).
 
-    def _refresh_rounds(
-        self,
-        rounds: Sequence[DeltaStore],
-        *,
-        spec: Optional[UpdateSpec] = None,
-    ) -> WarehouseRefreshReport:
+        ``apply()`` is a one-round flush of the ingest pipeline
+        (:class:`~repro.api.stream.IngestPipeline` under an eager policy):
+        validate → tick → flush.  A rejected batch changes nothing — no keys
+        issued, no plan run.  Without a plan, ``optimize()`` runs first, at
+        the requested spec (or, for a :class:`DeltaStore`, at the batch's
+        real sizes, inside :meth:`_refresh_rounds`).
+        """
+        from repro.api.stream import IngestPipeline
+
+        pipeline = IngestPipeline(self, StreamPolicy.always())
+        pipeline.validate(batch)
+        if self._result is None and not isinstance(batch, DeltaStore):
+            self.optimize(self._batch_spec(batch))
+        pipeline.tick(batch, self.config.seed if seed is None else seed)
+        return pipeline.flush()
+
+    def _refresh_rounds(self, rounds: Sequence[DeltaStore]) -> WarehouseRefreshReport:
         """Refresh a sequence of concrete update rounds as one unit.
 
-        The one commit path behind :meth:`apply` (one round) and the ingest
-        pipeline's flush behind ``stream()`` and ``serve()`` (possibly many
-        rounds through :meth:`ViewRefresher.refresh_many`).  If anything
-        fails — including ``verify_refresh`` finding a mismatch — the
-        pre-refresh copy of the database (tables, views, indexes,
-        statistics, aggregate states) is attached before the error
-        propagates, so every refresh either commits or changes nothing.
+        The one commit path, called only by ``IngestPipeline.flush`` behind
+        :meth:`apply` (one round), ``stream()`` and ``serve()`` (possibly
+        many rounds through :meth:`ViewRefresher.refresh_many`).  Every
+        round was validated by ``IngestPipeline.validate``, generated, or
+        merged from such rounds.  If anything fails — including
+        ``verify_refresh`` finding a mismatch — the pre-refresh copy of the
+        database (tables, views, indexes, statistics, aggregate states) is
+        attached before the error propagates, so every refresh either
+        commits or changes nothing.
         """
         database = self._require_database()
-        if not self._views:
-            raise WarehouseError("no views defined — call define_view() first")
         started = time.perf_counter()
         relations: List[str] = []
         for deltas in rounds:
             for r in deltas.relation_order:
                 if deltas.has_updates(r) and r not in relations:
                     relations.append(r)
-        for relation in relations:
-            if not database.has_relation(relation):
-                raise unknown_name(
-                    "relation", relation, database.table_names(), hint="(in update batch)"
-                )
-        self._verify_rounds(rounds)
         if self._result is None:
-            self.optimize(spec if spec is not None else self._spec_of(rounds))
+            self.optimize(self._spec_of(rounds))
         recompute, temporaries = self._maintenance_choices()
 
         snapshot = database.copy()
@@ -450,28 +453,6 @@ class Warehouse:
             base_rows_applied=sum(deltas.total_rows() for deltas in rounds),
         )
 
-    def _verify_rounds(self, rounds: Sequence[DeltaStore]) -> None:
-        """Statically verify every update round before anything is applied.
-
-        Catches deltas over relations outside the database (``REPRO-P004``)
-        and deltas logged against a stale base schema (``REPRO-P005``) —
-        both would otherwise corrupt base tables or views mid-refresh,
-        after some rounds already applied.
-        """
-        if self.config.verify_plans == "off":
-            return
-        from repro.analysis import render_diagnostics, verify_delta_round
-        from repro.analysis.diagnostics import errors
-
-        database = self._require_database()
-        for deltas in rounds:
-            bad = errors(verify_delta_round(deltas, database))
-            if bad:
-                raise WarehouseError(
-                    "update batch failed static verification:\n"
-                    + render_diagnostics(bad)
-                )
-
     @property
     def view_relations(self) -> List[str]:
         """Loaded base relations the registered views depend on (sorted)."""
@@ -498,20 +479,16 @@ class Warehouse:
         """
         database = self._require_database()
         for delta in deltas:
-            if len(delta.inserts) and database.has_relation(delta.relation):
+            if len(delta.inserts):
                 base = max(
                     self._issued_keys.get(delta.relation, 0),
                     len(database.table(delta.relation)),
                 )
                 self._issued_keys[delta.relation] = base + len(delta.inserts)
 
-    def _batch_spec(self, batch: Optional[UpdateBatch], entry_point: str) -> UpdateSpec:
-        """The :class:`UpdateSpec` an abstract batch argument describes.
-
-        Shared dispatch for ``apply()`` and ``stream().ingest()`` — both
-        document the same accepted shapes; ``entry_point`` names the caller
-        in the error message.
-        """
+    def _batch_spec(self, batch: Optional[UpdateBatch]) -> UpdateSpec:
+        """The :class:`UpdateSpec` an abstract batch argument describes
+        (``apply()`` and ``ingest()`` accept the same shapes)."""
         if batch is None:
             return self.update_spec()
         if isinstance(batch, UpdateSpec):
@@ -519,29 +496,9 @@ class Warehouse:
         if isinstance(batch, (int, float)) and not isinstance(batch, bool):
             return self.update_spec(float(batch))
         raise WarehouseError(
-            f"{entry_point} takes a DeltaStore, an UpdateSpec or an update "
+            f"an update batch is a DeltaStore, an UpdateSpec or an update "
             f"fraction, got {type(batch).__name__}"
         )
-
-    def _resolve_batch(
-        self, batch: Optional[UpdateBatch], seed: Optional[int]
-    ) -> Tuple[DeltaStore, UpdateSpec]:
-        """Concrete deltas plus the spec describing them."""
-        database = self._require_database()
-        relations = self.view_relations
-        if isinstance(batch, DeltaStore):
-            self._advance_issued_keys(batch)
-            return batch, self._spec_of([batch])
-        spec = self._batch_spec(batch, "apply()")
-        deltas = updategen.generate_deltas(
-            database,
-            spec.restricted_to(relations),
-            relations,
-            seed=self.config.seed if seed is None else seed,
-            key_offsets=self._key_offsets(relations),
-        )
-        self._advance_issued_keys(deltas)
-        return deltas, spec
 
     def _spec_of(self, rounds: Sequence[DeltaStore]) -> UpdateSpec:
         """The update spec a sequence of concrete delta rounds realizes.
@@ -555,8 +512,6 @@ class Warehouse:
         sizes = merge_delta_sizes(*[deltas.delta_sizes() for deltas in rounds])
         updates: Dict[str, RelationUpdate] = {}
         for relation, (inserts, deletes) in sizes.items():
-            if not database.has_relation(relation):
-                continue
             current = max(1, len(database.table(relation)))
             updates[relation] = RelationUpdate(
                 insert_fraction=inserts / current,
@@ -594,7 +549,7 @@ class Warehouse:
 
     # ------------------------------------------------------------------ stream
 
-    def stream(self, policy: Optional[Union[str, "StreamPolicy"]] = None) -> "StreamSession":
+    def stream(self, policy: Optional[Union[str, StreamPolicy]] = None) -> "StreamSession":
         """Open a streaming ingest session (see :mod:`repro.stream`).
 
         ``policy`` may be a ready :class:`~repro.stream.StreamPolicy`, a
@@ -621,7 +576,7 @@ class Warehouse:
         read_policy: Optional[str] = None,
         slo=None,
         slos=None,
-        stream_policy: Optional[Union[str, "StreamPolicy"]] = None,
+        stream_policy: Optional[Union[str, StreamPolicy]] = None,
     ) -> "ServingSession":
         """Open a concurrent serving session (see :mod:`repro.serving`).
 
@@ -635,10 +590,12 @@ class Warehouse:
                 result = session.query("revenue")  # never torn state
             print(session.explain_serving())
 
-        ``read_policy`` (``"serve-stale"`` / ``"block"`` / ``"reject"``),
-        the default ``slo`` (a :class:`~repro.serving.FreshnessSLO`) and
-        per-view ``slos`` overrides default to the config's serving knobs;
-        ``stream_policy`` takes the same shapes as :meth:`stream`.  While
+        ``read_policy`` (``"serve-stale"`` / ``"block"`` / ``"reject"``)
+        defaults to ``config.serving_read_policy``.  ``slo`` (a
+        :class:`~repro.serving.FreshnessSLO`) is every view's freshness
+        bound, ``FreshnessSLO(max_rounds=8)`` when omitted, and per-view
+        ``slos`` override it; ``stream_policy`` takes the same shapes as
+        :meth:`stream`.  While
         the session is open it owns this warehouse's engine — do not
         interleave ``apply()`` / ``stream()`` on the same warehouse.
         """
@@ -659,8 +616,6 @@ class Warehouse:
         ``policy`` may be a ready :class:`~repro.stream.StreamPolicy`, a
         policy name, or ``None`` for the config's stream knobs.
         """
-        from repro.stream import StreamPolicy
-
         self._require_database()
         if not self._views:
             raise WarehouseError("no views defined — call define_view() first")

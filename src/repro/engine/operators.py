@@ -575,23 +575,14 @@ def delta_hash_join_batch(
     return probe(inserts), probe(deletes)
 
 
-def _null_safe_key(values: Tuple[Any, ...]) -> Tuple[Tuple[bool, Any], ...]:
-    """An ordering key in which ``None`` sorts last and equals itself.
-
-    Keeps merge-join semantics aligned with hash join, where ``None`` keys
-    fall into the same bucket and therefore match each other; plain tuple
-    sorting would raise TypeError on ``None`` vs non-``None`` comparisons.
-    """
-    return tuple((True, 0) if v is None else (False, v) for v in values)
-
-
 def _decorated_sorted(relation: Relation, positions: Sequence[int]) -> List[Tuple[Any, Row]]:
-    """``(null_safe_key, row)`` pairs sorted by key, built column-at-a-time.
+    """``(key, row)`` pairs sorted by key, built column-at-a-time.
 
-    Builds each ordering key in a single tuple construction from the
-    pre-extracted key columns — the old path built an intermediate value
-    tuple per row (``tuple(r[i] for i in positions)``) only to rebuild it
-    decorated, which showed up in refresh profiles.
+    The key is null-safe: ``None`` sorts last and equals itself, which keeps
+    merge-join semantics aligned with hash join (where ``None`` keys share a
+    bucket); plain tuple sorting would raise TypeError on ``None`` vs
+    non-``None``.  Each key is one tuple construction from the pre-extracted
+    key columns.
     """
     key_columns = [relation.column_at(i) for i in positions]
     decorated = [

@@ -63,27 +63,6 @@ VECTOR_BUILD_MIN_ROWS = 4096
 ROWS = "rows"
 
 
-def reservoir_sample(rows: Iterable[Row], k: int, rng: random.Random) -> List[Row]:
-    """Uniform sample of up to ``k`` rows in one pass (Vitter's algorithm R).
-
-    Works for arbitrary iterables (streams of tuples), which is what lets
-    statistics measurement avoid materializing or re-scanning a relation:
-    one pass fills the reservoir, everything downstream (distinct counts,
-    histograms) is bounded by ``k`` instead of the relation size.
-    """
-    if k <= 0:
-        return []
-    reservoir: List[Row] = []
-    for i, row in enumerate(rows):
-        if i < k:
-            reservoir.append(row)
-        else:
-            j = rng.randint(0, i)
-            if j < k:
-                reservoir[j] = row
-    return reservoir
-
-
 class Merged(NamedTuple):
     """What :meth:`Relation.merge_steps` made, and how."""
 

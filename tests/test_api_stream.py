@@ -120,7 +120,7 @@ def test_ingest_rejects_unknown_relation_before_buffering(warehouse):
 def test_ingest_rejects_wrong_arity_before_buffering(warehouse):
     session = fresh_session(warehouse)
     bad = DeltaStore(["nation"])
-    schema = Schema.from_names(["x"])  # nation has 4 columns
+    schema = Schema.from_names(["x"])  # nation has 3 columns
     bad.set_delta(Delta("nation", Relation(schema, [(1,)]), Relation(schema, [])))
     with pytest.raises(WarehouseError, match="arity"):
         session.ingest(bad)

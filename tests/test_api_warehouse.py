@@ -325,6 +325,41 @@ def test_repeated_apply_never_reissues_primary_keys(tiny_tpcd_database):
     assert wh.verify() == {"v": True}
 
 
+def test_a_rejected_batch_changes_nothing(tiny_tpcd_database):
+    from repro.catalog.schema import Schema
+
+    def warehouse():
+        wh = Warehouse().load_data(database=tiny_tpcd_database.copy())
+        wh.define_view("v", Q.table("orders").join("customer"))
+        return wh
+
+    rejected, untouched = warehouse(), warehouse()
+    orders = rejected.database.table("orders")
+    # The table's arity under stale column names: static verification
+    # (REPRO-P005) rejects it, through apply() and through ingest().
+    stale = Schema.from_names([f"stale_{name}" for name in orders.schema.names])
+    store = DeltaStore(["orders"])
+    store.set_delta(
+        Delta("orders", Relation(stale, orders.rows[:50]), Relation(stale, []))
+    )
+    with pytest.raises(WarehouseError, match="REPRO-P005"):
+        rejected.apply(store)
+    with rejected.stream() as session:
+        with pytest.raises(WarehouseError, match="REPRO-P005"):
+            session.ingest(store)
+    assert session.reports == []
+    # No keys issued, nothing buffered, no plan run: the next generated
+    # batch writes the same rows as on a warehouse that saw no rejection.
+    assert rejected.last_optimization is None
+    rejected.apply(0.05, seed=9)
+    untouched.apply(0.05, seed=9)
+    for name in untouched.database.table_names():
+        assert rejected.database.table(name).same_bag(
+            untouched.database.table(name)
+        ), name
+    assert rejected.verify() == {"v": True}
+
+
 def test_lazy_optimize_uses_the_delta_store_actual_fractions(tiny_tpcd_database):
     from repro.workloads.updategen import uniform_deltas
 

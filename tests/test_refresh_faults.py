@@ -8,8 +8,9 @@ real input fault (a phantom ``lineitem`` delete under ``profile("verify")``).
 
 After each failure the database must be exactly its pre-call self (tables,
 views, statistics, aggregate states, indexes equal to a rebuild) and verify.
-A stream session stays open with its rounds pending, and one retry commits
-each round exactly once; a serving session reports the crash, its last
+A stream session stays open with its rounds pending (an ingest-triggered
+flush's ``refresh`` verdict reads ``defer`` in the trace), and one retry
+commits each round exactly once; a serving session reports the crash, its last
 snapshot still equals the database's views, and a new ``serve()`` commits.
 """
 
@@ -146,6 +147,14 @@ def test_a_failed_refresh_leaves_the_last_commit(template, monkeypatch, driver, 
         assert session.pending_batches == len(rounds)
         assert session.pending_rows == session.decisions[-1].pending_rows
         assert session.reports == []
+        if driver == "ingest":
+            # The trace shows the rollback, not the refresh that failed.
+            decision = session.decisions[-1]
+            assert decision.action == "defer"
+            assert decision.reason.startswith(
+                f"refresh rolled back: {error.__name__}"
+            ), decision.reason
+            assert "rolled back" in session.explain_schedule()
         if fault == "phantom":
             # An input fault fails every retry, and each changes nothing.
             with pytest.raises(error):

@@ -383,9 +383,6 @@ def test_explain_serving_reports_the_whole_story(warehouse):
 def test_serving_config_knobs_validated():
     for bad in (
         {"serving_read_policy": "optimistic"},
-        {"serving_max_staleness_rounds": 0},
-        {"serving_max_staleness_rows": -1},
-        {"serving_max_staleness_seconds": 0.0},
         {"serving_queue_capacity": 0},
         {"serving_block_timeout_seconds": 0.0},
         {"serving_tick_seconds": -0.1},
@@ -394,24 +391,20 @@ def test_serving_config_knobs_validated():
             WarehouseConfig(**bad)
 
 
-def test_config_slo_knobs_become_the_default_slo():
-    config = WarehouseConfig(
-        serving_max_staleness_rounds=3,
-        serving_max_staleness_rows=500,
-        serving_max_staleness_seconds=1.5,
-    )
-    slo = config.make_freshness_slo()
-    assert slo == FreshnessSLO(max_rounds=3, max_rows=500, max_seconds=1.5)
+def test_serve_slo_argument_is_the_default_slo(warehouse):
+    slo = FreshnessSLO(max_rounds=3, max_rows=500, max_seconds=1.5)
     assert not slo.unbounded
+    with warehouse.serve(slo=slo) as session:
+        assert session.slo_for("v_rev") == slo
+        assert f"default SLO {slo.render()}" in session.explain_serving()
 
 
 def test_session_defaults_come_from_config():
-    wh = small_warehouse(
-        serving_read_policy="reject", serving_max_staleness_rounds=2
-    )
+    wh = small_warehouse(serving_read_policy="reject")
     with wh.serve() as session:
         assert session.read_policy == "reject"
-        assert session.slo_for("v_rev") == FreshnessSLO(max_rounds=2)
+        # No slo= given: every view trails by at most eight rounds.
+        assert session.slo_for("v_rev") == FreshnessSLO(max_rounds=8)
 
 
 def test_invalid_read_policy_rejected(warehouse):

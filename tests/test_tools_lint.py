@@ -262,13 +262,27 @@ def test_l014_one_ingest_pipeline(tmp_path):
     findings = lint_source(tmp_path, source, "repro/serving/daemon.py")
     assert codes_of(findings) == ["REPRO-L014"] * 3
     assert sorted(f.line for f in findings) == [5, 6, 7]
-    # The pipeline builds the scheduler and flushes; the façade flushes.
+    # The pipeline builds the scheduler and flushes; nothing else does.
     assert codes_of(lint_source(tmp_path, source, "repro/api/stream.py")) == []
     assert codes_of(lint_source(tmp_path, source, "repro/api/warehouse.py")) == [
         "REPRO-L014"
-    ] * 2
+    ] * 3
     # Only the package is held to it.
     assert codes_of(lint_source(tmp_path, source, "tools/helper.py")) == []
+
+
+def test_l014_apply_flushes_through_the_pipeline(tmp_path):
+    # apply() is a one-round flush of the pipeline: a direct refresh call
+    # from the façade forks the commit path.
+    source = (
+        "class Warehouse:\n"
+        "    def apply(self, deltas):\n"
+        "        return self._refresh_rounds([deltas])\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/api/warehouse.py")
+    assert codes_of(findings) == ["REPRO-L014"]
+    assert findings[0].line == 3
+    assert "repro/api/stream.py" in findings[0].message
 
 
 def test_inline_suppression(tmp_path):

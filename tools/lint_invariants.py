@@ -55,12 +55,12 @@ tool makes them machine-checked so they cannot erode silently:
   base relations) are exact only because a node's fields never change after
   construction; they cache through the instance ``__dict__``, which this
   rule does not flag.  (L012 was retired with the accessors it guarded.)
-* **REPRO-L014** — one ingest → flush pipeline: under ``src/repro``,
-  ``StreamScheduler(`` is constructed only in ``repro/api/stream.py`` and
-  ``._refresh_rounds(`` is called only from ``repro/api/warehouse.py``
-  (``apply()``) and ``repro/api/stream.py`` (the pipeline's flush).  The
-  stream session and the serving daemon both drive that pipeline; a second
-  scheduler or refresh call elsewhere would fork the flush path again.
+* **REPRO-L014** — one validate → tick → flush pipeline: under
+  ``src/repro``, ``StreamScheduler(`` is constructed and
+  ``._refresh_rounds(`` is called only in ``repro/api/stream.py`` (the
+  pipeline and its flush).  ``apply()``, the stream session and the serving
+  daemon all drive that pipeline; a second scheduler or refresh call
+  elsewhere would fork the flush path again.
 
 Usage::
 
@@ -112,11 +112,11 @@ TIMING_ALLOWLIST: Tuple[str, ...] = (
 PACKAGE_ROOT = "repro/"
 #: The methods in which ``object.__setattr__`` may initialise a frozen node.
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
-#: Calls confined to the ingest pipeline and the façade (L014): callee name
-#: → the modules allowed to make the call.
+#: Calls confined to the ingest pipeline (L014): callee name → the modules
+#: allowed to make the call.
 PIPELINE_CALLS: Dict[str, Tuple[str, ...]] = {
     "StreamScheduler": ("repro/api/stream.py",),
-    "_refresh_rounds": ("repro/api/warehouse.py", "repro/api/stream.py"),
+    "_refresh_rounds": ("repro/api/stream.py",),
 }
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
