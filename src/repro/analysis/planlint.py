@@ -12,8 +12,8 @@ produce:
   comparable types (``REPRO-P002``);
 * index nested-loop joins point their probe at a stored inner side, and
   that side carries a usable catalog index (``REPRO-P003`` — the "wrong
-  join orientation" fault; a missing index is only a warning, because the
-  operator degrades to an ad-hoc bucket table);
+  join orientation" fault; a missing index is only a warning, because every
+  join executes as a hash join and only the plan's cost is wrong);
 * set operations combine same-arity inputs (``REPRO-P008``), scans name
   known relations (``REPRO-P009``), reuse leaves are resolvable
   (``REPRO-P006``).
@@ -335,8 +335,8 @@ class _PlanVerifier:
                     f"index nested-loop join probes {inner_name!r} on "
                     f"{inner_columns[0]!r}, which has no declared index",
                     node,
-                    "the operator will build an ad-hoc bucket table; "
-                    "declare the index or cost a hash join",
+                    "the plan was costed with an index probe it cannot "
+                    "have; declare the index or cost a hash join",
                 )
 
     @staticmethod

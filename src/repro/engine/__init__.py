@@ -4,12 +4,13 @@ The engine evaluates logical expressions against a :class:`Database` of
 named relations through two paths: the row-at-a-time interpreter
 (:func:`evaluate`, the correctness oracle) and the physical layer
 (:func:`evaluate_physical`), which compiles the plans the optimizer actually
-picks — per-node join algorithms, reuse of materialized results — into a
-vectorized operator pipeline.  It also — crucially for this paper —
-propagates *differentials* of expressions with respect to single-relation
-updates, which is the executable ground truth the maintenance tests use to
-check that incremental refresh produces exactly the same view contents as
-full recomputation.
+picks — join order, reuse of materialized results — into a vectorized
+operator pipeline with one join operator (the plan's join algorithm is a
+cost-model label).  It also — crucially for this paper — propagates
+*differentials* of expressions with respect to single-relation updates,
+which is the executable ground truth the maintenance tests use to check
+that incremental refresh produces exactly the same view contents as full
+recomputation.
 """
 
 from repro.engine.database import Database

@@ -80,10 +80,8 @@ def evaluate(
     expression: Expression,
     database: Database,
     materialized: Optional[MaterializedRegistry] = None,
-    join_algorithm: str = "hash",
 ) -> Relation:
     """Evaluate ``expression`` over ``database`` and return its result bag."""
-    join_fn = operators.JOIN_ALGORITHMS[join_algorithm]
 
     def recurse(node: Expression) -> Relation:
         if materialized is not None:
@@ -97,7 +95,9 @@ def evaluate(
         if isinstance(node, Project):
             return operators.project(recurse(node.child), node.columns)
         if isinstance(node, Join):
-            return join_fn(recurse(node.left), recurse(node.right), node.conditions, node.residual)
+            return operators.hash_join(
+                recurse(node.left), recurse(node.right), node.conditions, node.residual
+            )
         if isinstance(node, Aggregate):
             return operators.aggregate(recurse(node.child), node.group_by, node.aggregates)
         if isinstance(node, UnionAll):

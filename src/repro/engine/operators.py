@@ -1,10 +1,10 @@
 """Physical bag operators.
 
 Each function consumes and produces :class:`~repro.storage.Relation` objects
-with multiset semantics.  Several join algorithms are provided (nested-loop,
-hash, sort-merge, index nested-loop) so that the plans the optimizer costs
-can actually be executed; the executor picks the algorithm named in the
-physical plan, defaulting to hash join.
+with multiset semantics.  Every planned join runs on one kernel,
+:func:`hash_join_batch`, whatever join algorithm the cost model priced it
+as; the row kernels :func:`hash_join` and :func:`nested_loop_join` are the
+references the interpreter and the interpreted differential use.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import AggregateFunc, AggregateSpec
 from repro.algebra.predicates import (
@@ -202,26 +202,6 @@ def hash_join(
     return Relation(schema, _residual_filter(out, schema, residual))
 
 
-def nested_loop_join_batch(
-    left: Relation,
-    right: Relation,
-    conditions: Sequence[Tuple[str, str]] = (),
-    residual: Optional[Predicate] = None,
-) -> Relation:
-    """Batch nested-loop join, bag-identical to :func:`nested_loop_join`.
-
-    With equi-join conditions the inner side is partitioned by key once, so
-    each outer tuple only visits inner tuples that can match — the classic
-    refinement of tuple nested-loops that avoids re-testing every pair.  For
-    pure cross products the pairing runs as one flat list comprehension.
-    """
-    if conditions:
-        return hash_join_batch(left, right, conditions, residual)
-    schema = _output(left, right)
-    out = [lrow + rrow for lrow in left.rows for rrow in right.rows]
-    return Relation.from_trusted_rows(schema, _residual_filter(out, schema, residual))
-
-
 def _residual_mask_store(store, schema: Schema, residual: Optional[Predicate]):
     """Apply a residual predicate to a numpy store (no-op for True/None)."""
     if residual is None or isinstance(residual, TruePredicate):
@@ -257,25 +237,6 @@ def _vector_join_keys(left_store, left_pos, right_store, right_pos):
         lkey = lkey * len(uniques) + codes[:n_left]
         rkey = rkey * len(uniques) + codes[n_left:]
     return lkey, rkey
-
-
-def vectorizable_join(
-    left: Relation,
-    right: Relation,
-    left_pos: Sequence[int],
-    right_pos: Sequence[int],
-) -> bool:
-    """Cheap test that :func:`hash_join_batch` would try the column kernel.
-
-    Mirrors :func:`_vector_equi_join`'s coarse size/store gates without
-    building anything, so physical operators with their own row fallbacks
-    can decide whether delegating to the batch kernel is worthwhile.
-    """
-    if not left_pos or not right_pos:
-        return False
-    if left.cached_store() is not None or right.cached_store() is not None:
-        return True
-    return min(len(left), len(right)) >= VECTOR_BUILD_MIN_ROWS
 
 
 def _vector_equi_join(
@@ -342,11 +303,13 @@ def hash_join_batch(
     Otherwise build and probe run over column arrays: single-condition
     joins (the common case for foreign-key joins) key the hash table on the
     raw column value — no per-row key-tuple construction — and the probe
-    emits matches through one flat list comprehension.
+    emits matches through one flat list comprehension.  Without conditions
+    the join is a cross product, paired by the same kind of comprehension.
     """
-    if not conditions:
-        return nested_loop_join(left, right, conditions, residual)
     schema = _output(left, right)
+    if not conditions:
+        out = [lrow + rrow for lrow in left.rows for rrow in right.rows]
+        return Relation.from_trusted_rows(schema, _residual_filter(out, schema, residual))
     left_pos, right_pos = _join_positions(left.schema, right.schema, conditions)
     joined = _vector_equi_join(left, right, left_pos, right_pos, schema, residual)
     if joined is not None:
@@ -573,86 +536,6 @@ def delta_hash_join_batch(
         return Relation.from_trusted_rows(schema, _residual_filter(rows, schema, residual))
 
     return probe(inserts), probe(deletes)
-
-
-def _decorated_sorted(relation: Relation, positions: Sequence[int]) -> List[Tuple[Any, Row]]:
-    """``(key, row)`` pairs sorted by key, built column-at-a-time.
-
-    The key is null-safe: ``None`` sorts last and equals itself, which keeps
-    merge-join semantics aligned with hash join (where ``None`` keys share a
-    bucket); plain tuple sorting would raise TypeError on ``None`` vs
-    non-``None``.  Each key is one tuple construction from the pre-extracted
-    key columns.
-    """
-    key_columns = [relation.column_at(i) for i in positions]
-    decorated = [
-        (tuple((v is None, 0 if v is None else v) for v in values), row)
-        for values, row in zip(zip(*key_columns), relation.rows)
-    ]
-    decorated.sort(key=itemgetter(0))
-    return decorated
-
-
-def merge_join(
-    left: Relation,
-    right: Relation,
-    conditions: Sequence[Tuple[str, str]] = (),
-    residual: Optional[Predicate] = None,
-) -> Relation:
-    """Sort-merge join: sorts both inputs on the join key, then merges."""
-    if not conditions:
-        return nested_loop_join(left, right, conditions, residual)
-    schema = _output(left, right)
-    left_pos, right_pos = _join_positions(left.schema, right.schema, conditions)
-    # Decorate once: each side's ordering keys are computed a single time,
-    # then the merge works over the precomputed key arrays.
-    ldec = _decorated_sorted(left, left_pos)
-    rdec = _decorated_sorted(right, right_pos)
-    out: List[Row] = []
-    i = j = 0
-    while i < len(ldec) and j < len(rdec):
-        lkey = ldec[i][0]
-        rkey = rdec[j][0]
-        if lkey < rkey:
-            i += 1
-        elif lkey > rkey:
-            j += 1
-        else:
-            # Gather the full run of equal keys on both sides.
-            i_end = i
-            while i_end < len(ldec) and ldec[i_end][0] == lkey:
-                i_end += 1
-            j_end = j
-            while j_end < len(rdec) and rdec[j_end][0] == rkey:
-                j_end += 1
-            for li in range(i, i_end):
-                lrow = ldec[li][1]
-                for rj in range(j, j_end):
-                    out.append(lrow + rdec[rj][1])
-            i, j = i_end, j_end
-    return Relation(schema, _residual_filter(out, schema, residual))
-
-
-def index_nested_loop_join(
-    outer: Relation,
-    inner: Relation,
-    index,
-    conditions: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate] = None,
-) -> Relation:
-    """Index nested-loop join probing ``index`` built on the inner relation.
-
-    ``index`` must be a :class:`HashIndex` or :class:`SortedIndex` whose key
-    columns match the inner side of ``conditions`` in order.
-    """
-    schema = _output(outer, inner)
-    outer_pos, _ = _join_positions(outer.schema, inner.schema, conditions)
-    out: List[Row] = []
-    for orow in outer:
-        key = tuple(orow[i] for i in outer_pos)
-        for irow in index.lookup(key):
-            out.append(orow + irow)
-    return Relation(schema, _residual_filter(out, schema, residual))
 
 
 # ------------------------------------------------------------------ set/bag ops
@@ -1139,11 +1022,3 @@ class AggregateState:
 def sort(relation: Relation, columns: Sequence[str]) -> Relation:
     """Sort a relation on ``columns`` ascending."""
     return relation.sorted_by(columns)
-
-
-#: Dispatch table used by the executor when a physical plan names an algorithm.
-JOIN_ALGORITHMS: Dict[str, Callable[..., Relation]] = {
-    "nested_loop": nested_loop_join,
-    "hash": hash_join,
-    "merge": merge_join,
-}

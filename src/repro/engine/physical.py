@@ -6,21 +6,20 @@ Volcano-style search (:mod:`repro.optimizer.volcano`) extracts
 algorithms and ``[reuse]`` markers, and this module *compiles* those trees
 into executable physical operators and runs them.
 
-The compiled pipeline honors every decision the optimizer made:
+The compiled pipeline honors the optimizer's decisions about *what* to
+compute and runs them on one set of in-memory kernels:
 
-* **per-node join algorithms** — ``hash``, ``merge``, ``nested_loop`` and
-  both index nested-loop orientations each map to their own operator, with
-  index nested-loops probing catalog indexes (or an ad-hoc bucket table
-  built on the fly when the planned index is not materialized).  Operators
-  may refine the costed algorithm's *implementation* without changing its
-  shape: equi-conditioned nested loops partition the inner side by key
-  (see :func:`repro.engine.operators.nested_loop_join_batch`) instead of
-  re-testing every pair;
+* **one join operator** — every join step compiles to :class:`HashJoin`
+  over :func:`repro.engine.operators.hash_join_batch`, whatever join
+  algorithm the plan step names.  The algorithm (``hash``, ``merge``,
+  ``nested_loop``, both index nested-loop orientations) is a label of the
+  disk cost model the plan was chosen under: ``explain()`` and the plan
+  verifier read it, the engine does not;
 * **reuse markers** — ``reuse[...]`` leaves resolve through the
   :class:`~repro.engine.executor.MaterializedRegistry` and the database's
   materialized views, so temporarily/permanently materialized shared results
   are read instead of recomputed;
-* **batch execution** — selections, hash joins and aggregations run on the
+* **batch execution** — selections, joins and aggregations run on the
   columnar fast path (:mod:`repro.engine.operators` batch kernels, compiled
   predicate closures) instead of per-tuple interpretation.
 
@@ -36,7 +35,7 @@ nothing in this module calls it.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import BaseRelation, Expression
 from repro.algebra.predicates import Predicate
@@ -95,9 +94,6 @@ def _unresolvable(phase: str, expression: Expression, exc: Exception) -> Physica
 class PhysicalOperator:
     """Base class: a node of the executable operator pipeline."""
 
-    #: Short name used by ``explain`` output.
-    kind: str = "physical"
-
     def __init__(self, children: Sequence["PhysicalOperator"] = ()) -> None:
         self.children: List[PhysicalOperator] = list(children)
         #: Optional per-operator feedback hook, set by :func:`compile_plan`
@@ -116,29 +112,9 @@ class PhysicalOperator:
         """Operator-specific production of the output bag."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line description for explain output."""
-        return self.kind
-
-    def explain(self, indent: int = 0) -> str:
-        """Multi-line, indented rendering of the compiled pipeline."""
-        lines = [f"{'  ' * indent}{self.describe()}"]
-        for child in self.children:
-            lines.append(child.explain(indent + 1))
-        return "\n".join(lines)
-
-    def operator_kinds(self) -> List[str]:
-        """All operator kinds in the pipeline (pre-order; used by tests)."""
-        kinds = [self.kind]
-        for child in self.children:
-            kinds.extend(child.operator_kinds())
-        return kinds
-
 
 class TableScan(PhysicalOperator):
     """Scan of a stored base table (or a view registered as a source)."""
-
-    kind = "scan"
 
     def __init__(self, database: Database, relation: str) -> None:
         super().__init__()
@@ -148,14 +124,9 @@ class TableScan(PhysicalOperator):
     def _produce(self) -> Relation:
         return self.database.table(self.relation)
 
-    def describe(self) -> str:
-        return f"scan({self.relation})"
-
 
 class MaterializedScan(PhysicalOperator):
     """Read of a materialized (temporary or permanent) result — a reuse leaf."""
-
-    kind = "reuse"
 
     def __init__(self, database: Database, view_name: str) -> None:
         super().__init__()
@@ -165,14 +136,9 @@ class MaterializedScan(PhysicalOperator):
     def _produce(self) -> Relation:
         return self.database.view(self.view_name)
 
-    def describe(self) -> str:
-        return f"reuse({self.view_name})"
-
 
 class Filter(PhysicalOperator):
     """Batch selection over the columnar fast path."""
-
-    kind = "filter"
 
     def __init__(self, child: PhysicalOperator, predicate: Predicate) -> None:
         super().__init__([child])
@@ -181,14 +147,9 @@ class Filter(PhysicalOperator):
     def _produce(self) -> Relation:
         return operators.select_batch(self.children[0].execute(), self.predicate)
 
-    def describe(self) -> str:
-        return f"filter[{self.predicate.canonical()}]"
-
 
 class Projection(PhysicalOperator):
     """Duplicate-preserving projection."""
-
-    kind = "project"
 
     def __init__(self, child: PhysicalOperator, columns: Sequence[str]) -> None:
         super().__init__([child])
@@ -197,14 +158,14 @@ class Projection(PhysicalOperator):
     def _produce(self) -> Relation:
         return self.children[0].execute().project(self.columns)
 
-    def describe(self) -> str:
-        return f"project[{','.join(self.columns)}]"
-
 
 class HashJoin(PhysicalOperator):
-    """Vectorized hash join (build on the right input, probe with the left)."""
+    """Vectorized hash join (build on the right input, probe with the left).
 
-    kind = "hash_join"
+    The one join operator: every planned join runs here, whichever
+    algorithm the cost model priced it as.  A join without equi-conditions
+    is a cross product.
+    """
 
     def __init__(
         self,
@@ -225,216 +186,9 @@ class HashJoin(PhysicalOperator):
             self.residual,
         )
 
-    def describe(self) -> str:
-        conds = ",".join(f"{a}={b}" for a, b in self.conditions) or "⨯"
-        return f"hash_join[{conds}]"
-
-
-class MergeJoin(PhysicalOperator):
-    """Sort-merge join."""
-
-    kind = "merge_join"
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        conditions: Sequence[Tuple[str, str]],
-        residual: Optional[Predicate] = None,
-    ) -> None:
-        super().__init__([left, right])
-        self.conditions = tuple(conditions)
-        self.residual = residual
-
-    def _produce(self) -> Relation:
-        return operators.merge_join(
-            self.children[0].execute(),
-            self.children[1].execute(),
-            self.conditions,
-            self.residual,
-        )
-
-    def describe(self) -> str:
-        conds = ",".join(f"{a}={b}" for a, b in self.conditions)
-        return f"merge_join[{conds}]"
-
-
-class NestedLoopJoin(PhysicalOperator):
-    """Nested-loop join (also the cross-product operator).
-
-    Executes through the batch kernel, which partitions the inner side by
-    join key when equi-conditions exist — the output bag is identical to a
-    plain tuple nested loop, without the quadratic pair scan the cost
-    model's I/O-oriented estimate never intended to charge for.
-    """
-
-    kind = "nested_loop_join"
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        conditions: Sequence[Tuple[str, str]],
-        residual: Optional[Predicate] = None,
-    ) -> None:
-        super().__init__([left, right])
-        self.conditions = tuple(conditions)
-        self.residual = residual
-
-    def _produce(self) -> Relation:
-        return operators.nested_loop_join_batch(
-            self.children[0].execute(),
-            self.children[1].execute(),
-            self.conditions,
-            self.residual,
-        )
-
-
-class IndexNestedLoopJoin(PhysicalOperator):
-    """Index nested-loop join probing an index on the stored inner side.
-
-    ``inner_side`` names which child (``"left"`` or ``"right"``) the
-    optimizer chose as the indexed stored input; the other side drives the
-    probe loop.  Output column order is always left ++ right, matching the
-    logical operator, regardless of which side is probed.  When the planned
-    index is not materialized in the database (the optimizer may assume an
-    index chosen for materialization that the caller never built), an ad-hoc
-    hash index is constructed — the plan still runs, just without the
-    amortized benefit.
-    """
-
-    kind = "index_nested_loop_join"
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        conditions: Sequence[Tuple[str, str]],
-        residual: Optional[Predicate] = None,
-        inner_side: str = "right",
-        database: Optional[Database] = None,
-        inner_name: Optional[str] = None,
-    ) -> None:
-        super().__init__([left, right])
-        self.conditions = tuple(conditions)
-        self.residual = residual
-        self.inner_side = inner_side
-        self.database = database
-        self.inner_name = inner_name
-
-    def _catalog_lookup(self, inner: Relation, columns: Sequence[str], probe_count: int):
-        """A key→rows lookup over a catalog index, when one is usable.
-
-        A catalog hash index is used when its key matches the probe key
-        exactly.  A catalog sorted index is probed (exact or by prefix) only
-        while the probe count stays small relative to the inner cardinality
-        — beyond that, one O(|inner|) bucket-table build amortizes to
-        cheaper constant-time probes than repeated binary searches, so the
-        caller falls back to its inline bucket join.
-        """
-        if self.database is None or self.inner_name is None:
-            return None
-        index = self.database.index_for(self.inner_name, columns)
-        if index is None:
-            return None
-        wanted = tuple(c.rsplit(".", 1)[-1] for c in columns)
-        key = tuple(c.rsplit(".", 1)[-1] for c in index.columns)
-        if key == wanted and getattr(index, "kind", "") == "hash":
-            return index.lookup
-        if hasattr(index, "prefix_lookup") and probe_count <= max(64, len(inner) // 8):
-            # Sorted probes cannot order None against other values (and a
-            # sorted index over None keys cannot even be built), so a probe
-            # key containing None simply has no match.
-            prefix_lookup = index.prefix_lookup
-
-            def null_safe_probe(probe_key):
-                if any(v is None for v in probe_key):
-                    return ()
-                return prefix_lookup(probe_key)
-
-            return null_safe_probe
-        return None
-
-    def _produce(self) -> Relation:
-        left = self.children[0].execute()
-        right = self.children[1].execute()
-        left_pos, right_pos = operators._join_positions(
-            left.schema, right.schema, self.conditions
-        )
-        schema = left.schema.concat(right.schema)
-        if self.inner_side == "right":
-            inner, outer = right, left
-            inner_pos, outer_pos = right_pos, left_pos
-        else:
-            inner, outer = left, right
-            inner_pos, outer_pos = left_pos, right_pos
-        inner_columns = [inner.schema.columns[i].name for i in inner_pos]
-        lookup = self._catalog_lookup(inner, inner_columns, len(outer))
-        orows = outer.rows
-        right_inner = self.inner_side == "right"
-        if lookup is not None:
-            if right_inner:
-                out = [
-                    orow + irow
-                    for orow in orows
-                    for irow in lookup(tuple(orow[i] for i in outer_pos))
-                ]
-            else:
-                out = [
-                    irow + orow
-                    for orow in orows
-                    for irow in lookup(tuple(orow[i] for i in outer_pos))
-                ]
-        elif operators.vectorizable_join(left, right, left_pos, right_pos):
-            # No materialized index worth probing, but the inputs qualify for
-            # the whole-column join kernel — same bag, columnar output, and
-            # downstream operators keep the store instead of re-deriving it.
-            return operators.hash_join_batch(
-                left, right, self.conditions, self.residual
-            )
-        else:
-            # No materialized index worth probing: build the bucket table the
-            # optimizer assumed, keyed directly on the join columns.
-            buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
-            setdefault = buckets.setdefault
-            get = buckets.get
-            empty: Tuple[Tuple[Any, ...], ...] = ()
-            if len(inner_pos) == 1:
-                ii = inner_pos[0]
-                oi = outer_pos[0]
-                for irow in inner.rows:
-                    setdefault(irow[ii], []).append(irow)
-                if right_inner:
-                    out = [orow + irow for orow in orows for irow in get(orow[oi], empty)]
-                else:
-                    out = [irow + orow for orow in orows for irow in get(orow[oi], empty)]
-            else:
-                for irow in inner.rows:
-                    setdefault(tuple(irow[i] for i in inner_pos), []).append(irow)
-                if right_inner:
-                    out = [
-                        orow + irow
-                        for orow in orows
-                        for irow in get(tuple(orow[i] for i in outer_pos), empty)
-                    ]
-                else:
-                    out = [
-                        irow + orow
-                        for orow in orows
-                        for irow in get(tuple(orow[i] for i in outer_pos), empty)
-                    ]
-        rows = operators._residual_filter(out, schema, self.residual)
-        return Relation.from_trusted_rows(schema, rows)
-
-    def describe(self) -> str:
-        conds = ",".join(f"{a}={b}" for a, b in self.conditions)
-        return f"index_nested_loop_join[{conds}; inner={self.inner_side}]"
-
 
 class HashAggregate(PhysicalOperator):
     """Vectorized hash group-by/aggregation."""
-
-    kind = "hash_aggregate"
 
     def __init__(self, child: PhysicalOperator, group_by, aggregates) -> None:
         super().__init__([child])
@@ -446,10 +200,6 @@ class HashAggregate(PhysicalOperator):
             self.children[0].execute(), self.group_by, self.aggregates
         )
 
-    def describe(self) -> str:
-        aggs = ",".join(a.canonical() for a in self.aggregates)
-        return f"hash_aggregate[{','.join(self.group_by)};{aggs}]"
-
 
 class UnionAllOp(PhysicalOperator):
     """Multiset union (positional, like the logical operator).
@@ -459,8 +209,6 @@ class UnionAllOp(PhysicalOperator):
     inside that branch; inputs then combine strictly by position, exactly as
     the interpreter does.
     """
-
-    kind = "union_all"
 
     def __init__(
         self,
@@ -484,8 +232,6 @@ class UnionAllOp(PhysicalOperator):
 class DifferenceOp(PhysicalOperator):
     """Multiset difference (positional); inputs conform to their own schemas."""
 
-    kind = "difference"
-
     def __init__(
         self,
         children: Sequence[PhysicalOperator],
@@ -505,8 +251,6 @@ class DifferenceOp(PhysicalOperator):
 
 class DistinctOp(PhysicalOperator):
     """Duplicate elimination."""
-
-    kind = "distinct"
 
     def _produce(self) -> Relation:
         return operators.distinct(self.children[0].execute())
@@ -626,7 +370,7 @@ def compile_plan(
         if op.kind is OperatorKind.PROJECT:
             return Projection(children[0], op.columns)
         if op.kind is OperatorKind.JOIN:
-            return compile_join(node, children)
+            return HashJoin(children[0], children[1], op.conditions, op.residual)
         if op.kind is OperatorKind.AGGREGATE:
             return HashAggregate(children[0], op.group_by, op.aggregates)
         if op.kind is OperatorKind.UNION:
@@ -645,7 +389,7 @@ def compile_plan(
             if child.expression is not None:
                 try:
                     schema = derive_schema(child.expression, database.catalog)
-                except Exception:
+                except _RESOLUTION_ERRORS:
                     schema = None
             schemas.append(schema)
         return schemas
@@ -678,36 +422,6 @@ def compile_plan(
                 "materialize the result (or re-plan) before executing",
             ).render()
         )
-
-    def compile_join(node: PlanNode, children: List[PhysicalOperator]) -> PhysicalOperator:
-        op = node.operator
-        left, right = children
-        algorithm = node.algorithm or "hash"
-        if algorithm == "merge":
-            return MergeJoin(left, right, op.conditions, op.residual)
-        if algorithm == "nested_loop":
-            return NestedLoopJoin(left, right, op.conditions, op.residual)
-        if algorithm.startswith("index_nested_loop"):
-            inner_side = "left" if algorithm.endswith("_left") else "right"
-            inner = left if inner_side == "left" else right
-            inner_name = _stored_name(inner)
-            return IndexNestedLoopJoin(
-                left,
-                right,
-                op.conditions,
-                op.residual,
-                inner_side=inner_side,
-                database=database,
-                inner_name=inner_name,
-            )
-        return HashJoin(left, right, op.conditions, op.residual)
-
-    def _stored_name(operator: PhysicalOperator) -> Optional[str]:
-        if isinstance(operator, TableScan):
-            return operator.relation
-        if isinstance(operator, MaterializedScan):
-            return operator.view_name
-        return None
 
     return compile_node(plan)
 

@@ -72,15 +72,6 @@ def test_union_and_difference_evaluation(star_database):
     assert len(evaluate(difference, star_database)) == 6
 
 
-def test_join_algorithm_selection(star_database):
-    expression = Join(BaseRelation("sales"), BaseRelation("products"), [("product_id", "p_id")])
-    hash_result = evaluate(expression, star_database, join_algorithm="hash")
-    merge_result = evaluate(expression, star_database, join_algorithm="merge")
-    nl_result = evaluate(expression, star_database, join_algorithm="nested_loop")
-    assert hash_result.same_bag(merge_result)
-    assert hash_result.same_bag(nl_result)
-
-
 def test_materialized_registry_is_used(star_database):
     expression = Join(BaseRelation("sales"), BaseRelation("products"), [("product_id", "p_id")])
     registry = MaterializedRegistry()

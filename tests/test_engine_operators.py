@@ -6,7 +6,6 @@ from repro.algebra.expressions import AggregateFunc, AggregateSpec
 from repro.algebra.predicates import eq, gt
 from repro.catalog.schema import Schema
 from repro.engine import operators
-from repro.storage.index import HashIndex
 from repro.storage.relation import Relation
 
 LEFT_SCHEMA = Schema.from_names(["l_id", "l_key", "l_val"])
@@ -35,7 +34,9 @@ def test_select_and_project():
     assert projected.rows.count(("a",)) == 2
 
 
-@pytest.mark.parametrize("join_fn", [operators.nested_loop_join, operators.hash_join, operators.merge_join])
+@pytest.mark.parametrize(
+    "join_fn", [operators.nested_loop_join, operators.hash_join, operators.hash_join_batch]
+)
 def test_join_algorithms_agree(join_fn):
     result = join_fn(LEFT, RIGHT, [("l_key", "r_key")])
     assert sorted(result.rows) == expected_join_rows()
@@ -58,12 +59,12 @@ def test_cross_product_via_empty_conditions():
     assert len(result) == len(LEFT) * len(RIGHT)
     # hash_join falls back to nested loops for cross products
     assert len(operators.hash_join(LEFT, RIGHT, [])) == len(LEFT) * len(RIGHT)
-
-
-def test_index_nested_loop_join_matches_hash_join():
-    index = HashIndex(RIGHT, ["r_key"])
-    result = operators.index_nested_loop_join(LEFT, RIGHT, index, [("l_key", "r_key")])
-    assert sorted(result.rows) == expected_join_rows()
+    # The batch kernel pairs a cross product itself: same bag, residual too.
+    assert operators.hash_join_batch(LEFT, RIGHT, []).same_bag(result)
+    residual = gt("r_val", 150)
+    assert operators.hash_join_batch(LEFT, RIGHT, [], residual).same_bag(
+        operators.nested_loop_join(LEFT, RIGHT, [], residual)
+    )
 
 
 def test_union_all_and_difference():
@@ -119,14 +120,11 @@ def test_aggregate_ignores_null_values():
     assert result.rows == [("a", 10, 2)]
 
 
-def test_merge_join_handles_none_keys_like_hash_join():
-    from repro.catalog.schema import Schema
-    from repro.storage.relation import Relation
-
+def test_hash_join_batch_handles_none_keys_like_hash_join():
     left = Relation(Schema.from_names(["a", "x"]), [(1, 10), (None, 20), (2, 30)])
     right = Relation(Schema.from_names(["b", "y"]), [(None, 100), (1, 200)])
-    merged = operators.merge_join(left, right, [("a", "b")])
+    batched = operators.hash_join_batch(left, right, [("a", "b")])
     hashed = operators.hash_join(left, right, [("a", "b")])
-    assert merged.same_bag(hashed)
+    assert batched.same_bag(hashed)
     # None keys match each other, mirroring hash-bucket semantics.
-    assert (None, 20, None, 100) in merged.rows
+    assert (None, 20, None, 100) in batched.rows

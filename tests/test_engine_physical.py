@@ -1,9 +1,10 @@
 """Unit tests for the physical execution subsystem.
 
-Covers plan compilation (per-node join algorithms, reuse resolution through
-the materialized registry), the end-to-end ``evaluate``-shaped entry point,
-schema conformance after join reassociation, and the ``PhysicalPlanError``
-raised where the interpreter fallback used to hide a failure.
+Covers plan compilation (every join label runs the one hash join, reuse
+resolution through the materialized registry), the end-to-end
+``evaluate``-shaped entry point, schema conformance after join
+reassociation, and the ``PhysicalPlanError`` raised where the interpreter
+fallback used to hide a failure.
 """
 
 import pytest
@@ -26,10 +27,7 @@ from repro.engine.executor import MaterializedRegistry, evaluate
 from repro.engine.physical import (
     Filter,
     HashJoin,
-    IndexNestedLoopJoin,
     MaterializedScan,
-    MergeJoin,
-    NestedLoopJoin,
     PhysicalExecutor,
     PhysicalPlanError,
     TableScan,
@@ -78,12 +76,14 @@ def test_scan_compiles_to_table_scan(star_database):
 @pytest.mark.parametrize(
     "algorithm, operator_type",
     [
+        # The algorithm is a cost-model label: every one compiles to the
+        # one hash join.
         ("hash", HashJoin),
-        ("merge", MergeJoin),
-        ("nested_loop", NestedLoopJoin),
-        ("index_nested_loop_right", IndexNestedLoopJoin),
-        ("index_nested_loop_left", IndexNestedLoopJoin),
-        ("", HashJoin),  # unspecified algorithms default to hash join
+        ("merge", HashJoin),
+        ("nested_loop", HashJoin),
+        ("index_nested_loop_right", HashJoin),
+        ("index_nested_loop_left", HashJoin),
+        ("", HashJoin),
     ],
 )
 def test_every_join_algorithm_executes_identically(star_database, algorithm, operator_type):
@@ -95,8 +95,8 @@ def test_every_join_algorithm_executes_identically(star_database, algorithm, ope
 
 
 def test_index_nested_loop_left_preserves_column_order(star_database):
-    # The stored/indexed side is the LEFT child; output must still be
-    # left ++ right like every other join operator.
+    # A plan costed with the index on the LEFT child still outputs
+    # left ++ right, like every other join.
     plan = join_plan("index_nested_loop_left")
     result = compile_plan(plan, star_database).execute()
     assert result.schema.names[:5] == ("sale_id", "product_id", "store_id", "quantity", "amount")
@@ -311,8 +311,8 @@ def test_plan_cache_invalidated_by_registry_rebinding(star_database):
 
 
 def test_index_nested_loop_sorted_probe_with_none_key(star_database):
-    # Outer probe keys containing None must not crash the sorted-index probe
-    # path; they simply match nothing (a btree cannot hold None keys).
+    # A probe key containing None in a join costed as an index probe runs
+    # like the interpreter's hash join.
     sales = star_database.table("sales")
     with_null = Relation(sales.schema, list(sales.rows) + [(7, None, 100, 1, 5.0)])
     star_database.load_table("sales", with_null)

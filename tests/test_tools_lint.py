@@ -285,6 +285,24 @@ def test_l014_apply_flushes_through_the_pipeline(tmp_path):
     assert "repro/api/stream.py" in findings[0].message
 
 
+def test_l015_engine_does_not_read_join_labels(tmp_path):
+    source = (
+        "def compile_join(node, left, right):\n"
+        "    if node.algorithm == 'merge':\n"
+        "        return merge(left, right)\n"
+        "    label = getattr(node, 'kind', None)\n"
+        "    node.algorithm = label\n"
+        "    return hash_join(left, right, node.algorithm)\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/engine/physical.py")
+    assert codes_of(findings) == ["REPRO-L015"] * 2
+    assert sorted(f.line for f in findings) == [2, 6]
+    assert "HashJoin" in findings[0].message
+    # The planner and the plan verifier read the label; they are not held to it.
+    assert codes_of(lint_source(tmp_path, source, "repro/analysis/planlint.py")) == []
+    assert codes_of(lint_source(tmp_path, source, "repro/optimizer/volcano.py")) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(
@@ -314,7 +332,7 @@ def test_repository_lints_clean():
 
 def test_linter_codes_are_documented():
     """Every code the linter can emit appears in the shared CODES table."""
-    emitted = {f"REPRO-L{i:03d}" for i in (*range(1, 12), 13, 14)}
+    emitted = {f"REPRO-L{i:03d}" for i in (*range(1, 12), 13, 14, 15)}
     assert emitted <= set(CODES)
     for code in emitted:
         assert CODES[code], code

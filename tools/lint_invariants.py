@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L014).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L015).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -61,6 +61,11 @@ tool makes them machine-checked so they cannot erode silently:
   pipeline and its flush).  ``apply()``, the stream session and the serving
   daemon all drive that pipeline; a second scheduler or refresh call
   elsewhere would fork the flush path again.
+* **REPRO-L015** — one physical join: nothing under ``src/repro/engine/``
+  reads an ``.algorithm`` attribute.  A plan step's join algorithm is a
+  label of the disk cost model (``explain()`` and the plan verifier read
+  it); the engine runs every join on the one hash kernel, and a read there
+  would fork execution on the label again.
 
 Usage::
 
@@ -118,6 +123,8 @@ PIPELINE_CALLS: Dict[str, Tuple[str, ...]] = {
     "StreamScheduler": ("repro/api/stream.py",),
     "_refresh_rounds": ("repro/api/stream.py",),
 }
+#: The package that executes plans without reading their join labels (L015).
+ENGINE_PACKAGE = "repro/engine/"
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
 #: The one package allowed to import threading (posix-style path prefix):
@@ -459,6 +466,24 @@ def _check_pipeline_calls(tree: ast.Module, path: Path) -> List[Finding]:
     return findings
 
 
+def _check_join_label_reads(tree: ast.Module, path: Path) -> List[Finding]:
+    if not _matches(path, ENGINE_PACKAGE):
+        return []
+    return [
+        Finding(
+            path,
+            node.lineno,
+            "REPRO-L015",
+            ".algorithm read in the engine forks execution on the cost "
+            "model's join label — every planned join runs HashJoin",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "algorithm"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -608,6 +633,7 @@ _CHECKS = (
     _check_index_materialization,
     _check_frozen_writes,
     _check_pipeline_calls,
+    _check_join_label_reads,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
