@@ -74,6 +74,7 @@ CODES: Dict[str, str] = {
     "REPRO-L013": "object.__setattr__ outside __init__/__post_init__ under src/repro",
     "REPRO-L014": "StreamScheduler built or _refresh_rounds called outside the ingest pipeline",
     "REPRO-L015": "a plan's join algorithm label read under src/repro/engine/",
+    "REPRO-L016": "a reference kernel called from DifferentialEngine or engine/physical.py",
 }
 
 #: Diagnostic severities, in increasing order of trouble.

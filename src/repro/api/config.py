@@ -46,8 +46,6 @@ class WarehouseConfig:
     with_pk_indexes: bool = True
     #: Let Greedy consider building indexes.
     include_index_candidates: bool = True
-    #: Let Greedy consider materializing differentials.
-    include_differential_candidates: bool = False
     #: Use the monotonicity assumption to prune benefit recomputation.
     use_monotonicity: bool = True
 

@@ -132,7 +132,6 @@ class Warehouse:
         self._optimizer = ViewMaintenanceOptimizer(
             self._catalog,
             cost_model=self._cost_model(),
-            include_differential_candidates=self.config.include_differential_candidates,
             include_index_candidates=self.config.include_index_candidates,
             use_monotonicity=self.config.use_monotonicity,
             estimator=self._estimator,

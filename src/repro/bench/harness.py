@@ -27,7 +27,6 @@ class ExperimentConfig:
     catalog: Catalog
     buffer_blocks: int = 8000
     block_size: int = 4096
-    include_differential_candidates: bool = False
     include_index_candidates: bool = True
     use_monotonicity: bool = True
     insert_to_delete_ratio: float = 2.0
@@ -37,7 +36,6 @@ class ExperimentConfig:
         return WarehouseConfig(
             buffer_pages=self.buffer_blocks,
             block_size=self.block_size,
-            include_differential_candidates=self.include_differential_candidates,
             include_index_candidates=self.include_index_candidates,
             use_monotonicity=self.use_monotonicity,
             insert_to_delete_ratio=self.insert_to_delete_ratio,

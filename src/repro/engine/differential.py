@@ -31,7 +31,7 @@ difference fall back to old-vs-new comparison of their (usually small) inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.expressions import (
     Aggregate,
@@ -446,9 +446,9 @@ class OldValueCache:
       applied,
     * ``deltas`` — the differentials of sub-expressions themselves; the
       δ-first prefixes of views over one join graph are shared here,
-    * ``builds`` — hash-join bucket tables over old/new inputs, keyed by
-      (role, oriented form, join positions), so δ+ and δ− probes of every
-      view share one build.
+    * ``builds`` — :class:`~repro.engine.operators.JoinBuild` s over old/new
+      join inputs, keyed by (role, oriented form, join positions), so the δ+
+      and δ− probes of every view share one build.
 
     A cache instance is only valid while the database holds the round's
     pre-update state.  The refresher carries one cache across the rounds of
@@ -461,7 +461,9 @@ class OldValueCache:
     old: Dict[str, Relation] = field(default_factory=dict)
     new: Dict[str, Relation] = field(default_factory=dict)
     deltas: Dict[str, ExpressionDelta] = field(default_factory=dict)
-    builds: Dict[Tuple[str, str, Tuple[int, ...]], Any] = field(default_factory=dict)
+    builds: Dict[Tuple[str, str, Tuple[int, ...]], operators.JoinBuild] = field(
+        default_factory=dict
+    )
     #: Base relations each cached expression depends on — the invalidation
     #: key for cross-round survival.
     dependencies: Dict[str, FrozenSet[str]] = field(default_factory=dict)
@@ -509,9 +511,9 @@ class DifferentialEngine:
       plans over the columnar batch kernels — instead of the row-at-a-time
       interpreter;
     * δ-select and δ-project are the batch select/project kernels applied to
-      each bag; δ-join runs through the delta join kernel of
-      :mod:`repro.engine.operators`, which shares one hash build between
-      the δ+ and δ− bags;
+      each bag; a δ-join is two probes, by the δ+ and δ− bags, of one
+      :class:`~repro.engine.operators.JoinBuild` over the other input — the
+      kernel every planned join runs;
     * a stored SUM/COUNT/AVG aggregate is maintained from the child's delta
       and the exact per-group state the database keeps beside the view
       (:class:`~repro.engine.operators.AggregateState`) — no pass over the
@@ -618,12 +620,7 @@ class DifferentialEngine:
             key = (role, self._key(expr), tuple(positions))
             build = cache.builds.get(key)
             if build is None:
-                # Store-backed sources get the sorted-key probe table (no
-                # row materialization); everything else the dict build.
-                build = operators.vector_probe_build(source, positions)
-                if build is None:
-                    build = operators.hash_build(source, positions)
-                cache.builds[key] = build
+                build = cache.builds[key] = operators.JoinBuild(source, positions)
             return build
 
         def memo(node: Expression, compute_delta: Callable[[], ExpressionDelta]) -> ExpressionDelta:
@@ -745,15 +742,13 @@ class DifferentialEngine:
             _, right_pos = operators._join_positions(
                 left_delta.inserts.schema, old_right.schema, node.conditions
             )
-            build = build_for("old", node.right, old_right, right_pos) if node.conditions else None
             return operators.delta_hash_join_batch(
                 left_delta.inserts,
                 left_delta.deletes,
                 old_right,
                 node.conditions,
                 node.residual,
-                delta_side="left",
-                build=build,
+                build=build_for("old", node.right, old_right, right_pos),
             )
 
         def side(child: Expression) -> Optional[ExpressionDelta]:
@@ -784,11 +779,7 @@ class DifferentialEngine:
                     new_left.schema, delta_schema, node.conditions
                 )
                 role = "new" if (left_delta is not None and not left_delta.is_empty) else "old"
-                build = (
-                    build_for(role, node.left, new_left, left_pos)
-                    if node.conditions
-                    else None
-                )
+                build = build_for(role, node.left, new_left, left_pos)
                 inserts, deletes = operators.delta_hash_join_batch(
                     right_delta.inserts,
                     right_delta.deletes,
@@ -808,7 +799,7 @@ class DifferentialEngine:
             inserts = operators.union_all(*insert_parts)
             deletes = operators.union_all(*delete_parts)
             if _opposite_signs(left_delta, right_delta):
-                overlap = operators.hash_join(
+                overlap = operators.hash_join_batch(
                     left_delta.inserts, right_delta.deletes, node.conditions, node.residual
                 )
                 inserts, deletes = inserts.difference(overlap), deletes.difference(overlap)

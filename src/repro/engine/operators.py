@@ -1,10 +1,13 @@
 """Physical bag operators.
 
 Each function consumes and produces :class:`~repro.storage.Relation` objects
-with multiset semantics.  Every planned join runs on one kernel,
-:func:`hash_join_batch`, whatever join algorithm the cost model priced it
-as; the row kernels :func:`hash_join` and :func:`nested_loop_join` are the
-references the interpreter and the interpreted differential use.
+with multiset semantics.  Every join runs on one kernel: a
+:class:`JoinBuild` over one input, probed by the other.  A planned join is
+one probe (:func:`hash_join_batch`, whatever join algorithm the cost model
+priced it as), a δ-join two probes of one build (:func:`delta_hash_join_batch`)
+and a cross product a build on no key column.  The row kernels
+:func:`hash_join` and :func:`nested_loop_join` are the references the
+interpreter and the interpreted differential use.
 """
 
 from __future__ import annotations
@@ -173,9 +176,8 @@ def nested_loop_join(
     for lrow in left:
         lkey = tuple(lrow[i] for i in left_pos)
         for rrow in right:
-            if conditions and tuple(rrow[i] for i in right_pos) != lkey:
-                continue
-            out.append(lrow + rrow)
+            if tuple(rrow[i] for i in right_pos) == lkey:
+                out.append(lrow + rrow)
     return Relation(schema, _residual_filter(out, schema, residual))
 
 
@@ -185,9 +187,7 @@ def hash_join(
     conditions: Sequence[Tuple[str, str]] = (),
     residual: Optional[Predicate] = None,
 ) -> Relation:
-    """Hash join on the equi-join columns (build on the smaller input)."""
-    if not conditions:
-        return nested_loop_join(left, right, conditions, residual)
+    """Hash join on the equi-join columns (without any, a cross product)."""
     schema = _output(left, right)
     left_pos, right_pos = _join_positions(left.schema, right.schema, conditions)
     # Build on the right input, probe with the left (output order: left ++ right).
@@ -209,85 +209,119 @@ def _residual_mask_store(store, schema: Schema, residual: Optional[Predicate]):
     return store.mask(compile_mask(residual, schema)(store))
 
 
-def _vector_join_keys(left_store, left_pos, right_store, right_pos):
-    """Per-side key arrays for the vectorized equi-join, or ``None``.
+def _row_keys(relation: Relation, positions: Sequence[int]) -> Sequence[Any]:
+    """Each row's dict key: the value itself for one column, else a tuple."""
+    if len(positions) == 1:
+        return relation.column_at(positions[0])
+    return [tuple(row[i] for i in positions) for row in relation.rows]
 
-    Only typed numeric columns of the same kind on both sides qualify —
-    object columns can hold ``None`` (whose bucket semantics the dict path
-    preserves) and mixed int/float pairs would go through lossy float
-    conversion for 2^53+ ints.  Multi-column keys are fused into one int64
-    code per row by successive factorization.
+
+class JoinBuild:
+    """One join input keyed on its join columns, probed by any number of bags.
+
+    Every physical join is a probe of one build: a planned join probes a
+    build over its right input with its left (:func:`hash_join_batch`), and
+    a δ-join probes one build over its non-delta input with both bags of
+    the differential (:func:`delta_hash_join_batch`; the refresh engine
+    shares the build across views and rounds).  A cross product is a build
+    on zero key columns.
+
+    The build is *columnar* when the input carries a column store whose key
+    columns are typed numeric (``int64`` / ``float64``): the key is stably
+    argsorted once.  A multi-column key (and the empty key of a cross
+    product) is first fused into one ``int64`` code per row over the build
+    side's distinct values of each column.  Any other input — row-backed,
+    ``object`` or ``NULL``-carrying keys — gets a key → rows dict, built on
+    first use; a columnar build builds it too for a probe whose key dtypes
+    differ from its own (``int64`` meeting ``float64`` would compare through
+    a float conversion that is lossy past 2**53).  Both forms emit the same
+    rows in the same order.
     """
-    left_keys = [left_store.column(i) for i in left_pos]
-    right_keys = [right_store.column(i) for i in right_pos]
-    for a, b in zip(left_keys, right_keys):
-        if a.dtype.kind not in "if" or b.dtype.kind not in "if" or a.dtype.kind != b.dtype.kind:
-            return None
-    if len(left_keys) == 1:
-        return left_keys[0], right_keys[0]
-    n_left = len(left_store)
-    lkey = _np.zeros(n_left, dtype=_np.int64)
-    rkey = _np.zeros(len(right_store), dtype=_np.int64)
-    capacity = 1
-    for a, b in zip(left_keys, right_keys):
-        uniques, codes = _np.unique(_np.concatenate((a, b)), return_inverse=True)
-        capacity *= max(len(uniques), 1)
-        if capacity > 2**62:
-            return None
-        lkey = lkey * len(uniques) + codes[:n_left]
-        rkey = rkey * len(uniques) + codes[n_left:]
-    return lkey, rkey
 
+    __slots__ = (
+        "relation", "positions", "store", "kinds", "uniques", "order", "sorted_key", "_buckets"
+    )
 
-def _vector_equi_join(
-    left: Relation,
-    right: Relation,
-    left_pos: Sequence[int],
-    right_pos: Sequence[int],
-    schema: Schema,
-    residual: Optional[Predicate],
-) -> Optional[Relation]:
-    """Whole-column equi-join, or ``None`` when the inputs do not qualify.
+    def __init__(self, relation: Relation, positions: Sequence[int]) -> None:
+        self.relation = relation
+        self.positions = tuple(positions)
+        self.store = relation.cached_store()
+        self._buckets: Optional[Dict[Any, List[Row]]] = None
+        self.sorted_key: Any = None
+        if self.store is None:
+            return
+        keys = [self.store.column(p) for p in self.positions]
+        self.kinds = [k.dtype.kind for k in keys]
+        if any(kind not in "if" for kind in self.kinds):
+            return
+        self.uniques = [_np.unique(k) for k in keys] if len(keys) != 1 else []
+        if math.prod(len(u) for u in self.uniques) > 2**62:  # the code must fit int64
+            return
+        key = self._key(keys, len(self.store))
+        self.order = _np.argsort(key, kind="stable")
+        self.sorted_key = key[self.order]
 
-    Sort-based matching over the key arrays: the right side is stably
-    sorted once, each left key finds its matching run by binary search, and
-    the output indices expand with ``repeat``/cumulative offsets.  Because
-    the sort is stable and left rows emit in order, the output ordering is
-    *exactly* that of :func:`hash_join` (left order outer, original right
-    order within a key) — not just the same bag.
-    """
-    columnar = left.cached_store() is not None or right.cached_store() is not None
-    if max(len(left), len(right)) < VECTOR_MIN_ROWS and not columnar:
-        return None
-    # A side with a cached store vectorizes for free; once one side is
-    # columnar the other converts even when small (delta bags probing a
-    # stored table).  Two row-backed sides must both be large enough to
-    # amortize a single-use conversion, else the dict join wins.
-    build_min = 0 if columnar else VECTOR_BUILD_MIN_ROWS
-    left_store = left.vector_store(build_min)
-    right_store = right.vector_store(build_min)
-    if left_store is None or right_store is None:
-        return None
-    keys = _vector_join_keys(left_store, left_pos, right_store, right_pos)
-    if keys is None:
-        return None
-    lkey, rkey = keys
-    order = _np.argsort(rkey, kind="stable")
-    sorted_rkey = rkey[order]
-    starts = _np.searchsorted(sorted_rkey, lkey, side="left")
-    ends = _np.searchsorted(sorted_rkey, lkey, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    left_idx = _np.repeat(_np.arange(len(lkey)), counts)
-    if total:
-        offsets = _np.cumsum(counts) - counts
-        positions = _np.arange(total) - _np.repeat(offsets, counts) + _np.repeat(starts, counts)
-        right_idx = order[positions]
-    else:
-        right_idx = _np.zeros(0, dtype=_np.int64)
-    out = left_store.gather(left_idx).hstack(right_store.gather(right_idx))
-    out = _residual_mask_store(out, schema, residual)
-    return Relation.from_store(schema, out)
+    def _key(self, columns: Sequence[Any], rows: int) -> Any:
+        """The sort key of ``rows`` rows' key ``columns``: the column itself
+        when there is one, else the code fused over :attr:`uniques` (``-1``
+        where a value is not among the build's, so the row matches
+        nothing)."""
+        if len(columns) == 1:
+            return columns[0]
+        code = _np.zeros(rows, dtype=_np.int64)
+        hit = _np.ones(rows, dtype=bool)
+        for column, uniques in zip(columns, self.uniques):
+            at = _np.searchsorted(uniques, column)
+            found = at < len(uniques)
+            found[found] = uniques[at[found]] == column[found]
+            hit &= found
+            code = code * len(uniques) + at
+        return _np.where(hit, code, -1)
+
+    def probe(
+        self,
+        bag: Relation,
+        positions: Sequence[int],
+        bag_is_left: bool,
+        residual: Optional[Predicate] = None,
+    ) -> Relation:
+        """``bag ⋈ build`` on ``bag``'s columns at ``positions``.
+
+        Columns are left ++ right, the bag on the side ``bag_is_left``
+        names; rows are probe-major, the build's original order within a
+        key — for a bag on the left exactly :func:`hash_join`'s emission.
+        """
+        build = self.relation
+        left, right = (bag, build) if bag_is_left else (build, bag)
+        schema = left.schema.concat(right.schema)
+        if not len(bag):
+            return Relation(schema, [])
+        if self.sorted_key is not None:
+            bag_store = bag.vector_store()
+            keys = [bag_store.column(p) for p in positions]
+            if [k.dtype.kind for k in keys] == self.kinds:
+                key = self._key(keys, len(bag_store))
+                starts = _np.searchsorted(self.sorted_key, key, side="left")
+                counts = _np.searchsorted(self.sorted_key, key, side="right") - starts
+                offsets = _np.cumsum(counts) - counts
+                runs = _np.arange(int(counts.sum())) - _np.repeat(offsets - starts, counts)
+                bag_out = bag_store.gather(_np.repeat(_np.arange(len(key)), counts))
+                build_out = self.store.gather(self.order[runs])
+                out = bag_out.hstack(build_out) if bag_is_left else build_out.hstack(bag_out)
+                return Relation.from_store(schema, _residual_mask_store(out, schema, residual))
+        if self._buckets is None:
+            self._buckets = {}
+            setdefault = self._buckets.setdefault
+            for key, row in zip(_row_keys(build, self.positions), build.rows):
+                setdefault(key, []).append(row)
+        get = self._buckets.get
+        empty: Tuple[Row, ...] = ()
+        pairs = zip(_row_keys(bag, positions), bag.rows)
+        if bag_is_left:
+            rows = [row + match for key, row in pairs for match in get(key, empty)]
+        else:
+            rows = [match + row for key, row in pairs for match in get(key, empty)]
+        return Relation.from_trusted_rows(schema, _residual_filter(rows, schema, residual))
 
 
 def hash_join_batch(
@@ -296,159 +330,34 @@ def hash_join_batch(
     conditions: Sequence[Tuple[str, str]] = (),
     residual: Optional[Predicate] = None,
 ) -> Relation:
-    """Vectorized hash join producing the same bag as :func:`hash_join`.
+    """One probe of a :class:`JoinBuild` over ``right`` by ``left``: the
+    same bag, in the same order, as :func:`hash_join`.
 
-    Qualifying joins (typed numeric keys, large or store-backed inputs) run as
-    one whole-column sort/search/gather pass — see :func:`_vector_equi_join`.
-    Otherwise build and probe run over column arrays: single-condition
-    joins (the common case for foreign-key joins) key the hash table on the
-    raw column value — no per-row key-tuple construction — and the probe
-    emits matches through one flat list comprehension.  Without conditions
-    the join is a cross product, paired by the same kind of comprehension.
+    A side with a cached store makes the build columnar, converting
+    ``right`` even when small (a delta bag probing a stored table); the
+    probe converts ``left`` likewise.  Two row-backed sides convert only
+    when both are large enough to amortize a single-use conversion; else
+    the dict join wins.
     """
-    schema = _output(left, right)
-    if not conditions:
-        out = [lrow + rrow for lrow in left.rows for rrow in right.rows]
-        return Relation.from_trusted_rows(schema, _residual_filter(out, schema, residual))
     left_pos, right_pos = _join_positions(left.schema, right.schema, conditions)
-    joined = _vector_equi_join(left, right, left_pos, right_pos, schema, residual)
-    if joined is not None:
-        return joined
-    lrows = left.rows
-    rrows = right.rows
-    buckets: Dict[Any, List[Row]] = {}
-    setdefault = buckets.setdefault
-    get = buckets.get
-    empty: Tuple[Row, ...] = ()
-    if len(left_pos) == 1:
-        li = left_pos[0]
-        ri = right_pos[0]
-        for rrow in rrows:
-            setdefault(rrow[ri], []).append(rrow)
-        out = [lrow + rrow for lrow in lrows for rrow in get(lrow[li], empty)]
-    else:
-        for rrow in rrows:
-            setdefault(tuple(rrow[i] for i in right_pos), []).append(rrow)
-        out = [
-            lrow + rrow
-            for lrow in lrows
-            for rrow in get(tuple(lrow[i] for i in left_pos), empty)
-        ]
-    return Relation.from_trusted_rows(schema, _residual_filter(out, schema, residual))
+    if (
+        left.cached_store() is not None
+        or right.cached_store() is not None
+        or min(len(left), len(right)) >= VECTOR_BUILD_MIN_ROWS
+    ):
+        right.vector_store()
+    return JoinBuild(right, right_pos).probe(left, left_pos, True, residual)
 
 
 # ------------------------------------------------------------- delta kernels
 #
 # Differential maintenance evaluates the *same* operator over the insert and
-# delete bags of a differential (δ+ and δ−).  The join kernel runs both bags
-# against one hash build over the non-delta join input, so the per-round cost
-# is paid once instead of once per bag (and, via the caller-supplied
-# ``build``, once per refresh round instead of once per view).  Selection and
+# delete bags of a differential (δ+ and δ−).  A δ-join is §5.3's join with
+# one input swapped for a δ bag: both bags probe one :class:`JoinBuild` over
+# the non-delta input, so the build is paid once per round (the refresh
+# engine caches it across views) instead of once per bag.  Selection and
 # projection have no shared setup worth a kernel of their own: the
 # differential engine applies :func:`select_batch` / :func:`project` per bag.
-
-def hash_build(relation: Relation, positions: Sequence[int]) -> Dict[Any, List[Row]]:
-    """Key → rows bucket table over ``positions`` (scalar key when single).
-
-    The delta join kernels probe this table; callers that join several delta
-    bags against the same input (or share one input across views, as the
-    refresh engine's old-value cache does) build it once and pass it in.
-    """
-    buckets: Dict[Any, List[Row]] = {}
-    setdefault = buckets.setdefault
-    if len(positions) == 1 and relation.cached_store() is not None:
-        # Key off the flat column array: for store-backed inputs the key
-        # column decodes in one C-level pass instead of indexing into every
-        # materialized row tuple.
-        for key, row in zip(relation.column_at(positions[0]), relation.rows):
-            setdefault(key, []).append(row)
-    elif len(positions) == 1:
-        i = positions[0]
-        for row in relation.rows:
-            setdefault(row[i], []).append(row)
-    else:
-        for row in relation.rows:
-            setdefault(tuple(row[i] for i in positions), []).append(row)
-    return buckets
-
-
-class VectorProbeBuild:
-    """Sorted-key probe table over a store-backed join input.
-
-    The columnar analogue of :func:`hash_build`: the non-delta input's key
-    column is stably argsorted once, and each delta bag finds its matching
-    runs by binary search — no row materialization of the (large) stored
-    side at all.  Shareable across both delta bags, across views, and
-    across a whole refresh round exactly like the dict build.
-    """
-
-    __slots__ = ("store", "key", "order", "sorted_key", "positions")
-
-    def __init__(self, store, key, positions) -> None:
-        self.store = store
-        self.key = key
-        self.positions = tuple(positions)
-        self.order = _np.argsort(key, kind="stable")
-        self.sorted_key = key[self.order]
-
-
-def vector_probe_build(
-    relation: Relation, positions: Sequence[int]
-) -> Optional[VectorProbeBuild]:
-    """A :class:`VectorProbeBuild` over ``relation``, or ``None``.
-
-    Requires an already-cached column store (the whole point is skipping row
-    materialization), a single join column, and a typed numeric key —
-    object keys carry ``None`` whose bucket semantics belong to the dict
-    path.
-    """
-    store = relation.cached_store()
-    if len(positions) != 1 or store is None:
-        return None
-    key = store.column(positions[0])
-    if key.dtype.kind not in "if":
-        return None
-    return VectorProbeBuild(store, key, positions)
-
-
-def _vector_delta_probe(
-    bag: Relation,
-    delta_pos: Sequence[int],
-    vbuild: VectorProbeBuild,
-    schema: Schema,
-    residual: Optional[Predicate],
-    delta_side: str,
-) -> Optional[Relation]:
-    """Join one delta bag against a :class:`VectorProbeBuild`, or ``None``.
-
-    Output rows are delta-major (the bag's order outer, the stored input's
-    original order within a key) with columns in left ++ right order per
-    ``delta_side`` — exactly the dict probe's emission.
-    """
-    if len(bag) == 0:
-        return Relation(schema, [])
-    bag_store = bag.vector_store()
-    dkey = bag_store.column(delta_pos[0])
-    if dkey.dtype.kind != vbuild.key.dtype.kind:
-        return None
-    starts = _np.searchsorted(vbuild.sorted_key, dkey, side="left")
-    ends = _np.searchsorted(vbuild.sorted_key, dkey, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    delta_idx = _np.repeat(_np.arange(len(dkey)), counts)
-    if total:
-        offsets = _np.cumsum(counts) - counts
-        positions = _np.arange(total) - _np.repeat(offsets, counts) + _np.repeat(starts, counts)
-        other_idx = vbuild.order[positions]
-    else:
-        other_idx = _np.zeros(0, dtype=_np.int64)
-    if delta_side == "left":
-        out = bag_store.gather(delta_idx).hstack(vbuild.store.gather(other_idx))
-    else:
-        out = vbuild.store.gather(other_idx).hstack(bag_store.gather(delta_idx))
-    out = _residual_mask_store(out, schema, residual)
-    return Relation.from_store(schema, out)
-
 
 def delta_hash_join_batch(
     inserts: Relation,
@@ -457,85 +366,27 @@ def delta_hash_join_batch(
     conditions: Sequence[Tuple[str, str]] = (),
     residual: Optional[Predicate] = None,
     delta_side: str = "left",
-    build: Optional[object] = None,
+    build: Optional[JoinBuild] = None,
 ) -> Tuple[Relation, Relation]:
-    """δ-⋈: join both bags of a differential against one shared input.
+    """δ-⋈: both bags of a differential probe one build over ``other``.
 
     ``delta_side`` names which logical join operand the delta bags stand in
     for (``"left"`` or ``"right"``); output column order is always
-    left ++ right, matching :func:`hash_join`.  The hash build always goes
-    over ``other`` — the non-delta input — so it is constructed once per
-    call regardless of which side the delta is on (plain ``hash_join`` would
-    build over ``other`` twice for a left-side delta, and probe it twice
-    for a right-side one).  A caller that already holds a build for
-    ``other`` keyed on the join columns — a :func:`hash_build` dict or a
-    :class:`VectorProbeBuild` — can pass it as ``build``.
+    left ++ right, matching :func:`hash_join`.  A caller that already holds
+    the :class:`JoinBuild` of ``other`` on the join columns — the refresh
+    engine caches one per round — passes it as ``build``.
     """
-    delta_schema = inserts.schema
-    if delta_side == "left":
-        schema = delta_schema.concat(other.schema)
-        delta_pos, other_pos = _join_positions(delta_schema, other.schema, conditions)
+    bag_is_left = delta_side == "left"
+    if bag_is_left:
+        delta_pos, other_pos = _join_positions(inserts.schema, other.schema, conditions)
     else:
-        schema = other.schema.concat(delta_schema)
-        other_pos, delta_pos = _join_positions(other.schema, delta_schema, conditions)
-
-    if not conditions:
-        orows = other.rows
-
-        def cross(bag: Relation) -> Relation:
-            if delta_side == "left":
-                rows = [drow + orow for drow in bag.rows for orow in orows]
-            else:
-                rows = [orow + drow for drow in bag.rows for orow in orows]
-            return Relation.from_trusted_rows(schema, _residual_filter(rows, schema, residual))
-
-        return cross(inserts), cross(deletes)
-
-    vbuild: Optional[VectorProbeBuild] = None
-    if isinstance(build, VectorProbeBuild):
-        vbuild, build = build, None
-    elif build is None and len(delta_pos) == 1:
-        vbuild = vector_probe_build(other, other_pos)
-    if vbuild is not None:
-        vector_ins = _vector_delta_probe(
-            inserts, delta_pos, vbuild, schema, residual, delta_side
-        )
-        vector_dels = _vector_delta_probe(
-            deletes, delta_pos, vbuild, schema, residual, delta_side
-        )
-        if vector_ins is not None and vector_dels is not None:
-            return vector_ins, vector_dels
-
+        other_pos, delta_pos = _join_positions(other.schema, inserts.schema, conditions)
     if build is None:
-        build = hash_build(other, other_pos)
-    get = build.get
-    empty: Tuple[Row, ...] = ()
-    single = len(delta_pos) == 1
-
-    def probe(bag: Relation) -> Relation:
-        brows = bag.rows
-        if single:
-            di = delta_pos[0]
-            if delta_side == "left":
-                rows = [drow + orow for drow in brows for orow in get(drow[di], empty)]
-            else:
-                rows = [orow + drow for drow in brows for orow in get(drow[di], empty)]
-        else:
-            if delta_side == "left":
-                rows = [
-                    drow + orow
-                    for drow in brows
-                    for orow in get(tuple(drow[i] for i in delta_pos), empty)
-                ]
-            else:
-                rows = [
-                    orow + drow
-                    for drow in brows
-                    for orow in get(tuple(drow[i] for i in delta_pos), empty)
-                ]
-        return Relation.from_trusted_rows(schema, _residual_filter(rows, schema, residual))
-
-    return probe(inserts), probe(deletes)
+        build = JoinBuild(other, other_pos)
+    return (
+        build.probe(inserts, delta_pos, bag_is_left, residual),
+        build.probe(deletes, delta_pos, bag_is_left, residual),
+    )
 
 
 # ------------------------------------------------------------------ set/bag ops

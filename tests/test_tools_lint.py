@@ -303,6 +303,53 @@ def test_l015_engine_does_not_read_join_labels(tmp_path):
     assert codes_of(lint_source(tmp_path, source, "repro/optimizer/volcano.py")) == []
 
 
+def test_l016_product_path_runs_no_reference_kernel(tmp_path):
+    # The opposite-sign overlap of an as-written δ-join, as it was once
+    # written: the row reference inside the engine class.
+    source = (
+        "from repro.engine import operators\n"
+        "from repro.engine.executor import evaluate\n"
+        "\n"
+        "def differentiate(node, left, right):\n"
+        "    old = evaluate(node, None)\n"
+        "    return operators.hash_join(left, right, node.conditions)\n"
+        "\n"
+        "class DifferentialEngine:\n"
+        "    def differentiate(self, node, left, right):\n"
+        "        def written_join():\n"
+        "            return operators.hash_join(left, right, node.conditions)\n"
+        "        old = self.physical.evaluate(node, None)\n"
+        "        return written_join(), evaluate(node, None), old\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/engine/differential.py")
+    assert codes_of(findings) == ["REPRO-L016"] * 2
+    assert sorted(f.line for f in findings) == [11, 13]
+    assert "operators.hash_join(" in findings[0].message
+    # The interpreted differentiate above the class is a reference: not held.
+    assert codes_of(lint_source(tmp_path, source, "repro/engine/executor.py")) == []
+
+
+def test_l016_holds_all_of_physical_under_any_import_spelling(tmp_path):
+    source = (
+        "import repro.engine.executor as interp\n"
+        "from repro.engine import operators as ops\n"
+        "from repro.engine.operators import aggregate, select as sel, select_batch\n"
+        "\n"
+        "def run(node, rows, database):\n"
+        "    ops.nested_loop_join(rows, rows)\n"
+        "    sel(rows, node.predicate)\n"
+        "    aggregate(rows, [], [])\n"
+        "    interp.evaluate(node, database)\n"
+        "    select_batch(rows, node.predicate)\n"
+        "    return ops.hash_join_batch(rows, rows)\n"
+    )
+    findings = lint_source(tmp_path, source, "repro/engine/physical.py")
+    assert codes_of(findings) == ["REPRO-L016"] * 4
+    assert sorted(f.line for f in findings) == [6, 7, 8, 9]
+    # Only the product path is held to it.
+    assert codes_of(lint_source(tmp_path, source, "repro/engine/database.py")) == []
+
+
 def test_inline_suppression(tmp_path):
     assert codes_of(lint_source(tmp_path, "import os  # lint: allow(L006)\n")) == []
     assert codes_of(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lints encoding this repository's engine invariants (REPRO-L001..L015).
+"""AST lints encoding this repository's engine invariants (REPRO-L001..L016).
 
 The invariants below were established in prose across earlier changes; this
 tool makes them machine-checked so they cannot erode silently:
@@ -66,6 +66,14 @@ tool makes them machine-checked so they cannot erode silently:
   label of the disk cost model (``explain()`` and the plan verifier read
   it); the engine runs every join on the one hash kernel, and a read there
   would fork execution on the label again.
+* **REPRO-L016** — the product path runs no reference kernel: inside
+  ``class DifferentialEngine`` (``repro/engine/differential.py``) and
+  anywhere in ``repro/engine/physical.py``, nothing calls the row kernels
+  ``operators.hash_join`` / ``nested_loop_join`` / ``select`` /
+  ``aggregate`` or the interpreter ``executor.evaluate``, however
+  imported.  Those are the oracles ``verify()`` and the tests check the
+  batch kernels against; a call from the product path would make the
+  oracle check itself.
 
 Usage::
 
@@ -86,7 +94,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 #: The one module allowed to import numpy (posix-style path suffix).
 COLUMNS_MODULE = "repro/storage/columns.py"
@@ -125,6 +133,17 @@ PIPELINE_CALLS: Dict[str, Tuple[str, ...]] = {
 }
 #: The package that executes plans without reading their join labels (L015).
 ENGINE_PACKAGE = "repro/engine/"
+#: The product path (L016): module → the class held to the rule there, or
+#: ``None`` for the whole module.
+PRODUCT_PATH: Dict[str, Optional[str]] = {
+    "repro/engine/physical.py": None,
+    "repro/engine/differential.py": "DifferentialEngine",
+}
+#: The reference kernels the product path may not call (L016), by module.
+REFERENCE_KERNELS: Dict[str, FrozenSet[str]] = {
+    "operators": frozenset({"hash_join", "nested_loop_join", "select", "aggregate"}),
+    "executor": frozenset({"evaluate"}),
+}
 #: Module roots that imply process-level parallelism (L008).
 _PARALLEL_MODULES = ("multiprocessing", "concurrent")
 #: The one package allowed to import threading (posix-style path prefix):
@@ -484,6 +503,61 @@ def _check_join_label_reads(tree: ast.Module, path: Path) -> List[Finding]:
     ]
 
 
+def _check_reference_calls(tree: ast.Module, path: Path) -> List[Finding]:
+    scopes = [scope for module, scope in PRODUCT_PATH.items() if _matches(path, module)]
+    if not scopes:
+        return []
+    # Local names bound to a reference module or to a reference kernel.
+    modules: Dict[str, str] = {}
+    kernels: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if alias.name in REFERENCE_KERNELS and source in ("engine", ""):
+                    modules[local] = alias.name
+                elif alias.name in REFERENCE_KERNELS.get(source, ()):
+                    kernels[local] = f"{source}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                source = alias.name.rpartition(".")[2]
+                if source in REFERENCE_KERNELS and alias.asname:
+                    modules[alias.asname] = source
+    findings = []
+
+    def visit(node: ast.AST, held: bool) -> None:
+        if isinstance(node, ast.ClassDef) and node.name in scopes:
+            held = True
+        if held and isinstance(node, ast.Call):
+            func = node.func
+            called = None
+            if isinstance(func, ast.Name):
+                called = kernels.get(func.id)
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.attr in REFERENCE_KERNELS.get(modules.get(func.value.id, ""), ())
+            ):
+                called = f"{modules[func.value.id]}.{func.attr}"
+            if called is not None:
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        "REPRO-L016",
+                        f"{called}( on the product path runs a reference "
+                        f"kernel — call its batch kernel; the references are "
+                        f"the oracles verify() and the tests check against",
+                    )
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, held)
+
+    visit(tree, None in scopes)
+    return findings
+
+
 def _check_mutable_defaults(tree: ast.Module, path: Path) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
@@ -634,6 +708,7 @@ _CHECKS = (
     _check_frozen_writes,
     _check_pipeline_calls,
     _check_join_label_reads,
+    _check_reference_calls,
     _check_mutable_defaults,
     _check_dunder_all,
     _check_unused_imports,
